@@ -19,32 +19,21 @@ which are the identities behind both energy balance laws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.fft as sfft
 
-from .grid import SpectralField, band_keep, require_same_grid, xi_squared
+from .grid import SpectralField, require_same_grid, xi_squared
 from .spectral import (
     bilaplacian,
     divergence,
-    fft_workers,
     gradient,
     inner_product,
     l2_norm,
     one_minus_laplacian,
+    padded_samples,
     perp_gradient,
     product_sum,
     sanitize_band,
 )
-
-
-@dataclass(eq=False)
-class BilinearResult:
-    """Transport term together with the advecting velocity."""
-
-    transport: SpectralField
-    velocity: tuple[SpectralField, SpectralField]
 
 
 def velocity(rho: SpectralField) -> tuple[SpectralField, SpectralField]:
@@ -76,10 +65,6 @@ def transport_divergence_route(rho: SpectralField, zeta: SpectralField) -> Spect
     return divergence(p1, p2)
 
 
-def transport_full(rho: SpectralField, zeta: SpectralField) -> BilinearResult:
-    return BilinearResult(transport=transport(rho, zeta), velocity=velocity(rho))
-
-
 def pairing_first(rho: SpectralField, zeta: SpectralField) -> float:
     """< transport(rho, zeta), (Id - Delta) rho >; zero under exact dealiasing."""
     rho = sanitize_band(rho)
@@ -102,18 +87,6 @@ def pairing_scale(rho: SpectralField, zeta: SpectralField) -> float:
     return l2_norm(lam) * l2_norm(one_minus_laplacian(rho))
 
 
-def _quadrature_grid_values(u: SpectralField, factor: int = 2) -> np.ndarray:
-    """Samples of u on a factor-n refined grid (for exact triple products)."""
-    n = u.grid.n
-    m = factor * n
-    half = n // 2
-    c = u.coeffs * band_keep(u.grid)
-    hpad = np.zeros((m, m // 2 + 1), dtype=complex)
-    hpad[:half, :half] = c[:half, :half]
-    hpad[m - half + 1:, :half] = c[half + 1:, :half]
-    return sfft.irfft2(hpad, s=(m, m), workers=fft_workers()) * (m * m)
-
-
 def antisymmetry_residual(rho: SpectralField, phi: SpectralField) -> float:
     """Relative defect of the transport/test-field exchange identity.
 
@@ -130,12 +103,8 @@ def antisymmetry_residual(rho: SpectralField, phi: SpectralField) -> float:
     g1, g2 = gradient(phi)
     q = xi_squared(rho.grid)
     arho = SpectralField(rho.grid, rho.coeffs * (1.0 + q + q * q))
-    u1p = _quadrature_grid_values(u1)
-    u2p = _quadrature_grid_values(u2)
-    g1p = _quadrature_grid_values(g1)
-    g2p = _quadrature_grid_values(g2)
-    ap = _quadrature_grid_values(arho)
-    m = u1p.shape[0]
+    m = 2 * rho.grid.n
+    u1p, u2p, g1p, g2p, ap = (padded_samples(f, m) * (m * m) for f in (u1, u2, g1, g2, arho))
     cell = (rho.grid.box_length / m) ** 2
     udotg = u1p * g1p + u2p * g2p
     rhs = -cell * float(np.sum(udotg * ap))

@@ -19,7 +19,6 @@ from . import __version__
 from . import bilinear, diagnostics as diag, decay_lab, littlewood_paley as lp
 from .config import (
     ConfigError,
-    ExperimentManifest,
     manifest_from_values,
     parse_config,
     resolve_run_config,
@@ -31,22 +30,24 @@ from .evolution import (
     SimulationAbort,
     TimeSeriesRecord,
     compare_runs,
-    linear_evolve,
+    linear_series,
+    prepare_state,
     simulate,
 )
-from .grid import SpectralField
+from .grid import SpectralField, band_keep, hermitian_defect, multiplier_table
 from .quadrature import QuadratureError
 from .snapshots import SnapshotError, read_snapshot, write_snapshot
 from .spectral import (
     apply_multiplier,
+    cosine_field,
     dealiased_product,
+    divergence,
     forward_transform,
     inverse_transform,
     l2_norm,
     project_jn,
     random_band_field,
 )
-from .grid import multiplier_table, hermitian_defect
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -165,7 +166,8 @@ def _cmd_run(args) -> int:
     _, cfg, manifest = _load(args, "run")
     os.makedirs(args.out, exist_ok=True)
     result = simulate(cfg)
-    manifest.warnings = tuple(manifest.warnings) + tuple(result.warnings)
+    # simulate repeats the t = 0 warnings that resolve_run_config already gave
+    manifest.warnings = tuple(dict.fromkeys((*manifest.warnings, *result.warnings)))
     _write_series(args.out, cfg, result.records, manifest)
     final_path = os.path.join(args.out, "final.qgk")
     write_snapshot(final_path, result.final, cfg.t_end)
@@ -178,8 +180,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_linear(args) -> int:
-    from .evolution import _attach_residuals, _record, prepare_state
-
     _, cfg, manifest = _load(args, "linear")
     os.makedirs(args.out, exist_ok=True)
     if args.times:
@@ -187,14 +187,7 @@ def _cmd_linear(args) -> int:
     else:
         stride = cfg.diagnostics_every * cfg.dt
         times = [i * stride for i in range(cfg.n_steps // cfg.diagnostics_every + 1)]
-    w0 = prepare_state(cfg)
-    states = linear_evolve(w0, cfg.forcing, cfg.mu, times)
-    lin_cfg = RunConfig(grid=cfg.grid, mu=cfg.mu, t_end=cfg.t_end, dt=cfg.dt,
-                        initial_condition=w0, forcing=cfg.forcing,
-                        sigma_list=cfg.sigma_list, disable_transport=True,
-                        diagnostics_every=cfg.diagnostics_every)
-    records = [_record(f, t, lin_cfg) for t, f in states]
-    _attach_residuals(records, cfg.mu)
+    states, records = linear_series(cfg, times)
     _write_series(args.out, cfg, records, manifest)
     _write_snaps(args.out, states, manifest)
     print(f"linear flow evaluated at {len(times)} times -> {args.out}")
@@ -208,28 +201,17 @@ def _cmd_decay(args) -> int:
     series = decay_lab.decay_series(
         profile, moments=moments, mu=args.mu, window=(lo, hi), num=args.samples,
         duhamel_eta=args.duhamel_eta, duhamel_amplitude=args.duhamel_k)
-    cols = ["t"]
-    for k in moments:
-        cols.append(f"M{k}")
-    for k in moments:
-        cols.append(f"env{k}")
-    for k in (moments if args.duhamel_eta is not None else ()):
-        cols.append(f"D{k}")
-    rows = []
-    for i, t in enumerate(series.times):
-        row = [t]
-        row += [series.moments[k][i] for k in moments]
-        row += [series.envelopes[k][i] for k in moments]
-        if args.duhamel_eta is not None:
-            row += [series.duhamel[k][i] for k in moments]
-        rows.append(row)
+    columns = [("t", series.times)]
+    columns += [(f"M{k}", series.moments[k]) for k in moments]
+    columns += [(f"env{k}", series.envelopes[k]) for k in moments]
+    if args.duhamel_eta is not None:
+        columns += [(f"D{k}", series.duhamel[k]) for k in moments]
+    names, data = zip(*columns)
     values = {"profile": profile.kind, "mu": args.mu, "moments": args.moments,
               "window": args.window, "samples": args.samples,
               "duhamel_eta": args.duhamel_eta, "duhamel_k": args.duhamel_k}
-    manifest = ExperimentManifest(command="decay",
-                                  config_items=tuple(sorted((k, repr(v)) for k, v in values.items())),
-                                  seed=0)
-    write_csv(args.out, cols, rows, manifest)
+    manifest = manifest_from_values("decay", values)
+    write_csv(args.out, names, zip(*data), manifest)
     summary = {
         f"M{k}": {"slope": series.fitted[k][0], "stderr": series.fitted[k][1],
                   "envelope_rate": series.envelope_rates[k]}
@@ -257,10 +239,8 @@ def _cmd_compare(args) -> int:
     snaps_a = _load_run_dir(args.run_a)
     snaps_b = _load_run_dir(args.run_b)
     series = diag.compare_h3(snaps_a, snaps_b, args.eta)
-    values = {"run_a": args.run_a, "run_b": args.run_b, "eta": args.eta}
-    manifest = ExperimentManifest(command="compare",
-                                  config_items=tuple(sorted((k, repr(v)) for k, v in values.items())),
-                                  seed=0)
+    manifest = manifest_from_values("compare", {"run_a": args.run_a, "run_b": args.run_b,
+                                                "eta": args.eta})
     rows = list(zip(series.times, series.z_h3, series.envelope_ratio))
     write_csv(args.out, ["t", "z_h3", "envelope_ratio"], rows, manifest)
     print(f"sup envelope ratio (t >= 1): {series.sup_ratio(1.0):.6e}")
@@ -314,17 +294,11 @@ def _cmd_lp_spectrum(args) -> int:
         raise ConfigError("lp-spectrum needs exactly one of --snapshot or --config")
     if args.snapshot:
         field, _ = read_snapshot(args.snapshot)
-        manifest = ExperimentManifest(command="lp-spectrum",
-                                      config_items=(("snapshot", repr(args.snapshot)),
-                                                    ("weight", repr(args.weight))),
-                                      seed=0)
+        manifest = manifest_from_values("lp-spectrum", {"snapshot": args.snapshot,
+                                                        "weight": args.weight})
     else:
-        from .evolution import prepare_state
-
-        values = parse_config(args.config)
-        cfg, warnings = resolve_run_config(values)
+        _, cfg, manifest = _load(args, "lp-spectrum")
         field = prepare_state(cfg)
-        manifest = manifest_from_values("lp-spectrum", values, warnings)
     partition = lp.dyadic_partition(field.grid)
     rows = lp.block_spectrum(partition, field, args.weight)
     write_csv(args.out, ["j", "l2_of_block", "weighted"], rows, manifest)
@@ -338,8 +312,6 @@ def _cmd_lp_spectrum(args) -> int:
 
 def _invariant_checks(cfg: RunConfig, seed: int):
     """Fast property battery; yields (name, value, tolerance, passed)."""
-    from . import evolution
-
     grid = cfg.grid
     mt = multiplier_table(grid)
     u = random_band_field(grid, seed + 1, 1.0, 3.0, 1, grid.n // 4)
@@ -364,8 +336,6 @@ def _invariant_checks(cfg: RunConfig, seed: int):
            float(np.max(np.abs(p1.coeffs - p2.coeffs))), 1e-14)
     # divergence-free velocity and transport cancellations
     u1, u2 = bilinear.velocity(u)
-    from .spectral import divergence
-
     div = divergence(u1, u2)
     yield ("velocity_divergence_free", l2_norm(div) / max(l2_norm(u1), 1e-300), 1e-13)
     scale = bilinear.pairing_scale(u, v)
@@ -382,8 +352,6 @@ def _invariant_checks(cfg: RunConfig, seed: int):
     total = np.zeros(grid.shape)
     for j in partition.block_range():
         total += partition.weights[j + 1]
-    from .grid import band_keep
-
     keep = band_keep(grid).astype(bool)
     yield ("lp_partition_of_unity", float(np.max(np.abs(total[keep] - 1.0))), 1e-12)
     recon = np.zeros(grid.shape, complex)
@@ -396,12 +364,10 @@ def _invariant_checks(cfg: RunConfig, seed: int):
     yield ("bony_reconstruction",
            l2_norm(SpectralField(grid, bony - ref.coeffs)) / max(l2_norm(ref), 1e-300), 1e-12)
     # single-mode exactness of the stepper
-    from .spectral import cosine_field
-
     single = cosine_field(grid, 1, 0, 1.0)
     cfg1 = RunConfig(grid=grid, mu=1.0, t_end=10 * 0.05, dt=0.05,
                      initial_condition=single, diagnostics_every=10)
-    result = evolution.simulate(cfg1)
+    result = simulate(cfg1)
     q = (grid.frequency_unit) ** 2
     h = (1.0 + q) * q * q / (1.0 + q + q * q)
     exact = np.exp(-h * cfg1.t_end)

@@ -24,12 +24,13 @@ from .evolution import (
     STEPPERS,
     ForcingSpec,
     RunConfig,
-    cfl_limit,
     prepare_state,
+    start_warnings,
 )
 from .snapshots import read_snapshot
 from .spectral import (
     cosine_field,
+    fft_workers_warnings,
     random_band_field,
     random_exponential_field,
 )
@@ -188,14 +189,7 @@ def resolve_run_config(values: dict) -> tuple[RunConfig, list]:
         sigma_list=_sigma_list(values["diag.sigma"]),
         disable_transport=bool(values["disable_transport"]),
     )
-    warnings = []
-    limit = cfl_limit(prepare_state(cfg))
-    if cfg.dt > limit:
-        warnings.append(f"dt = {cfg.dt:g} exceeds the advective CFL estimate {limit:g} "
-                        "for the configured initial condition")
-    if cfg.mu == 0.0:
-        warnings.append("mu = 0: inviscid run, stepper accuracy is tracked but not certified")
-    return cfg, warnings
+    return cfg, start_warnings(cfg, prepare_state(cfg)) + fft_workers_warnings()
 
 
 @dataclass

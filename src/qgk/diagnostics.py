@@ -22,83 +22,89 @@ the time quadrature; both shrink at fourth order under dt-halving.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .grid import GridSpec, SpectralField, multiplier_table, xi_squared
-from .spectral import sobolev_norm, weighted_l2
+from .spectral import sobolev_norm
+
+
+# rows of the quadratic-form weight table, in the order quadratic_forms returns them
+X, Y, E_FIRST, E_SECOND, H3_SQ, H4_SQ, D_FIRST, D_SECOND = range(8)
 
 
 @lru_cache(maxsize=None)
-def _tables(grid: GridSpec):
+def _weights(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Quadratic-form rows (X .. D_second) and the two forcing-pairing rows."""
     q = xi_squared(grid)
-    t = {
-        "e_first": 0.5 * (1.0 + 2.0 * q + 2.0 * q**2 + q**3),
-        "e_second": 0.5 * (1.0 + q + q**2) ** 2,
-        "x": 1.0 + q + q**2 + q**3,
-        "y": q**2 + q**3 + q**4,
-        "d_first": q**2 + 2.0 * q**3 + q**4,
-        "d_second": q**2 + 2.0 * q**3 + 2.0 * q**4 + q**5,
-        "pair_first": 1.0 + q,
-        "pair_second": 1.0 + q + q**2,
-    }
-    for arr in t.values():
-        arr.setflags(write=False)
-    return t
+    forms = np.stack([
+        1.0 + q + q**2 + q**3,
+        q**2 + q**3 + q**4,
+        0.5 * (1.0 + 2.0 * q + 2.0 * q**2 + q**3),
+        0.5 * (1.0 + q + q**2) ** 2,
+        (1.0 + q) ** 3.0,
+        (1.0 + q) ** 4.0,
+        q**2 + 2.0 * q**3 + q**4,
+        q**2 + 2.0 * q**3 + 2.0 * q**4 + q**5,
+    ])
+    pairings = np.stack([1.0 + q, 1.0 + q + q**2])
+    forms.setflags(write=False)
+    pairings.setflags(write=False)
+    return forms, pairings
 
 
-def _quadratic(u: SpectralField, weight: np.ndarray) -> float:
-    return weighted_l2(u, weight) ** 2
+def _contract(u: SpectralField, weights) -> np.ndarray:
+    """L^2 sum_k w(k) |c(k)|^2 for each weight row; |c|^2 is formed once."""
+    absq = u.coeffs.real ** 2 + u.coeffs.imag ** 2
+    return u.grid.box_length ** 2 * np.array([float(np.sum(w * absq)) for w in weights])
+
+
+def quadratic_forms(u: SpectralField, sigmas=()) -> np.ndarray:
+    """[X, Y, E_first, E_second, |u|_H3^2, |u|_H4^2, D_first, D_second,
+    E_sigma for each sigma], contracted row by row against one |c|^2."""
+    forms, _ = _weights(u.grid)
+    q = xi_squared(u.grid)
+    return _contract(u, itertools.chain(forms, ((1.0 + q) ** s * forms[Y] for s in sigmas)))
+
+
+def forcing_work(f_coeffs: np.ndarray, u: SpectralField) -> tuple[float, float]:
+    """< f, (Id - Delta) u > and < f, (Id - Delta + Delta^2) u > from the
+    forcing coefficient array; f conj(u) is formed once."""
+    _, pairings = _weights(u.grid)
+    fu = f_coeffs * np.conj(u.coeffs)
+    L2 = u.grid.box_length ** 2
+    return tuple(L2 * float(np.real(np.sum(fu * w))) for w in pairings)
+
+
+def _form(u: SpectralField, weight: np.ndarray) -> float:
+    return float(_contract(u, [weight])[0])
 
 
 def energy_first(u: SpectralField) -> float:
-    return _quadratic(u, _tables(u.grid)["e_first"])
+    return _form(u, _weights(u.grid)[0][E_FIRST])
 
 
 def energy_second(u: SpectralField) -> float:
-    return _quadratic(u, _tables(u.grid)["e_second"])
+    return _form(u, _weights(u.grid)[0][E_SECOND])
 
 
 def energy_sigma(u: SpectralField, sigma: float) -> float:
-    q = xi_squared(u.grid)
-    return _quadratic(u, (1.0 + q) ** sigma * (q**2 + q**3 + q**4))
+    return _form(u, (1.0 + xi_squared(u.grid)) ** sigma * _weights(u.grid)[0][Y])
 
 
 def energy_tilde_s(u: SpectralField, s: float) -> float:
-    q = xi_squared(u.grid)
-    return _quadratic(u, (1.0 + q) ** s * (1.0 + q + q**2 + q**3))
+    return _form(u, (1.0 + xi_squared(u.grid)) ** s * _weights(u.grid)[0][X])
 
 
 def x_of(u: SpectralField) -> float:
-    return _quadratic(u, _tables(u.grid)["x"])
+    return _form(u, _weights(u.grid)[0][X])
 
 
 def y_of(u: SpectralField) -> float:
-    return _quadratic(u, _tables(u.grid)["y"])
-
-
-def dissipation_first(u: SpectralField) -> float:
-    return _quadratic(u, _tables(u.grid)["d_first"])
-
-
-def dissipation_second(u: SpectralField) -> float:
-    return _quadratic(u, _tables(u.grid)["d_second"])
-
-
-def forcing_work_first(f_coeffs: np.ndarray, u: SpectralField) -> float:
-    """< f, (Id - Delta) u > from the forcing coefficient array."""
-    w = _tables(u.grid)["pair_first"]
-    L2 = u.grid.box_length ** 2
-    return L2 * float(np.real(np.sum(f_coeffs * np.conj(u.coeffs) * w)))
-
-
-def forcing_work_second(f_coeffs: np.ndarray, u: SpectralField) -> float:
-    """< f, (Id - Delta + Delta^2) u >."""
-    w = _tables(u.grid)["pair_second"]
-    L2 = u.grid.box_length ** 2
-    return L2 * float(np.real(np.sum(f_coeffs * np.conj(u.coeffs) * w)))
+    return _form(u, _weights(u.grid)[0][Y])
 
 
 @dataclass
@@ -152,7 +158,9 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _balance_residuals(times, energy, diss, work, mu: float) -> np.ndarray:
+def balance_residuals(times, energy, diss, work, mu: float) -> np.ndarray:
+    """Normalized defect of an energy equality over [0, t_k]: either balance
+    law, given its energy, dissipation and forcing-work series."""
     times = np.asarray(times, dtype=float)
     if len(times) < 3:
         raise ValueError("balance residuals need at least three diagnostics rows")
@@ -165,16 +173,6 @@ def _balance_residuals(times, energy, diss, work, mu: float) -> np.ndarray:
     res = energy - energy[0] + mu * diss_int - work_int
     scale = energy[0] + np.abs(work_int) + 1e-300
     return np.abs(res) / scale
-
-
-def first_balance_residuals(times, e_first, diss_first, work_first, mu) -> np.ndarray:
-    """Normalized defect of the first energy equality over [0, t_k]."""
-    return _balance_residuals(times, e_first, diss_first, work_first, mu)
-
-
-def second_balance_residuals(times, e_second, diss_second, work_second, mu) -> np.ndarray:
-    """Normalized defect of the second energy equality over [0, t_k]."""
-    return _balance_residuals(times, e_second, diss_second, work_second, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +214,21 @@ def compare_h3(nonlinear_snaps, linear_snaps, eta: float) -> ComparisonSeries:
     return ComparisonSeries(times=times, z_h3=z_h3, envelope_ratio=ratio, eta=eta)
 
 
+def _pointwise_sup(snaps, r0: SpectralField, base) -> float:
+    mt = multiplier_table(r0.grid)
+    absxi = np.sqrt(xi_squared(r0.grid))
+    h3sq = sobolev_norm(r0, 3.0) ** 2
+    sup = 0.0
+    for t, r in snaps:
+        if t <= 0.0:
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (np.abs(r.coeffs) - base) * mt.a / (absxi * np.sqrt(t) * h3sq)
+        ratio[absxi == 0.0] = 0.0
+        sup = max(sup, float(np.max(ratio)))
+    return sup
+
+
 def pointwise_bound_sup(snaps, r0: SpectralField) -> float:
     """Fitted constant of the pointwise Fourier bound for unforced runs.
 
@@ -223,37 +236,12 @@ def pointwise_bound_sup(snaps, r0: SpectralField) -> float:
     (|r_hat(t)| - |r0_hat|) a(xi) / (|xi| sqrt(t) |r0|_{H3}^2) is formed;
     the supremum over modes and times is returned.
     """
-    mt = multiplier_table(r0.grid)
-    q = xi_squared(r0.grid)
-    absxi = np.sqrt(q)
-    base = np.abs(r0.coeffs)
-    h3sq = sobolev_norm(r0, 3.0) ** 2
-    sup = 0.0
-    for t, r in snaps:
-        if t <= 0.0:
-            continue
-        growth = (np.abs(r.coeffs) - base) * mt.a
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = growth / (absxi * np.sqrt(t) * h3sq)
-        ratio[q == 0.0] = 0.0
-        sup = max(sup, float(np.max(ratio)))
-    return sup
+    return _pointwise_sup(snaps, r0, np.abs(r0.coeffs))
 
 
 def pointwise_z_bound_sup(z_snaps, r0: SpectralField) -> float:
     """Same fitted constant for the nonlinear-minus-linear difference."""
-    mt = multiplier_table(r0.grid)
-    absxi = np.sqrt(xi_squared(r0.grid))
-    h3sq = sobolev_norm(r0, 3.0) ** 2
-    sup = 0.0
-    for t, z in z_snaps:
-        if t <= 0.0:
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs(z.coeffs) * mt.a / (absxi * np.sqrt(t) * h3sq)
-        ratio[absxi == 0.0] = 0.0
-        sup = max(sup, float(np.max(ratio)))
-    return sup
+    return _pointwise_sup(z_snaps, r0, 0.0)
 
 
 def envelope_series(times, values, rate: float) -> np.ndarray:

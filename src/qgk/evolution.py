@@ -18,6 +18,7 @@ self-adjoint and idempotent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -193,25 +194,18 @@ class SimulationResult:
     warnings: list
 
 
-def _forcing_coeffs(cfg: RunConfig, t: float) -> np.ndarray | None:
-    """Forcing coefficients as the tendency sees them (band + Galerkin cut)."""
-    f = cfg.forcing.coefficients(t)
-    if f is None:
-        return None
-    f = f * band_keep(cfg.grid)
-    if cfg.galerkin_cut is not None:
-        f = f * _jn_mask(cfg.grid, float(cfg.galerkin_cut))
-    return f
-
-
 def _nonlinear_rhs(coeffs: np.ndarray, t: float, cfg: RunConfig) -> np.ndarray:
-    """Everything but the diagonal dissipation: d (f_hat - transport_hat)."""
+    """Everything but the diagonal dissipation: d (f_hat - transport_hat).
+
+    ForcingSpec keeps its profiles on the symmetric band, and the Galerkin
+    cut multiplies the whole sum, so the forcing needs no mask of its own.
+    """
     mt = multiplier_table(cfg.grid)
     if cfg.disable_transport:
         nl = None
     else:
         nl = transport(SpectralField(cfg.grid, coeffs), SpectralField(cfg.grid, coeffs)).coeffs
-    f = _forcing_coeffs(cfg, t)
+    f = cfg.forcing.coefficients(t)
     if f is None and nl is None:
         return np.zeros(cfg.grid.shape, dtype=complex)
     inner = (f - nl) if (f is not None and nl is not None) else (f if nl is None else -nl)
@@ -267,10 +261,13 @@ def step(r: SpectralField, t: float, cfg: RunConfig) -> SpectralField:
     return SpectralField(cfg.grid, out)
 
 
+def _velocity_samples(r: SpectralField) -> tuple[np.ndarray, np.ndarray]:
+    """Grid samples of the velocity perp_gradient((Id - Delta) r)."""
+    return tuple(inverse_transform(c).samples for c in perp_gradient(one_minus_laplacian(r)))
+
+
 def max_velocity(r: SpectralField) -> float:
-    u1, u2 = perp_gradient(one_minus_laplacian(r))
-    p1 = inverse_transform(u1).samples
-    p2 = inverse_transform(u2).samples
+    p1, p2 = _velocity_samples(r)
     return float(np.max(np.hypot(p1, p2)))
 
 
@@ -291,21 +288,17 @@ def prepare_state(cfg: RunConfig) -> SpectralField:
 
 
 def _record(r: SpectralField, t: float, cfg: RunConfig) -> TimeSeriesRecord:
-    f = _forcing_coeffs(cfg, t)
-    fz = f if f is not None else np.zeros(cfg.grid.shape, dtype=complex)
+    x, y, e_first, e_second, h3_sq, h4_sq, diss_first, diss_second, *e_sigma = (
+        diag.quadratic_forms(r, cfg.sigma_list).tolist())
+    f = cfg.forcing.coefficients(t)
+    # no Galerkin mask on f: stepped states vanish outside the cut, and the
+    # exact linear flow is not cut (see linear_evolve)
+    work_first, work_second = (0.0, 0.0) if f is None else diag.forcing_work(f, r)
     return TimeSeriesRecord(
-        t=t,
-        x=diag.x_of(r),
-        y=diag.y_of(r),
-        e_first=diag.energy_first(r),
-        e_second=diag.energy_second(r),
-        e_sigma=tuple(diag.energy_sigma(r, s) for s in cfg.sigma_list),
-        h3=sobolev_norm(r, 3.0),
-        h4=sobolev_norm(r, 4.0),
-        diss_first=diag.dissipation_first(r),
-        diss_second=diag.dissipation_second(r),
-        work_first=diag.forcing_work_first(fz, r),
-        work_second=diag.forcing_work_second(fz, r),
+        t=t, x=x, y=y, e_first=e_first, e_second=e_second, e_sigma=tuple(e_sigma),
+        h3=math.sqrt(h3_sq), h4=math.sqrt(h4_sq),
+        diss_first=diss_first, diss_second=diss_second,
+        work_first=work_first, work_second=work_second,
     )
 
 
@@ -313,15 +306,27 @@ def _attach_residuals(records: list, mu: float) -> None:
     times = [rec.t for rec in records]
     if len(times) < 3:
         return
-    r1 = diag.first_balance_residuals(
+    r1 = diag.balance_residuals(
         times, [r.e_first for r in records], [r.diss_first for r in records],
         [r.work_first for r in records], mu)
-    r2 = diag.second_balance_residuals(
+    r2 = diag.balance_residuals(
         times, [r.e_second for r in records], [r.diss_second for r in records],
         [r.work_second for r in records], mu)
     for rec, a, b in zip(records, r1, r2):
         rec.res_first = float(a)
         rec.res_second = float(b)
+
+
+def start_warnings(cfg: RunConfig, r0: SpectralField) -> list[str]:
+    """Warnings about a run as configured, from its prepared initial state."""
+    warnings = []
+    limit = cfl_limit(r0)
+    if cfg.dt > limit:
+        warnings.append(f"dt = {cfg.dt:g} exceeds the advective CFL estimate {limit:g} "
+                        "for the configured initial condition")
+    if cfg.mu == 0.0:
+        warnings.append("mu = 0: inviscid run, stepper accuracy is tracked but not certified")
+    return warnings
 
 
 def simulate(cfg: RunConfig) -> SimulationResult:
@@ -330,20 +335,14 @@ def simulate(cfg: RunConfig) -> SimulationResult:
     Deterministic given (cfg, seed): all randomness is consumed when the
     initial condition and forcing profile are built.
     """
-    warnings: list[str] = []
-    if cfg.mu == 0.0:
-        warnings.append("mu = 0: inviscid run; conservation is tracked but "
-                        "long-time stability is not certified")
     r = prepare_state(cfg)
+    warnings = start_warnings(cfg, r)
     steps = cfg.n_steps
     if steps % cfg.diagnostics_every != 0:
         warnings.append("step count is not a multiple of diagnostics_every; "
                         "the final partial window is not recorded")
     records = [_record(r, 0.0, cfg)]
     snapshots = [(0.0, r.copy())] if cfg.snapshot_every > 0 else []
-    limit = cfl_limit(r)
-    if cfg.dt > limit:
-        warnings.append(f"dt = {cfg.dt:g} exceeds the advective CFL bound {limit:g} at t = 0")
     for i in range(steps):
         t = i * cfg.dt
         r = step(r, t, cfg)
@@ -419,6 +418,18 @@ def _tabulated_duhamel(forcing: ForcingSpec, mu: float, t: float,
     return acc
 
 
+def linear_series(cfg: RunConfig, times) -> tuple[list, list]:
+    """Exact linear flow from the configured datum at the given times.
+
+    Returns the (t, state) pairs and one diagnostics record per state, with
+    the balance residuals attached.
+    """
+    states = linear_evolve(prepare_state(cfg), cfg.forcing, cfg.mu, times)
+    records = [_record(w, t, cfg) for t, w in states]
+    _attach_residuals(records, cfg.mu)
+    return states, records
+
+
 # ---------------------------------------------------------------------------
 # twin-run stability
 
@@ -438,11 +449,8 @@ class StabilityReport:
 
 
 def _grad_l4_fourth(r: SpectralField) -> float:
-    g1, g2 = perp_gradient(one_minus_laplacian(r))
-    p1 = inverse_transform(g1).samples
-    p2 = inverse_transform(g2).samples
-    cell = r.grid.dx ** 2
-    return cell * float(np.sum((p1 * p1 + p2 * p2) ** 2))
+    p1, p2 = _velocity_samples(r)
+    return r.grid.dx ** 2 * float(np.sum((p1 * p1 + p2 * p2) ** 2))
 
 
 def compare_runs(cfg: RunConfig, perturbation: SpectralField) -> StabilityReport:

@@ -85,9 +85,6 @@ class RealField:
         if self.samples.shape != self.grid.shape:
             raise ValueError(f"samples shape {self.samples.shape} != grid {self.grid.shape}")
 
-    def copy(self) -> "RealField":
-        return RealField(self.grid, self.samples.copy())
-
 
 @dataclass(eq=False)
 class SpectralField:
@@ -127,10 +124,6 @@ class MultiplierTable:
     h: np.ndarray
     ixi1: np.ndarray
     ixi2: np.ndarray
-
-
-def zero_field(grid: GridSpec) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.shape, dtype=complex))
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, band_keep, index_grids
+from .grid import GridSpec, SpectralField, band_keep, index_grids, xi_squared
 from .spectral import l2_norm, product_sum, sanitize_band, weighted_l2
 
 
@@ -50,10 +50,6 @@ class DyadicPartition:
     grid: GridSpec
     j_max: int
     weights: list[np.ndarray] = field(repr=False)
-
-    @property
-    def frequency_unit(self) -> float:
-        return self.grid.frequency_unit
 
     def block_range(self):
         return range(-1, self.j_max + 1)
@@ -86,25 +82,12 @@ def dyadic_block(partition: DyadicPartition, u: SpectralField, j: int) -> Spectr
     return SpectralField(u.grid, u.coeffs * partition.weights[j + 1])
 
 
-def _low_symbol(partition: DyadicPartition, j: int) -> np.ndarray:
-    """Symbol of sum_{k <= j-1} block_k; zero for j <= -1."""
-    if j <= -1:
-        return np.zeros(partition.grid.shape)
-    acc = partition.weights[0].copy()
-    for k in range(0, min(j, partition.j_max + 1)):
-        acc = acc + partition.weights[k + 1]
-    return acc
-
-
 @lru_cache(maxsize=None)
-def _low_symbols(grid: GridSpec) -> list[np.ndarray]:
-    partition = dyadic_partition(grid)
-    out = []
-    for j in range(0, partition.j_max + 2):
-        sym = _low_symbol(partition, j)
-        sym.setflags(write=False)
-        out.append(sym)
-    return out
+def _low_symbols(grid: GridSpec) -> np.ndarray:
+    """Row j is the symbol of S_j = sum_{k <= j-1} block_k, for 0 <= j <= j_max+1."""
+    lows = np.cumsum(dyadic_partition(grid).weights, axis=0)
+    lows.setflags(write=False)
+    return lows
 
 
 def low_cut(partition: DyadicPartition, u: SpectralField, j: int) -> SpectralField:
@@ -126,9 +109,7 @@ def besov_norm(partition: DyadicPartition, u: SpectralField, s: float) -> float:
 def besov_sobolev_bounds(partition: DyadicPartition, s: float) -> tuple[float, float]:
     """Mode-wise bounds of the Besov/Sobolev weight ratio for this profile."""
     grid = partition.grid
-    k1, k2 = index_grids(grid)
-    lam = grid.frequency_unit
-    q = (lam * k1) ** 2 + (lam * k2) ** 2
+    q = xi_squared(grid)
     num = np.zeros(grid.shape)
     for j in partition.block_range():
         w = partition.weights[j + 1]
@@ -143,13 +124,8 @@ def paraproduct(partition: DyadicPartition, u: SpectralField, v: SpectralField) 
     """T_u v = sum_j S_{j-1} u * block_j v (products dealiased)."""
     u = sanitize_band(u)
     v = sanitize_band(v)
-    lows = _low_symbols(u.grid)
-    pairs = []
-    for j in range(1, partition.j_max + 1):
-        su = SpectralField(u.grid, u.coeffs * lows[j - 1])
-        dv = dyadic_block(partition, v, j)
-        pairs.append((su, dv))
-    return product_sum(pairs)
+    return product_sum([(low_cut(partition, u, j - 1), dyadic_block(partition, v, j))
+                        for j in range(1, partition.j_max + 1)])
 
 
 def remainder(partition: DyadicPartition, u: SpectralField, v: SpectralField) -> SpectralField:

@@ -30,16 +30,30 @@ from .grid import (
 )
 
 
-def fft_workers() -> int:
-    """Worker count for FFT calls; QGK_THREADS caps it (0 = auto)."""
-    raw = os.environ.get("QGK_THREADS", "1")
+def _threads_setting() -> int | None:
+    """QGK_THREADS as an integer (default 1), or None when it does not parse."""
     try:
-        val = int(raw)
+        return int(os.environ.get("QGK_THREADS", "1"))
     except ValueError:
+        return None
+
+
+def fft_workers() -> int:
+    """Worker count for FFT calls; QGK_THREADS caps it (0 = auto, unparsable = 1)."""
+    val = _threads_setting()
+    if val is None:
         return 1
     if val == 0:
         return os.cpu_count() or 1
     return max(1, val)
+
+
+def fft_workers_warnings() -> list[str]:
+    """Manifest warning naming a QGK_THREADS value that does not parse."""
+    if _threads_setting() is not None:
+        return []
+    return [f"QGK_THREADS = {os.environ['QGK_THREADS']!r} is not an integer; "
+            "FFTs run on 1 worker"]
 
 
 # ---------------------------------------------------------------------------
@@ -181,29 +195,27 @@ def sobolev_norm(u: SpectralField, s: float) -> float:
 # retained coefficients are the exact convolution.
 
 
-@lru_cache(maxsize=None)
-def _pad_slices(n: int) -> tuple[slice, slice, int]:
-    m = 3 * n // 2
-    return slice(0, n // 2), slice(m - n // 2 + 1, m), m
+def padded_samples(u: SpectralField, m: int) -> np.ndarray:
+    """Samples of u on the refined m x m grid (m >= n), divided by m^2.
 
-
-def _pad_half_spectrum(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Embed a Nyquist-free n-band into the (M, M//2+1) rfft2 layout."""
-    pos, neg, m = _pad_slices(n)
-    out = np.zeros((m, m // 2 + 1), dtype=complex)
-    half = n // 2
-    out[pos, :half] = coeffs[:half, :half]
-    out[neg, :half] = coeffs[half + 1:, :half]
-    return out
+    The band of u is embedded in the (m, m//2+1) rfft2 layout; the slices
+    skip its Nyquist row and column.  The 1/m^2 is irfft2's normalization,
+    left for the caller to undo.
+    """
+    half = u.grid.n // 2
+    h = np.zeros((m, m // 2 + 1), dtype=complex)
+    h[:half, :half] = u.coeffs[:half, :half]
+    h[m - half + 1:, :half] = u.coeffs[half + 1:, :half]
+    return sfft.irfft2(h, s=(m, m), workers=fft_workers())
 
 
 def _extract_band(hprod: np.ndarray, n: int) -> np.ndarray:
     """Truncate an rfft2-layout padded spectrum back to the n-band."""
-    pos, neg, _ = _pad_slices(n)
+    m = hprod.shape[0]
     half = n // 2
     out = np.zeros((n, n), dtype=complex)
-    out[:half, :half] = hprod[pos, :half]
-    out[half + 1:, :half] = hprod[neg, :half]
+    out[:half, :half] = hprod[:half, :half]
+    out[half + 1:, :half] = hprod[m - half + 1:, :half]
     # negative columns from Hermitian symmetry of the real product
     flip = _flip_index(n)
     cols = np.arange(half + 1, n)
@@ -211,22 +223,13 @@ def _extract_band(hprod: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _padded_physical(u: SpectralField) -> np.ndarray:
-    n = u.grid.n
-    keep = band_keep(u.grid)
-    h = _pad_half_spectrum(u.coeffs * keep, n)
-    m = h.shape[0]
-    return sfft.irfft2(h, s=(m, m), workers=fft_workers())
-
-
 def _padded_product_sum(pairs) -> np.ndarray:
     """Sum of exact-convolution products over (u, v) pairs, one forward FFT."""
-    first_u, _ = pairs[0]
-    n = first_u.grid.n
-    _, _, m = _pad_slices(n)
+    n = pairs[0][0].grid.n
+    m = 3 * n // 2
     acc = None
     for u, v in pairs:
-        term = _padded_physical(u) * _padded_physical(v)
+        term = padded_samples(u, m) * padded_samples(v, m)
         acc = term if acc is None else acc + term
     hprod = sfft.rfft2(acc, workers=fft_workers()) * (m * m)
     return _extract_band(hprod, n)

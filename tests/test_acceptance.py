@@ -204,6 +204,7 @@ def long_time_run():
     return cfg, out, lin, time.perf_counter() - t0
 
 
+@pytest.mark.slow
 def test_criterion_08_long_time_convergence(long_time_run):
     cfg, out, lin, elapsed = long_time_run
     series = diag.compare_h3(out.snapshots, lin, eta=0.8)
@@ -218,6 +219,7 @@ def test_criterion_08_long_time_convergence(long_time_run):
                   f"non-increasing on t in [10, 1e3]; run {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_09_nonlinear_sobolev_decay(long_time_run):
     cfg, out, _, _ = long_time_run
     eta = cfg.forcing.eta

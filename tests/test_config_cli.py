@@ -67,6 +67,13 @@ class TestParseConfig:
         cfg, warnings = resolve_run_config(values)
         assert any("CFL" in w for w in warnings)
 
+    def test_unparsable_threads_warned(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QGK_THREADS", "two")
+        values = parse_config(write_cfg(tmp_path, MINIMAL))
+        _, warnings = resolve_run_config(values)
+        assert any("QGK_THREADS = 'two'" in w for w in warnings)
+        assert sp.fft_workers() == 1
+
 
 class TestManifest:
     def test_hash_stable_and_sensitive(self, tmp_path):
@@ -127,6 +134,14 @@ class TestDispatch:
         assert (out_a / "final.qgk.manifest.txt").exists()
         assert (out_a / "snap_000000.qgk").exists()
 
+    def test_inviscid_warning_written_once(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMALL_RUN.replace("mu = 1.0", "mu = 0.0"))
+        out = tmp_path / "inviscid"
+        assert dispatch(["run", "--config", cfg, "--out", str(out)]) == 0
+        header = [ln for ln in (out / "series.csv").read_text().splitlines()
+                  if ln.startswith("# qgk-warning")]
+        assert sum("inviscid" in ln for ln in header) == 1
+
     def test_linear_and_compare_pipeline(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_RUN)
         run_dir = tmp_path / "nl"
@@ -149,6 +164,7 @@ class TestDispatch:
         assert code == 0
         lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert lines[0] == "t,M0,M1,M3,env0,env1,env3"
+        assert len(lines) == 1 + 12 and all(len(ln.split(",")) == 7 for ln in lines)
         summary = json.loads((tmp_path / "decay.csv.summary.json").read_text())
         assert summary["M0"]["slope"] == pytest.approx(-0.5, abs=0.05)
 

@@ -123,11 +123,11 @@ class TestBalanceResiduals:
 
     def test_incomplete_series_rejected(self):
         with pytest.raises(ValueError, match="three"):
-            diag.first_balance_residuals([0.0, 0.1], [1, 1], [0, 0], [0, 0], 1.0)
+            diag.balance_residuals([0.0, 0.1], [1, 1], [0, 0], [0, 0], 1.0)
 
     def test_needs_uniform_cadence(self):
         with pytest.raises(ValueError):
-            diag.first_balance_residuals([0.0, 0.1, 0.3], [1, 1, 1], [0, 0, 0], [0, 0, 0], 1.0)
+            diag.balance_residuals([0.0, 0.1, 0.3], [1, 1, 1], [0, 0, 0], [0, 0, 0], 1.0)
 
 
 class TestCompareH3:

@@ -21,15 +21,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import SpectralField, require_same_grid, xi_squared
+from .grid import SpectralField, multiplier_table, require_same_grid
 from .spectral import (
+    band_product_sum,
+    band_samples,
     bilaplacian,
     divergence,
     gradient,
     inner_product,
     l2_norm,
     one_minus_laplacian,
-    padded_samples,
     perp_gradient,
     product_sum,
     sanitize_band,
@@ -44,13 +45,18 @@ def velocity(rho: SpectralField) -> tuple[SpectralField, SpectralField]:
 def transport(rho: SpectralField, zeta: SpectralField) -> SpectralField:
     """Default (dot product) route: u . grad(bilaplacian zeta).
 
-    The mean coefficient is set to exactly zero: the operator is a
-    divergence, and the dot-product route only misses that by round-off.
+    Works on the band blocks of rho and zeta only, applying the symbols of
+    velocity, bilaplacian and gradient in the same order.  The mean
+    coefficient is set to exactly zero: the operator is a divergence, and
+    the dot-product route only misses that by round-off.
     """
-    require_same_grid(rho, zeta)
-    u1, u2 = velocity(rho)
-    g1, g2 = gradient(bilaplacian(zeta))
-    lam = product_sum([(u1, g1), (u2, g2)])
+    grid = require_same_grid(rho, zeta)
+    h = grid.n // 2
+    mt = multiplier_table(grid)
+    ixi1, ixi2 = mt.ixi1[:, :h], mt.ixi2[:, :h]
+    a = rho.coeffs[:, :h] * mt.one_minus_lap[:, :h]
+    b = zeta.coeffs[:, :h] * mt.bilap[:, :h]
+    lam = band_product_sum(grid, ((-a * ixi2, b * ixi1), (a * ixi1, b * ixi2)))
     lam.coeffs[0, 0] = 0.0
     return lam
 
@@ -101,10 +107,9 @@ def antisymmetry_residual(rho: SpectralField, phi: SpectralField) -> float:
 
     u1, u2 = velocity(rho)
     g1, g2 = gradient(phi)
-    q = xi_squared(rho.grid)
-    arho = SpectralField(rho.grid, rho.coeffs * (1.0 + q + q * q))
-    m = 2 * rho.grid.n
-    u1p, u2p, g1p, g2p, ap = (padded_samples(f, m) * (m * m) for f in (u1, u2, g1, g2, arho))
+    arho = SpectralField(rho.grid, rho.coeffs * multiplier_table(rho.grid).a)
+    h, m = rho.grid.n // 2, 2 * rho.grid.n
+    u1p, u2p, g1p, g2p, ap = (band_samples(f.coeffs[:, :h], m) for f in (u1, u2, g1, g2, arho))
     cell = (rho.grid.box_length / m) ** 2
     udotg = u1p * g1p + u2p * g2p
     rhs = -cell * float(np.sum(udotg * ap))

@@ -291,8 +291,8 @@ def _record(r: SpectralField, t: float, cfg: RunConfig) -> TimeSeriesRecord:
     x, y, e_first, e_second, h3_sq, h4_sq, diss_first, diss_second, *e_sigma = (
         diag.quadratic_forms(r, cfg.sigma_list).tolist())
     f = cfg.forcing.coefficients(t)
-    # no Galerkin mask on f: stepped states vanish outside the cut, and the
-    # exact linear flow is not cut (see linear_evolve)
+    # no Galerkin mask on f: stepped states and the exact linear flow of
+    # linear_series both vanish outside the cut
     work_first, work_second = (0.0, 0.0) if f is None else diag.forcing_work(f, r)
     return TimeSeriesRecord(
         t=t, x=x, y=y, e_first=e_first, e_second=e_second, e_sigma=tuple(e_sigma),
@@ -419,12 +419,16 @@ def _tabulated_duhamel(forcing: ForcingSpec, mu: float, t: float,
 
 
 def linear_series(cfg: RunConfig, times) -> tuple[list, list]:
-    """Exact linear flow from the configured datum at the given times.
+    """Exact linear flow from the configured datum at the given times,
+    projected onto the Galerkin cut when one is set.
 
     Returns the (t, state) pairs and one diagnostics record per state, with
     the balance residuals attached.
     """
     states = linear_evolve(prepare_state(cfg), cfg.forcing, cfg.mu, times)
+    if cfg.galerkin_cut is not None:
+        # the projected system: the Duhamel term is cut like the stepped forcing
+        states = [(t, project_jn(w, cfg.galerkin_cut)) for t, w in states]
     records = [_record(w, t, cfg) for t, w in states]
     _attach_residuals(records, cfg.mu)
     return states, records

@@ -115,7 +115,9 @@ class MultiplierTable:
     ``a = 1 + |xi|^2 + |xi|^4`` and ``d = 1/a`` invert each other mode-wise;
     ``h = (1 + |xi|^2)|xi|^4 / a`` is the dissipation rate of the linear
     flow (h(0) = 0, h ~ |xi|^2 at high frequency).  ``ixi1``/``ixi2`` are the
-    gradient symbols with the Nyquist row and column zeroed.
+    gradient symbols and ``bilap = |xi|^4`` the bilaplacian's, all with the
+    Nyquist row and column zeroed; ``one_minus_lap = 1 + |xi|^2`` is not a
+    derivative and keeps them.
     """
 
     grid: GridSpec
@@ -124,6 +126,8 @@ class MultiplierTable:
     h: np.ndarray
     ixi1: np.ndarray
     ixi2: np.ndarray
+    bilap: np.ndarray
+    one_minus_lap: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -178,18 +182,16 @@ def band_keep(grid: GridSpec) -> np.ndarray:
 @lru_cache(maxsize=None)
 def multiplier_table(grid: GridSpec) -> MultiplierTable:
     q = xi_squared(grid)
-    a = 1.0 + q + q * q
-    d = 1.0 / a
-    h = (1.0 + q) * q * q * d
-    xi1, xi2 = wavevectors(grid)
     keep = band_keep(grid)
-    for arr in (a, d, h):
+    xi1, xi2 = wavevectors(grid)
+    one_minus_lap = 1.0 + q
+    a = one_minus_lap + q * q
+    d = 1.0 / a
+    tables = dict(a=a, d=d, h=one_minus_lap * q * q * d, ixi1=1j * xi1 * keep,
+                  ixi2=1j * xi2 * keep, bilap=q * q * keep, one_minus_lap=one_minus_lap)
+    for arr in tables.values():
         arr.setflags(write=False)
-    ixi1 = 1j * xi1 * keep
-    ixi2 = 1j * xi2 * keep
-    ixi1.setflags(write=False)
-    ixi2.setflags(write=False)
-    return MultiplierTable(grid=grid, a=a, d=d, h=h, ixi1=ixi1, ixi2=ixi2)
+    return MultiplierTable(grid=grid, **tables)
 
 
 @lru_cache(maxsize=None)

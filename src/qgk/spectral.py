@@ -123,13 +123,12 @@ def laplacian(u: SpectralField) -> SpectralField:
 
 
 def bilaplacian(u: SpectralField) -> SpectralField:
-    q = xi_squared(u.grid)
-    return SpectralField(u.grid, u.coeffs * (q * q * band_keep(u.grid)))
+    return SpectralField(u.grid, u.coeffs * multiplier_table(u.grid).bilap)
 
 
 def one_minus_laplacian(u: SpectralField) -> SpectralField:
     """(Id - Delta) u.  Not a derivative: keeps whatever band u has."""
-    return SpectralField(u.grid, u.coeffs * (1.0 + xi_squared(u.grid)))
+    return SpectralField(u.grid, u.coeffs * multiplier_table(u.grid).one_minus_lap)
 
 
 @lru_cache(maxsize=None)
@@ -189,50 +188,23 @@ def sobolev_norm(u: SpectralField, s: float) -> float:
 # ---------------------------------------------------------------------------
 # dealiased products
 
-# Padded-grid layout for the 3/2 rule: the n-band is embedded in an M = 3n/2
-# grid, multiplied pointwise in physical space, and truncated back.  Aliases
-# of any product mode |s| <= n - 2 land outside the retained band, so the
-# retained coefficients are the exact convolution.
+# A field's band block is coeffs[:, :n/2]; its Nyquist row is skipped and its
+# negative columns follow from Hermitian symmetry.  Products embed the blocks
+# in an m x m grid, multiply pointwise and truncate back: under the 3/2 rule
+# m = 3n/2, so aliases of any product mode |s| <= n - 2 miss the band and the
+# result is the exact convolution; under 2/3 truncation m = n, inputs and
+# output cut to |k_i| <= n//3.  Transforms run one axis at a time, the axis-0
+# passes only over the n/2 band columns, and norm="forward" never rescales.
 
 
-def padded_samples(u: SpectralField, m: int) -> np.ndarray:
-    """Samples of u on the refined m x m grid (m >= n), divided by m^2.
-
-    The band of u is embedded in the (m, m//2+1) rfft2 layout; the slices
-    skip its Nyquist row and column.  The 1/m^2 is irfft2's normalization,
-    left for the caller to undo.
-    """
-    half = u.grid.n // 2
-    h = np.zeros((m, m // 2 + 1), dtype=complex)
-    h[:half, :half] = u.coeffs[:half, :half]
-    h[m - half + 1:, :half] = u.coeffs[half + 1:, :half]
-    return sfft.irfft2(h, s=(m, m), workers=fft_workers())
-
-
-def _extract_band(hprod: np.ndarray, n: int) -> np.ndarray:
-    """Truncate an rfft2-layout padded spectrum back to the n-band."""
-    m = hprod.shape[0]
-    half = n // 2
-    out = np.zeros((n, n), dtype=complex)
-    out[:half, :half] = hprod[:half, :half]
-    out[half + 1:, :half] = hprod[m - half + 1:, :half]
-    # negative columns from Hermitian symmetry of the real product
-    flip = _flip_index(n)
-    cols = np.arange(half + 1, n)
-    out[:, cols] = np.conj(out[np.ix_(flip, n - cols)])
-    return out
-
-
-def _padded_product_sum(pairs) -> np.ndarray:
-    """Sum of exact-convolution products over (u, v) pairs, one forward FFT."""
-    n = pairs[0][0].grid.n
-    m = 3 * n // 2
-    acc = None
-    for u, v in pairs:
-        term = padded_samples(u, m) * padded_samples(v, m)
-        acc = term if acc is None else acc + term
-    hprod = sfft.rfft2(acc, workers=fft_workers()) * (m * m)
-    return _extract_band(hprod, n)
+def band_samples(block: np.ndarray, m: int) -> np.ndarray:
+    """Samples on the m x m grid (m >= n) of the field with band block ``block``."""
+    h = block.shape[1]
+    pad = np.zeros((m, h), dtype=complex)
+    pad[:h] = block[:h]
+    pad[m - h + 1:] = block[h + 1:]
+    cols = sfft.ifft2(pad, axes=(0,), norm="forward", overwrite_x=True, workers=fft_workers())
+    return sfft.irfft2(cols, s=(m,), axes=(1,), norm="forward", workers=fft_workers())
 
 
 @lru_cache(maxsize=None)
@@ -244,18 +216,30 @@ def _two_thirds_mask(grid: GridSpec) -> np.ndarray:
     return mask
 
 
-def _truncated_product_sum(pairs) -> np.ndarray:
-    grid = pairs[0][0].grid
-    n = grid.n
-    mask = _two_thirds_mask(grid)
+def band_product_sum(grid: GridSpec, pairs) -> SpectralField:
+    """sum_i dealias(u_i * v_i) under the grid's dealias policy, from the
+    band blocks (u_i, v_i) of each pair."""
+    n, h = grid.n, grid.n // 2
+    mask = None if grid.dealias == THREE_HALVES else _two_thirds_mask(grid)
+    m = n if mask is not None else 3 * n // 2
     acc = None
     for u, v in pairs:
-        pu = sfft.ifft2(u.coeffs * mask, workers=fft_workers()).real
-        pv = sfft.ifft2(v.coeffs * mask, workers=fft_workers()).real
-        term = pu * pv
-        acc = term if acc is None else acc + term
-    prod = sfft.fft2(acc, workers=fft_workers()) * ((n * n))
-    return prod * mask
+        if mask is not None:
+            u, v = u * mask[:, :h], v * mask[:, :h]
+        term = band_samples(u, m)
+        term *= band_samples(v, m)
+        acc = term if acc is None else np.add(acc, term, out=acc)
+    half = sfft.rfft2(acc, axes=(1,), norm="forward", workers=fft_workers())[:, :h]
+    band = sfft.fft2(half, axes=(0,), norm="forward", overwrite_x=True, workers=fft_workers())
+    out = np.zeros((n, n), dtype=complex)
+    out[:h, :h] = band[:h]
+    out[h + 1:, :h] = band[m - h + 1:]
+    # negative columns from Hermitian symmetry: c(k1, -k2) = conj(c(-k1, k2))
+    out[0, h + 1:] = np.conj(out[0, h - 1:0:-1])
+    out[1:, h + 1:] = np.conj(out[:0:-1, h - 1:0:-1])
+    if mask is not None:
+        out *= mask
+    return SpectralField(grid, out)
 
 
 def product_sum(pairs: list[tuple[SpectralField, SpectralField]]) -> SpectralField:
@@ -267,9 +251,8 @@ def product_sum(pairs: list[tuple[SpectralField, SpectralField]]) -> SpectralFie
         require_same_grid(u, v)
         if u.grid != grid:
             raise ValueError("product_sum: mixed grids")
-    if grid.dealias == THREE_HALVES:
-        return SpectralField(grid, _padded_product_sum(pairs))
-    return SpectralField(grid, _truncated_product_sum(pairs))
+    h = grid.n // 2
+    return band_product_sum(grid, ((u.coeffs[:, :h], v.coeffs[:, :h]) for u, v in pairs))
 
 
 def dealiased_product(u: SpectralField, v: SpectralField) -> SpectralField:

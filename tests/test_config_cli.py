@@ -7,8 +7,8 @@ import pytest
 
 from qgk.cli import dispatch
 from qgk.config import ConfigError, manifest_from_values, parse_config, resolve_run_config
-from qgk.snapshots import write_snapshot
-from qgk.grid import GridSpec
+from qgk.snapshots import read_snapshot, write_snapshot
+from qgk.grid import GridSpec, xi_squared
 from qgk import spectral as sp
 
 
@@ -155,6 +155,19 @@ class TestDispatch:
         lines = [ln for ln in out_csv.read_text().splitlines() if not ln.startswith("#")]
         assert lines[0] == "t,z_h3,envelope_ratio"
         assert len(lines) > 3
+
+    def test_linear_galerkin_states_vanish_outside_cut(self, tmp_path):
+        # the forcing band (|k| <= 5) reaches past the cut |xi|^2 <= 12
+        cfg = write_cfg(tmp_path, SMALL_RUN + "galerkin_cut = 12.0\n")
+        out = tmp_path / "lin"
+        assert dispatch(["linear", "--config", cfg, "--out", str(out)]) == 0
+        snaps = sorted(out.glob("snap_*.qgk"))
+        assert len(snaps) == 5
+        for path in snaps:
+            field, _ = read_snapshot(str(path))
+            outside = xi_squared(field.grid) > 12.0
+            assert np.all(field.coeffs[outside] == 0.0)
+            assert np.any(field.coeffs[~outside] != 0.0)
 
     def test_decay_csv_and_summary(self, tmp_path):
         out = tmp_path / "decay.csv"

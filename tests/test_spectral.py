@@ -13,6 +13,7 @@ from qgk.grid import (
     nyquist_mask,
     xi_squared,
 )
+from qgk import bilinear as bl
 from qgk import spectral as sp
 
 
@@ -282,6 +283,69 @@ class TestDealiasedProduct:
         g = grid(32)
         prod = sp.dealiased_product(rand(g, 19), rand(g, 20))
         assert hermitian_defect(prod) < 1e-15
+
+
+def full_band_field(g: GridSpec, seed: int) -> SpectralField:
+    """Seeded real field with O(1) coefficients on the whole symmetric band."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    flip = (-np.arange(g.n)) % g.n
+    c = 0.5 * (c + np.conj(c[np.ix_(flip, flip)]))
+    c[nyquist_mask(g)] = 0.0
+    return SpectralField(g, c)
+
+
+def relative_error(got: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+class TestBandKernel:
+    """The pruned padded product against the direct convolution, on grids
+    with and without 3 | n and with the whole band occupied."""
+
+    @pytest.mark.parametrize("n", [8, 12, 18, 24])
+    def test_products_match_direct_convolution(self, n):
+        g = grid(n, L=3.0)
+        u, v, w, z = (full_band_field(g, 40 + n + i) for i in range(4))
+        ref = brute_force_convolution(u, v)
+        assert relative_error(sp.dealiased_product(u, v).coeffs, ref) <= 1e-14
+        both = sp.product_sum([(u, v), (w, z)]).coeffs
+        assert relative_error(both, ref + brute_force_convolution(w, z)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [8, 12, 18, 24])
+    def test_transport_matches_direct_divergence_route(self, n):
+        g = grid(n, L=3.0)
+        rho, zeta = full_band_field(g, 60 + n), full_band_field(g, 70 + n)
+        u1, u2 = bl.velocity(rho)
+        b = sp.bilaplacian(zeta)
+        ref = sp.divergence(SpectralField(g, brute_force_convolution(u1, b)),
+                            SpectralField(g, brute_force_convolution(u2, b))).coeffs
+        assert relative_error(bl.transport(rho, zeta).coeffs, ref) <= 1e-14
+
+    @pytest.mark.parametrize("n", [8, 12, 18, 24])
+    def test_two_thirds_rule_aliases_only_when_three_divides_n(self, n):
+        g = grid(n, dealias="two_thirds_truncation")
+        u, v = full_band_field(g, 80 + n), full_band_field(g, 90 + n)
+        k1 = np.fft.fftfreq(n, 1.0 / n)
+        cut = (np.abs(k1)[:, None] <= n // 3) & (np.abs(k1)[None, :] <= n // 3)
+        ut, vt = SpectralField(g, u.coeffs * cut), SpectralField(g, v.coeffs * cut)
+        exact = brute_force_convolution(ut, vt) * cut
+        err = relative_error(sp.dealiased_product(u, v).coeffs, exact)
+        if n % 3 == 0:
+            assert err > 1e-2  # the edge shell |k_i| = n/3 receives aliases
+        else:
+            assert err <= 1e-14
+
+    def test_no_state_carried_between_calls(self):
+        g = grid(24)
+        a, b = full_band_field(g, 1), full_band_field(g, 2)
+        first = bl.transport(a, a)
+        kept = first.coeffs.copy()
+        bl.transport(b, b)
+        third = bl.transport(a, a)
+        assert np.array_equal(third.coeffs, kept)
+        assert np.array_equal(first.coeffs, kept)
+        assert not np.shares_memory(first.coeffs, third.coeffs)
 
 
 class TestNormsAndInnerProducts:

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import SpectralField, multiplier_table, require_same_grid
+from .grid import GridSpec, SpectralField, multiplier_table, require_same_grid
 from .spectral import (
-    band_product_sum,
+    band_product,
     band_samples,
     bilaplacian,
+    complete_band,
     divergence,
     gradient,
     inner_product,
@@ -42,23 +43,28 @@ def velocity(rho: SpectralField) -> tuple[SpectralField, SpectralField]:
     return perp_gradient(one_minus_laplacian(rho))
 
 
-def transport(rho: SpectralField, zeta: SpectralField) -> SpectralField:
+def transport(rho, zeta, grid: GridSpec | None = None):
     """Default (dot product) route: u . grad(bilaplacian zeta).
 
-    Works on the band blocks of rho and zeta only, applying the symbols of
-    velocity, bilaplacian and gradient in the same order.  The mean
+    rho and zeta are SpectralFields, or band blocks coeffs[..., :, :n/2] of
+    fields on ``grid`` with any leading (stack) axes; the result has the
+    same form.  Only the band blocks are read, and the symbols of velocity,
+    bilaplacian and gradient are applied in the same order.  The mean
     coefficient is set to exactly zero: the operator is a divergence, and
     the dot-product route only misses that by round-off.
     """
-    grid = require_same_grid(rho, zeta)
+    solo = isinstance(rho, SpectralField)
+    if solo:
+        grid = require_same_grid(rho, zeta)
+        rho, zeta = rho.coeffs[:, :grid.n // 2], zeta.coeffs[:, :grid.n // 2]
     h = grid.n // 2
     mt = multiplier_table(grid)
     ixi1, ixi2 = mt.ixi1[:, :h], mt.ixi2[:, :h]
-    a = rho.coeffs[:, :h] * mt.one_minus_lap[:, :h]
-    b = zeta.coeffs[:, :h] * mt.bilap[:, :h]
-    lam = band_product_sum(grid, ((-a * ixi2, b * ixi1), (a * ixi1, b * ixi2)))
-    lam.coeffs[0, 0] = 0.0
-    return lam
+    a = rho * mt.one_minus_lap[:, :h]
+    b = zeta * mt.bilap[:, :h]
+    lam = band_product(grid, ((-a * ixi2, b * ixi1), (a * ixi1, b * ixi2)))
+    lam[..., 0, 0] = 0.0
+    return SpectralField(grid, complete_band(lam)) if solo else lam
 
 
 def transport_divergence_route(rho: SpectralField, zeta: SpectralField) -> SpectralField:

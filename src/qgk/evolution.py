@@ -14,6 +14,11 @@ The optional sharp Galerkin cutoff reproduces the projected system: the
 cutoff is applied to the nonlinear term and the forcing, the initial datum
 is projected, and all cancellations survive because the cutoff is
 self-adjoint and idempotent.
+
+The stepper advances band blocks coeffs[..., :, :n/2]: the negative columns
+of a real field follow from Hermitian symmetry, so they are written
+(spectral.complete_band) only for records, snapshots and CFL checks.  Any
+leading axes are an ensemble of runs stepped together.
 """
 
 from __future__ import annotations
@@ -29,9 +34,8 @@ from .grid import GridSpec, SpectralField, band_keep, multiplier_table, xi_squar
 from .bilinear import transport
 from .quadrature import duhamel_time_factor, linear_segment_factor
 from .spectral import (
-    inverse_transform,
-    one_minus_laplacian,
-    perp_gradient,
+    band_samples,
+    complete_band,
     project_jn,
     sanitize_band,
     sobolev_norm,
@@ -92,24 +96,25 @@ class ForcingSpec:
                 raise ValueError("tabulated knots must have increasing times")
             self.table = [(t, sanitize_band(f)) for t, f in self.table]
 
-    def coefficients(self, t: float) -> np.ndarray | None:
-        """f_hat(t) on the grid, or None for the zero fast path."""
+    def coefficients(self, t: float, cols: int | None = None) -> np.ndarray | None:
+        """f_hat(t) on the grid, or its first ``cols`` columns (the band block
+        for cols = n/2); None for the zero fast path."""
         if self.kind == "zero":
             return None
         if self.kind == "separable_decaying":
-            return self.amplitude * (1.0 + t) ** (-1.0 - self.eta) * self.profile.coeffs
+            return self.amplitude * (1.0 + t) ** (-1.0 - self.eta) * self.profile.coeffs[:, :cols]
         times = [tk for tk, _ in self.table]
         if t <= times[0] or t >= times[-1]:
             if t == times[0]:
-                return self.table[0][1].coeffs.copy()
+                return self.table[0][1].coeffs[:, :cols].copy()
             if t == times[-1]:
-                return self.table[-1][1].coeffs.copy()
+                return self.table[-1][1].coeffs[:, :cols].copy()
             return None
         i = int(np.searchsorted(times, t) - 1)
         t0, f0 = self.table[i]
         t1, f1 = self.table[i + 1]
         w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * f0.coeffs + w * f1.coeffs
+        return (1.0 - w) * f0.coeffs[:, :cols] + w * f1.coeffs[:, :cols]
 
 
 @dataclass(eq=False)
@@ -194,24 +199,22 @@ class SimulationResult:
     warnings: list
 
 
-def _nonlinear_rhs(coeffs: np.ndarray, t: float, cfg: RunConfig) -> np.ndarray:
-    """Everything but the diagonal dissipation: d (f_hat - transport_hat).
+def _nonlinear_rhs(y: np.ndarray, t: float, cfg: RunConfig) -> np.ndarray:
+    """Everything but the diagonal dissipation, d (f_hat - transport_hat),
+    on the band blocks y (..., n, n/2).
 
     ForcingSpec keeps its profiles on the symmetric band, and the Galerkin
     cut multiplies the whole sum, so the forcing needs no mask of its own.
     """
-    mt = multiplier_table(cfg.grid)
-    if cfg.disable_transport:
-        nl = None
-    else:
-        nl = transport(SpectralField(cfg.grid, coeffs), SpectralField(cfg.grid, coeffs)).coeffs
-    f = cfg.forcing.coefficients(t)
+    h = cfg.grid.n // 2
+    nl = None if cfg.disable_transport else transport(y, y, cfg.grid)
+    f = cfg.forcing.coefficients(t, h)
     if f is None and nl is None:
-        return np.zeros(cfg.grid.shape, dtype=complex)
+        return np.zeros(y.shape, dtype=complex)
     inner = (f - nl) if (f is not None and nl is not None) else (f if nl is None else -nl)
-    rhs = mt.d * inner
+    rhs = multiplier_table(cfg.grid).d[:, :h] * inner
     if cfg.galerkin_cut is not None:
-        rhs = rhs * _jn_mask(cfg.grid, float(cfg.galerkin_cut))
+        rhs = rhs * _jn_mask(cfg.grid, float(cfg.galerkin_cut))[:, :h]
     return rhs
 
 
@@ -219,16 +222,18 @@ def tendency(r: SpectralField, t: float, cfg: RunConfig) -> SpectralField:
     """Right-hand side of the reformulated system at state r and time t."""
     if r.grid != cfg.grid:
         raise ValueError("state grid does not match config grid")
-    mt = multiplier_table(cfg.grid)
-    rhs = _nonlinear_rhs(r.coeffs, t, cfg) - cfg.mu * mt.h * r.coeffs
+    h = cfg.grid.n // 2
+    y = r.coeffs[:, :h]
+    rhs = _nonlinear_rhs(y, t, cfg) - cfg.mu * multiplier_table(cfg.grid).h[:, :h] * y
     if not np.all(np.isfinite(rhs)):
         raise SimulationAbort("non-finite tendency", t, r)
-    return SpectralField(cfg.grid, rhs)
+    return SpectralField(cfg.grid, complete_band(rhs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _exp_factors(grid: GridSpec, mu: float, dt: float):
-    h = multiplier_table(grid).h
+    """exp(-mu h dt/2) and exp(-mu h dt) on the band block."""
+    h = multiplier_table(grid).h[:, :grid.n // 2]
     e_half = np.exp(-mu * h * (0.5 * dt))
     e_full = e_half * e_half
     e_half.setflags(write=False)
@@ -236,15 +241,24 @@ def _exp_factors(grid: GridSpec, mu: float, dt: float):
     return e_half, e_full
 
 
-def step(r: SpectralField, t: float, cfg: RunConfig) -> SpectralField:
+def step(r: SpectralField | np.ndarray, t: float, cfg: RunConfig):
     """One integrating-factor Runge-Kutta step from t to t + dt.
 
-    The dissipative factor exp(-mu h dt) multiplies the state exactly, so a
-    vanishing nonlinearity propagates exactly for any dt.
+    r is a SpectralField, or the band blocks (..., n, n/2) of states stacked
+    along any leading axes; the result has the same form.  Only the band
+    block is read and the rest follows from Hermitian symmetry.  Every mode
+    of every member sees the same operation sequence, so a stacked member
+    steps bitwise like the member alone.  The dissipative factor
+    exp(-mu h dt) multiplies the state exactly, so a vanishing nonlinearity
+    propagates exactly for any dt.
+
+    A non-finite result raises SimulationAbort carrying the pre-step state:
+    r itself, or the first stacked member whose step is not finite.
     """
+    solo = isinstance(r, SpectralField)
+    y = r.coeffs[:, :cfg.grid.n // 2] if solo else r
     dt = cfg.dt
     e_half, e_full = _exp_factors(cfg.grid, cfg.mu, dt)
-    y = r.coeffs
     nl = _nonlinear_rhs
     if cfg.stepper == IF_RK2:
         k1 = nl(y, t, cfg)
@@ -257,13 +271,24 @@ def step(r: SpectralField, t: float, cfg: RunConfig) -> SpectralField:
         d = nl(e_full * y + dt * e_half * c, t + dt, cfg)
         out = e_full * y + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
     if not np.all(np.isfinite(out)):
-        raise SimulationAbort("non-finite state after step", t + dt, r)
-    return SpectralField(cfg.grid, out)
+        raise SimulationAbort("non-finite state after step", t + dt,
+                              r if solo else _first_nonfinite(y, out, cfg.grid))
+    return SpectralField(cfg.grid, complete_band(out)) if solo else out
 
 
-def _velocity_samples(r: SpectralField) -> tuple[np.ndarray, np.ndarray]:
-    """Grid samples of the velocity perp_gradient((Id - Delta) r)."""
-    return tuple(inverse_transform(c).samples for c in perp_gradient(one_minus_laplacian(r)))
+def _first_nonfinite(y: np.ndarray, out: np.ndarray, grid: GridSpec) -> SpectralField:
+    """Pre-step state of the first stacked member whose step is not finite."""
+    members = y.reshape(-1, *y.shape[-2:])
+    finite = np.isfinite(out).reshape(len(members), -1).all(axis=1)
+    return SpectralField(grid, complete_band(members[np.argmin(finite)]))
+
+
+def _velocity_samples(r: SpectralField) -> np.ndarray:
+    """Grid samples (2, n, n) of the velocity perp_gradient((Id - Delta) r)."""
+    h = r.grid.n // 2
+    mt = multiplier_table(r.grid)
+    a = r.coeffs[:, :h] * mt.one_minus_lap[:, :h]
+    return band_samples(np.stack([-a * mt.ixi2[:, :h], a * mt.ixi1[:, :h]]), r.grid.n)
 
 
 def max_velocity(r: SpectralField) -> float:
@@ -343,12 +368,14 @@ def simulate(cfg: RunConfig) -> SimulationResult:
                         "the final partial window is not recorded")
     records = [_record(r, 0.0, cfg)]
     snapshots = [(0.0, r.copy())] if cfg.snapshot_every > 0 else []
+    y = r.coeffs[:, :cfg.grid.n // 2]
     for i in range(steps):
         t = i * cfg.dt
-        r = step(r, t, cfg)
+        y = step(y, t, cfg)
         done = i + 1
         if done % cfg.diagnostics_every == 0:
             t_rec = done * cfg.dt
+            r = SpectralField(cfg.grid, complete_band(y))
             records.append(_record(r, t_rec, cfg))
             if cfg.snapshot_every > 0 and (done // cfg.diagnostics_every) % cfg.snapshot_every == 0:
                 snapshots.append((t_rec, r.copy()))
@@ -358,7 +385,8 @@ def simulate(cfg: RunConfig) -> SimulationResult:
                     warnings.append(
                         f"dt = {cfg.dt:g} exceeds the advective CFL bound {limit:g} at t = {t_rec:g}")
     _attach_residuals(records, cfg.mu)
-    return SimulationResult(final=r, records=records, snapshots=snapshots, warnings=warnings)
+    final = SpectralField(cfg.grid, complete_band(y))
+    return SimulationResult(final=final, records=records, snapshots=snapshots, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +487,8 @@ def _grad_l4_fourth(r: SpectralField) -> float:
 
 def compare_runs(cfg: RunConfig, perturbation: SpectralField) -> StabilityReport:
     """Run the configured experiment twice, from r0 and r0 + perturbation.
+    Both runs step together as one (2, n, n/2) stack of band blocks; an
+    abort carries the pre-step state of the first run to turn non-finite.
 
     Reports the first-energy of the difference and fits the smallest
     constants (C, K >= 0) of the Gronwall-shaped envelope
@@ -472,23 +502,23 @@ def compare_runs(cfg: RunConfig, perturbation: SpectralField) -> StabilityReport
     pert = SpectralField(cfg.grid, base.coeffs + sanitize_band(perturbation).coeffs)
     if cfg.galerkin_cut is not None:
         pert = project_jn(pert, cfg.galerkin_cut)
-    steps = cfg.n_steps
+    h = cfg.grid.n // 2
     times, e_delta, delta_h3, g_rate = [], [], [], []
 
-    def push(t, a, b):
-        delta = SpectralField(cfg.grid, b.coeffs - a.coeffs)
+    def push(t, pair):
+        a, b = complete_band(pair)
+        delta = SpectralField(cfg.grid, b - a)
         times.append(t)
         e_delta.append(diag.energy_first(delta))
         delta_h3.append(sobolev_norm(delta, 3.0))
-        g_rate.append(_grad_l4_fourth(a))
+        g_rate.append(_grad_l4_fourth(SpectralField(cfg.grid, a)))
 
-    push(0.0, base, pert)
-    for i in range(steps):
-        t = i * cfg.dt
-        base = step(base, t, cfg)
-        pert = step(pert, t, cfg)
+    pair = np.stack([base.coeffs[:, :h], pert.coeffs[:, :h]])
+    push(0.0, pair)
+    for i in range(cfg.n_steps):
+        pair = step(pair, i * cfg.dt, cfg)
         if (i + 1) % cfg.diagnostics_every == 0:
-            push((i + 1) * cfg.dt, base, pert)
+            push((i + 1) * cfg.dt, pair)
 
     times = np.asarray(times)
     e_delta = np.asarray(e_delta)

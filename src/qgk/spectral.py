@@ -131,7 +131,7 @@ def one_minus_laplacian(u: SpectralField) -> SpectralField:
     return SpectralField(u.grid, u.coeffs * multiplier_table(u.grid).one_minus_lap)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _jn_mask(grid: GridSpec, n_cut: float) -> np.ndarray:
     mask = (xi_squared(grid) <= n_cut).astype(float)
     mask.setflags(write=False)
@@ -173,7 +173,7 @@ def l2_norm(u: SpectralField) -> float:
     return float(np.sqrt(L2 * np.sum(u.coeffs.real ** 2 + u.coeffs.imag ** 2)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _sobolev_weight(grid: GridSpec, s: float) -> np.ndarray:
     w = (1.0 + xi_squared(grid)) ** s
     w.setflags(write=False)
@@ -188,23 +188,42 @@ def sobolev_norm(u: SpectralField, s: float) -> float:
 # ---------------------------------------------------------------------------
 # dealiased products
 
-# A field's band block is coeffs[:, :n/2]; its Nyquist row is skipped and its
-# negative columns follow from Hermitian symmetry.  Products embed the blocks
-# in an m x m grid, multiply pointwise and truncate back: under the 3/2 rule
-# m = 3n/2, so aliases of any product mode |s| <= n - 2 miss the band and the
-# result is the exact convolution; under 2/3 truncation m = n, inputs and
-# output cut to |k_i| <= n//3.  Transforms run one axis at a time, the axis-0
-# passes only over the n/2 band columns, and norm="forward" never rescales.
+# A field's band block is coeffs[..., :, :n/2]; its Nyquist row is zero and
+# its negative columns follow from Hermitian symmetry (complete_band).  Any
+# leading axes are a stack of fields, transformed slice by slice.  Products
+# embed the blocks in an m x m grid, multiply pointwise and truncate back:
+# under the 3/2 rule m = 3n/2, so aliases of any product mode |s| <= n - 2
+# miss the band and the result is the exact convolution; under 2/3
+# truncation m = n, inputs and output cut to |k_i| <= n//3.  Transforms run
+# one axis at a time, the axis -2 passes only over the n/2 band columns, and
+# norm="forward" never rescales.
 
 
-def band_samples(block: np.ndarray, m: int) -> np.ndarray:
-    """Samples on the m x m grid (m >= n) of the field with band block ``block``."""
-    h = block.shape[1]
-    pad = np.zeros((m, h), dtype=complex)
-    pad[:h] = block[:h]
-    pad[m - h + 1:] = block[h + 1:]
-    cols = sfft.ifft2(pad, axes=(0,), norm="forward", overwrite_x=True, workers=fft_workers())
-    return sfft.irfft2(cols, s=(m,), axes=(1,), norm="forward", workers=fft_workers())
+def complete_band(block: np.ndarray) -> np.ndarray:
+    """Full coefficient arrays (..., n, n) of the real fields whose band
+    blocks are ``block``: negative columns from c(k1, -k2) = conj(c(-k1, k2)),
+    the Nyquist column zero."""
+    n, h = block.shape[-2:]
+    out = np.zeros(block.shape[:-1] + (n,), dtype=complex)
+    out[..., :h] = block
+    out[..., 0, h + 1:] = np.conj(block[..., 0, h - 1:0:-1])
+    out[..., 1:, h + 1:] = np.conj(block[..., :0:-1, h - 1:0:-1])
+    return out
+
+
+def band_samples(block: np.ndarray, m: int, workers: int | None = None) -> np.ndarray:
+    """Samples on the m x m grid (m >= n) of the fields with band blocks ``block``."""
+    h = block.shape[-1]
+    workers = workers or fft_workers()
+    # the c2r input has all m/2 + 1 columns, so irfft2 pads nothing; the
+    # axis -2 pass runs on the n/2 band columns only, in place when scipy
+    # can, and then the assignment copies nothing
+    pad = np.zeros(block.shape[:-2] + (m, m // 2 + 1), dtype=complex)
+    cols = pad[..., :h]
+    cols[..., :h, :] = block[..., :h, :]
+    cols[..., m - h + 1:, :] = block[..., h + 1:, :]
+    cols[...] = sfft.ifft2(cols, axes=(-2,), norm="forward", overwrite_x=True, workers=workers)
+    return sfft.irfft2(pad, s=(m,), axes=(-1,), norm="forward", workers=workers)
 
 
 @lru_cache(maxsize=None)
@@ -212,34 +231,39 @@ def _two_thirds_mask(grid: GridSpec) -> np.ndarray:
     k1, k2 = index_grids(grid)
     cut = grid.n // 3
     mask = ((np.abs(k1) <= cut) & (np.abs(k2) <= cut)).astype(float)
+    mask = np.ascontiguousarray(mask[:, :grid.n // 2])
     mask.setflags(write=False)
     return mask
+
+
+def band_product(grid: GridSpec, pairs) -> np.ndarray:
+    """Band block of sum_i dealias(u_i * v_i) under the grid's dealias
+    policy, from the band blocks (u_i, v_i) of each pair."""
+    n, h = grid.n, grid.n // 2
+    mask = None if grid.dealias == THREE_HALVES else _two_thirds_mask(grid)
+    m = n if mask is not None else 3 * n // 2
+    workers = fft_workers()
+    acc = None
+    for u, v in pairs:
+        if mask is not None:
+            u, v = u * mask, v * mask
+        term = band_samples(u, m, workers)
+        term *= band_samples(v, m, workers)
+        acc = term if acc is None else np.add(acc, term, out=acc)
+    half = sfft.rfft2(acc, axes=(-1,), norm="forward", workers=workers)[..., :h]
+    band = sfft.fft2(half, axes=(-2,), norm="forward", overwrite_x=True, workers=workers)
+    out = np.zeros(band.shape[:-2] + (n, h), dtype=complex)
+    out[..., :h, :] = band[..., :h, :]
+    out[..., h + 1:, :] = band[..., m - h + 1:, :]
+    if mask is not None:
+        out *= mask
+    return out
 
 
 def band_product_sum(grid: GridSpec, pairs) -> SpectralField:
     """sum_i dealias(u_i * v_i) under the grid's dealias policy, from the
     band blocks (u_i, v_i) of each pair."""
-    n, h = grid.n, grid.n // 2
-    mask = None if grid.dealias == THREE_HALVES else _two_thirds_mask(grid)
-    m = n if mask is not None else 3 * n // 2
-    acc = None
-    for u, v in pairs:
-        if mask is not None:
-            u, v = u * mask[:, :h], v * mask[:, :h]
-        term = band_samples(u, m)
-        term *= band_samples(v, m)
-        acc = term if acc is None else np.add(acc, term, out=acc)
-    half = sfft.rfft2(acc, axes=(1,), norm="forward", workers=fft_workers())[:, :h]
-    band = sfft.fft2(half, axes=(0,), norm="forward", overwrite_x=True, workers=fft_workers())
-    out = np.zeros((n, n), dtype=complex)
-    out[:h, :h] = band[:h]
-    out[h + 1:, :h] = band[m - h + 1:]
-    # negative columns from Hermitian symmetry: c(k1, -k2) = conj(c(-k1, k2))
-    out[0, h + 1:] = np.conj(out[0, h - 1:0:-1])
-    out[1:, h + 1:] = np.conj(out[:0:-1, h - 1:0:-1])
-    if mask is not None:
-        out *= mask
-    return SpectralField(grid, out)
+    return SpectralField(grid, complete_band(band_product(grid, pairs)))
 
 
 def product_sum(pairs: list[tuple[SpectralField, SpectralField]]) -> SpectralField:

@@ -17,6 +17,8 @@ from qgk.evolution import (
     simulate,
     step,
     tendency,
+    _exp_factors,
+    _grad_l4_fourth,
 )
 
 
@@ -345,3 +347,145 @@ class TestCompareRuns:
         assert report.envelope_margin <= 1.0 + 1e-9
         assert report.fitted_k >= 0.0
         assert 0.0 < report.fitted_c <= 10.0
+
+
+def blowup_config(g=G32):
+    """The datum of TestStep.test_abort_on_blowup: an inviscid run that
+    turns non-finite within a few steps."""
+    r0 = band_ic(g, 7, amplitude=200.0, hi=10)
+    return RunConfig(grid=g, mu=0.0, t_end=50.0, dt=0.5, initial_condition=r0)
+
+
+def last_finite_state(cfg):
+    """(t, state) just before the solo step that aborts."""
+    r, t = prepare_state(cfg), 0.0
+    while True:
+        try:
+            nxt = step(r, t, cfg)
+        except SimulationAbort:
+            return t, r
+        r, t = nxt, t + cfg.dt
+
+
+def stacked_config(g, **overrides):
+    values = dict(grid=g, mu=0.7, t_end=0.06, dt=1e-2,
+                  initial_condition=band_ic(g, 31, 1.5), diagnostics_every=3)
+    values.update(overrides)
+    return RunConfig(**values)
+
+
+def tabulated_forcing(g):
+    return ForcingSpec(kind="tabulated", table=[(0.0, band_ic(g, 32, 0.3)),
+                                                (0.015, band_ic(g, 33, 0.5)),
+                                                (1.0, band_ic(g, 34, 0.2))])
+
+
+G24_TWO_THIRDS = GridSpec(24, 3.0, "two_thirds_truncation")
+
+STACKED_CASES = {
+    "if_rk4": lambda: stacked_config(G32),
+    "if_rk2": lambda: stacked_config(G32, stepper="if_rk2"),
+    "two_thirds_3_divides_n": lambda: stacked_config(
+        G24_TWO_THIRDS, initial_condition=band_ic(G24_TWO_THIRDS, 35, 1.5, hi=8)),
+    "galerkin_cut": lambda: stacked_config(G32, galerkin_cut=20.0),
+    "inviscid": lambda: stacked_config(G32, mu=0.0),
+    "separable_forcing": lambda: stacked_config(G32, forcing=forcing_for(G32)),
+    "tabulated_forcing": lambda: stacked_config(G32, forcing=tabulated_forcing(G32)),
+    "transport_disabled": lambda: stacked_config(
+        G32, disable_transport=True, forcing=forcing_for(G32)),
+}
+
+
+class TestEnsembleAxis:
+    """A stack of band blocks steps bitwise like its members stepped alone."""
+
+    @pytest.mark.parametrize("case", sorted(STACKED_CASES))
+    def test_stacked_step_equals_solo_steps(self, case):
+        cfg = STACKED_CASES[case]()
+        h = cfg.grid.n // 2
+        solo = [prepare_state(cfg), SpectralField(
+            cfg.grid, prepare_state(cfg).coeffs + band_ic(cfg.grid, 36, 0.1, hi=5).coeffs)]
+        pair = np.stack([r.coeffs[:, :h] for r in solo])
+        for i in range(cfg.n_steps):
+            t = i * cfg.dt
+            pair = step(pair, t, cfg)
+            solo = [step(r, t, cfg) for r in solo]
+            for member, r in zip(sp.complete_band(pair), solo):
+                assert np.array_equal(member, r.coeffs)
+        assert pair.shape == (2, cfg.grid.n, h)
+
+    def test_compare_runs_equals_two_loop_reference(self):
+        g = G32
+        cfg = RunConfig(grid=g, mu=1.0, t_end=0.1, dt=5e-3,
+                        initial_condition=band_ic(g, 37, 2.0), diagnostics_every=5,
+                        forcing=forcing_for(g))
+        perturbation = band_ic(g, 38, 1e-4)
+        report = compare_runs(cfg, perturbation)
+
+        base = prepare_state(cfg)
+        pert = SpectralField(g, base.coeffs + sp.sanitize_band(perturbation).coeffs)
+        e_delta, delta_h3, rate = [], [], []
+
+        def push(a, b):
+            delta = SpectralField(g, b.coeffs - a.coeffs)
+            e_delta.append(diag.energy_first(delta))
+            delta_h3.append(sp.sobolev_norm(delta, 3.0))
+            rate.append(_grad_l4_fourth(a))
+
+        push(base, pert)
+        for i in range(cfg.n_steps):
+            base = step(base, i * cfg.dt, cfg)
+            pert = step(pert, i * cfg.dt, cfg)
+            if (i + 1) % cfg.diagnostics_every == 0:
+                push(base, pert)
+        growth = diag.cumulative_simpson(np.asarray(rate), cfg.dt * cfg.diagnostics_every)
+        assert np.array_equal(report.e_delta, e_delta)
+        assert np.array_equal(report.delta_h3, delta_h3)
+        assert np.array_equal(report.growth_integral, growth)
+
+    def test_worker_count_does_not_change_bits(self, monkeypatch):
+        cfg = stacked_config(G64, initial_condition=band_ic(G64, 39, 1.5),
+                             forcing=forcing_for(G64))
+        h = G64.n // 2
+        pair = np.stack([prepare_state(cfg).coeffs[:, :h]] * 2)
+        pair[1] *= 0.5
+        results = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("QGK_THREADS", workers)
+            results.append(step(pair, 0.0, cfg))
+        assert np.array_equal(results[0], results[1])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_stacked_abort_keeps_first_nonfinite_member(self, bad):
+        cfg = blowup_config()
+        t, doomed = last_finite_state(cfg)
+        calm = band_ic(cfg.grid, 40, 0.1)
+        members = [calm, calm]
+        members[bad] = doomed
+        h = cfg.grid.n // 2
+        with pytest.raises(SimulationAbort) as info:
+            step(np.stack([r.coeffs[:, :h] for r in members]), t, cfg)
+        assert info.value.t == t + cfg.dt
+        assert np.array_equal(info.value.last_good.coeffs, doomed.coeffs)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_twin_run_abort_keeps_last_good_base(self):
+        cfg = blowup_config()
+        t, doomed = last_finite_state(cfg)
+        with pytest.raises(SimulationAbort) as info:
+            compare_runs(cfg, band_ic(cfg.grid, 41, 1e-6))
+        # a tiny perturbation: the base run is the first member to blow up
+        assert info.value.t == t + cfg.dt
+        assert np.array_equal(info.value.last_good.coeffs, doomed.coeffs)
+        assert np.all(np.isfinite(info.value.last_good.coeffs))
+
+    def test_dt_sweep_keeps_exp_factor_cache_bounded(self):
+        g = GridSpec(16, 2 * np.pi)
+        r0 = band_ic(g, 42, hi=3)
+        bound = _exp_factors.cache_info().maxsize
+        assert bound is not None and bound < 40
+        for k in range(40):
+            dt = 1e-3 * (1.0 + k / 40.0)
+            step(r0, 0.0, RunConfig(grid=g, mu=1.0, t_end=dt, dt=dt, initial_condition=r0))
+        assert _exp_factors.cache_info().currsize == bound

@@ -36,7 +36,7 @@ from .evolution import (
 )
 from .grid import SpectralField, band_keep, hermitian_defect, multiplier_table
 from .quadrature import QuadratureError
-from .snapshots import SnapshotError, read_snapshot, write_snapshot
+from .snapshots import SnapshotError, atomic_output, read_snapshot, write_snapshot
 from .spectral import (
     apply_multiplier,
     cosine_field,
@@ -218,7 +218,7 @@ def _cmd_decay(args) -> int:
         for k in moments
     }
     text = json.dumps(summary, indent=2, sort_keys=True)
-    with open(args.out + ".summary.json", "w", encoding="utf-8") as fh:
+    with atomic_output(args.out + ".summary.json", encoding="utf-8") as fh:
         fh.write(text + "\n")
     print(text)
     return 0

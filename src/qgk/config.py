@@ -27,7 +27,7 @@ from .evolution import (
     prepare_state,
     start_warnings,
 )
-from .snapshots import read_snapshot
+from .snapshots import atomic_output, read_snapshot
 from .spectral import (
     cosine_field,
     fft_workers_warnings,
@@ -239,7 +239,7 @@ def format_float(x) -> str:
 
 def write_csv(path, columns, rows, manifest: ExperimentManifest | None = None) -> None:
     """CSV with fixed column order, '.' decimals and manifest header comments."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_output(path, encoding="utf-8", newline="\n") as fh:
         if manifest is not None:
             for line in manifest.lines():
                 fh.write(f"# {line}\n")
@@ -249,6 +249,6 @@ def write_csv(path, columns, rows, manifest: ExperimentManifest | None = None) -
 
 
 def write_manifest_sidecar(binary_path, manifest: ExperimentManifest) -> None:
-    with open(str(binary_path) + ".manifest.txt", "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_output(str(binary_path) + ".manifest.txt", encoding="utf-8", newline="\n") as fh:
         for line in manifest.lines():
             fh.write(line + "\n")

@@ -399,24 +399,27 @@ def linear_evolve(w0: SpectralField, forcing: ForcingSpec, mu: float,
 
     The free part is the diagonal propagator exp(-mu h t); the Duhamel
     integral is evaluated per mode, with the separable-decaying amplitude
-    integrated by panel quadrature (grouped over equal dissipation rates)
-    and tabulated forcing integrated segment-by-segment in closed form.
+    integrated by panel quadrature (grouped over the distinct rates of the
+    forcing's support, so modes the profile leaves at zero keep the free
+    flow exactly) and tabulated forcing integrated segment-by-segment in
+    closed form.
     """
     grid = w0.grid
     w0 = sanitize_band(w0)
     mt = multiplier_table(grid)
+    if forcing.kind == "separable_decaying":
+        f0 = forcing.amplitude * mt.d * forcing.profile.coeffs * band_keep(grid)
+        support = f0 != 0.0
+        f0 = f0[support]
+        q, inverse = np.unique(xi_squared(grid)[support], return_inverse=True)
+        lam = mu * (1.0 + q) * q * q / (1.0 + q + q * q)
     out = []
-    q = xi_squared(grid)
-    uniq, inverse = np.unique(q.ravel(), return_inverse=True)
     for t in times:
         if t < 0.0:
             raise ValueError("times must be nonnegative")
         coeffs = np.exp(-mu * mt.h * t) * w0.coeffs
         if forcing.kind == "separable_decaying":
-            lam_u = mu * (1.0 + uniq) * uniq * uniq / (1.0 + uniq + uniq * uniq)
-            factors = duhamel_time_factor(lam_u, t, forcing.eta)[inverse].reshape(grid.shape)
-            f0 = forcing.amplitude * mt.d * forcing.profile.coeffs
-            coeffs = coeffs + f0 * factors * band_keep(grid)
+            coeffs[support] += f0 * duhamel_time_factor(lam, t, forcing.eta)[inverse]
         elif forcing.kind == "tabulated":
             coeffs = coeffs + _tabulated_duhamel(forcing, mu, t, grid)
         out.append((float(t), SpectralField(grid, coeffs)))

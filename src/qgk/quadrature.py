@@ -55,7 +55,7 @@ def duhamel_time_factor(lam, t: float, eta: float) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    if t == 0.0:
+    if t == 0.0 or lam.size == 0:
         return np.zeros_like(lam)
     edges = _panel_points(t, float(np.max(lam)))
     x, w = _gauss_nodes()

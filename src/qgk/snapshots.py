@@ -11,11 +11,17 @@ Layout (little-endian throughout):
               integer-index order (k1, k2 from -n/2 to n/2 - 1)
 
 The reader validates the header, finiteness and Hermitian symmetry.
+
+Every output file qgk writes goes through ``atomic_output``: it is written
+to a temporary file beside the target and renamed onto it, so an
+interrupted write never leaves a half-written file.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -30,13 +36,29 @@ class SnapshotError(ValueError):
     """Malformed or inconsistent snapshot file."""
 
 
+@contextmanager
+def atomic_output(path, mode: str = "w", **open_kwargs):
+    """Open a temporary file beside ``path`` for writing and move it onto
+    ``path`` with os.replace once the block completes; if the block raises,
+    the temporary file is removed and ``path`` is left as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_snapshot(path, field: SpectralField, time: float) -> None:
     n = field.grid.n
     shifted = np.fft.fftshift(field.coeffs)
     payload = np.empty((n, n, 2), dtype="<f8")
     payload[:, :, 0] = shifted.real
     payload[:, :, 1] = shifted.imag
-    with open(path, "wb") as fh:
+    with atomic_output(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, n, field.grid.box_length, float(time)))
         fh.write(payload.tobytes())
 

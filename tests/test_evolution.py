@@ -3,15 +3,26 @@
 import numpy as np
 import pytest
 
-from qgk.grid import GridSpec, SpectralField, hermitian_defect, multiplier_table
+from qgk.grid import (
+    GridSpec,
+    SpectralField,
+    band_keep,
+    hermitian_defect,
+    index_grids,
+    multiplier_table,
+    xi_squared,
+)
 from qgk import diagnostics as diag
+from qgk import evolution
 from qgk import spectral as sp
+from qgk.quadrature import duhamel_time_factor
 from qgk.evolution import (
     ForcingSpec,
     RunConfig,
     SimulationAbort,
     compare_runs,
     linear_evolve,
+    linear_series,
     max_velocity,
     prepare_state,
     simulate,
@@ -270,7 +281,84 @@ class TestGalerkin:
         assert out.final.coeffs[0, 0] == pytest.approx(1.0 + 0.5 * 1.0, rel=1e-12)
 
 
+def full_grid_duhamel(w0, forcing, mu, t):
+    """The separable Duhamel solution with the quadrature run on every
+    distinct |xi|^2 of the grid, not only on the forcing's support."""
+    g = w0.grid
+    mt = multiplier_table(g)
+    q, inverse = np.unique(xi_squared(g).ravel(), return_inverse=True)
+    lam = mu * (1.0 + q) * q * q / (1.0 + q + q * q)
+    factors = duhamel_time_factor(lam, t, forcing.eta)[inverse].reshape(g.shape)
+    f0 = forcing.amplitude * mt.d * forcing.profile.coeffs
+    return np.exp(-mu * mt.h * t) * w0.coeffs + f0 * factors * band_keep(g)
+
+
+def forcing_support(forcing, g):
+    mt = multiplier_table(g)
+    return forcing.amplitude * mt.d * forcing.profile.coeffs * band_keep(g) != 0.0
+
+
 class TestLinearEvolve:
+    @pytest.mark.parametrize("n", [24, 32, 48])
+    @pytest.mark.parametrize("mu", [0.0, 1.3])
+    def test_support_quadrature_matches_full_grid(self, n, mu):
+        g = GridSpec(n, 2 * np.pi)
+        w0 = band_ic(g, 30 + n)
+        profile = sp.random_band_field(g, n, 1.0, 3.0, 2, n // 4)
+        forcing = ForcingSpec(kind="separable_decaying", profile=profile, amplitude=0.7, eta=0.6)
+        support = forcing_support(forcing, g)
+        assert 0 < support.sum() < support.size
+        mt = multiplier_table(g)
+        times = [0.0, 0.5, 3.7, 25.0, 1000.0]
+        for t, field in linear_evolve(w0, forcing, mu, times):
+            ref = full_grid_duhamel(w0, forcing, mu, t)
+            assert np.max(np.abs(field.coeffs - ref)) <= 1e-15 * np.max(np.abs(ref))
+            free = np.exp(-mu * mt.h * t) * w0.coeffs
+            assert np.array_equal(field.coeffs[~support], free[~support])
+
+    def test_quadrature_sees_distinct_support_rates_once_per_time(self, monkeypatch):
+        g = G32
+        mu, times = 1.3, [0.0, 0.4, 2.0, 9.0]
+        forcing = forcing_for(g, K=0.9, eta=0.6)
+        calls = []
+
+        def recording(lam, t, eta):
+            calls.append((np.array(lam), t))
+            return duhamel_time_factor(lam, t, eta)
+
+        monkeypatch.setattr(evolution, "duhamel_time_factor", recording)
+        linear_evolve(band_ic(g, 27), forcing, mu, times)
+        q = np.unique(xi_squared(g)[forcing_support(forcing, g)])
+        expected = mu * (1.0 + q) * q * q / (1.0 + q + q * q)
+        assert [t for _, t in calls] == times
+        for lam, _ in calls:
+            assert np.array_equal(lam, expected)
+
+    def test_profile_vanishing_on_grid_gives_free_flow(self):
+        # a shell band beyond every |k| on the grid leaves an empty support
+        g = G32
+        k1, k2 = index_grids(g)
+        radius = np.hypot(k1, k2)
+        profile = SpectralField(g, np.where((radius >= g.n) & (radius <= 2 * g.n), 1.0 + 0j, 0.0))
+        forcing = ForcingSpec(kind="separable_decaying", profile=profile, amplitude=0.5)
+        assert duhamel_time_factor(np.array([]), 2.0, 0.75).shape == (0,)
+        w0 = band_ic(g, 28)
+        mt = multiplier_table(g)
+        for t, field in linear_evolve(w0, forcing, 1.0, [0.0, 1.5, 40.0]):
+            assert np.array_equal(field.coeffs, np.exp(-mt.h * t) * w0.coeffs)
+
+    def test_linear_series_vanishes_outside_galerkin_cut(self):
+        g = G32
+        cut = 12.0
+        cfg = RunConfig(grid=g, mu=0.8, t_end=1.0, dt=1e-2, initial_condition=band_ic(g, 29),
+                        galerkin_cut=cut, forcing=forcing_for(g, K=0.6))
+        states, records = linear_series(cfg, [0.0, 0.5, 1.0])
+        assert len(records) == 3
+        outside = xi_squared(g) > cut
+        for _, field in states:
+            assert np.all(field.coeffs[outside] == 0.0)
+            assert np.any(field.coeffs[~outside] != 0.0)
+
     def test_free_flow_matches_closed_form(self):
         g = G32
         w0 = band_ic(g, 18)

@@ -7,7 +7,8 @@ import pytest
 
 from qgk.grid import GridSpec
 from qgk import spectral as sp
-from qgk.snapshots import MAGIC, SnapshotError, read_snapshot, write_snapshot
+from qgk.config import write_csv, write_manifest_sidecar
+from qgk.snapshots import MAGIC, SnapshotError, atomic_output, read_snapshot, write_snapshot
 
 
 def field(n=16, L=2.5, seed=0):
@@ -83,3 +84,45 @@ def test_nonfinite_rejected(tmp_path):
     write_snapshot(path, u, 0.0)
     with pytest.raises(SnapshotError, match="finite"):
         read_snapshot(path)
+
+
+class Interrupted(RuntimeError):
+    pass
+
+
+def test_interrupted_snapshot_write_keeps_earlier_file(tmp_path):
+    path = tmp_path / "state.qgk"
+    write_snapshot(path, field(seed=5), 0.5)
+    before = path.read_bytes()
+    with pytest.raises(Interrupted):
+        with atomic_output(path, "wb") as fh:
+            fh.write(b"QGK1 partial payload")
+            raise Interrupted
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["state.qgk"]
+
+
+def test_interrupted_csv_and_sidecar_writes_keep_earlier_files(tmp_path):
+    class BrokenManifest:
+        def lines(self):
+            yield "qgk manifest"
+            raise Interrupted
+
+    def broken_rows():
+        yield [1.0, 2.0]
+        raise Interrupted
+
+    csv_path = tmp_path / "series.csv"
+    write_csv(csv_path, ["a", "b"], [[0.5, 0.25]])
+    snap = tmp_path / "final.qgk"
+    write_snapshot(snap, field(seed=6), 1.0)
+    sidecar = tmp_path / "final.qgk.manifest.txt"
+    sidecar.write_text("earlier manifest\n")
+    names = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(Interrupted):
+        write_csv(csv_path, ["a", "b"], broken_rows())
+    with pytest.raises(Interrupted):
+        write_manifest_sidecar(snap, BrokenManifest())
+    assert csv_path.read_text() == "a,b\n0.5,0.25\n"
+    assert sidecar.read_text() == "earlier manifest\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == names

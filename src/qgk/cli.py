@@ -34,7 +34,7 @@ from .evolution import (
     prepare_state,
     simulate,
 )
-from .grid import SpectralField, band_keep, hermitian_defect, multiplier_table
+from .grid import SpectralField, hermitian_defect, multiplier_table
 from .quadrature import QuadratureError
 from .snapshots import SnapshotError, atomic_output, read_snapshot, write_snapshot
 from .spectral import (
@@ -352,7 +352,7 @@ def _invariant_checks(cfg: RunConfig, seed: int):
     total = np.zeros(grid.shape)
     for j in partition.block_range():
         total += partition.weights[j + 1]
-    keep = band_keep(grid).astype(bool)
+    keep = mt.keep.astype(bool)
     yield ("lp_partition_of_unity", float(np.max(np.abs(total[keep] - 1.0))), 1e-12)
     recon = np.zeros(grid.shape, complex)
     for j in partition.block_range():

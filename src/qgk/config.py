@@ -24,7 +24,6 @@ from .evolution import (
     STEPPERS,
     ForcingSpec,
     RunConfig,
-    prepare_state,
     start_warnings,
 )
 from .snapshots import atomic_output, read_snapshot
@@ -189,7 +188,7 @@ def resolve_run_config(values: dict) -> tuple[RunConfig, list]:
         sigma_list=_sigma_list(values["diag.sigma"]),
         disable_transport=bool(values["disable_transport"]),
     )
-    return cfg, start_warnings(cfg, prepare_state(cfg)) + fft_workers_warnings()
+    return cfg, start_warnings(cfg) + fft_workers_warnings()
 
 
 @dataclass

@@ -26,7 +26,7 @@ from scipy.optimize import brentq
 
 from .quadrature import (
     QuadratureError,
-    _gauss_nodes,
+    _GAUSS_NODES,
     duhamel_time_factor,
     ols_loglog,
     radial_quad,
@@ -167,7 +167,7 @@ def duhamel_moment(profile_f: RadialProfile, k: int, mu: float, eta: float,
     # profile support truncates the integral
     upper = float(profile_f.support_radius)
 
-    x, w = _gauss_nodes()
+    x, w = _GAUSS_NODES
     edges = _radial_edges(upper, mu, t)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, multiplier_table, xi_squared
+from .grid import GridSpec, SpectralField, multiplier_table
 from .spectral import sobolev_norm
 
 
@@ -36,10 +36,10 @@ from .spectral import sobolev_norm
 X, Y, E_FIRST, E_SECOND, H3_SQ, H4_SQ, D_FIRST, D_SECOND = range(8)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _weights(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Quadratic-form rows (X .. D_second) and the two forcing-pairing rows."""
-    q = xi_squared(grid)
+    q = multiplier_table(grid).q
     forms = np.stack([
         1.0 + q + q**2 + q**3,
         q**2 + q**3 + q**4,
@@ -66,7 +66,7 @@ def quadratic_forms(u: SpectralField, sigmas=()) -> np.ndarray:
     """[X, Y, E_first, E_second, |u|_H3^2, |u|_H4^2, D_first, D_second,
     E_sigma for each sigma], contracted row by row against one |c|^2."""
     forms, _ = _weights(u.grid)
-    q = xi_squared(u.grid)
+    q = multiplier_table(u.grid).q
     return _contract(u, itertools.chain(forms, ((1.0 + q) ** s * forms[Y] for s in sigmas)))
 
 
@@ -92,11 +92,11 @@ def energy_second(u: SpectralField) -> float:
 
 
 def energy_sigma(u: SpectralField, sigma: float) -> float:
-    return _form(u, (1.0 + xi_squared(u.grid)) ** sigma * _weights(u.grid)[0][Y])
+    return _form(u, (1.0 + multiplier_table(u.grid).q) ** sigma * _weights(u.grid)[0][Y])
 
 
 def energy_tilde_s(u: SpectralField, s: float) -> float:
-    return _form(u, (1.0 + xi_squared(u.grid)) ** s * _weights(u.grid)[0][X])
+    return _form(u, (1.0 + multiplier_table(u.grid).q) ** s * _weights(u.grid)[0][X])
 
 
 def x_of(u: SpectralField) -> float:
@@ -216,7 +216,7 @@ def compare_h3(nonlinear_snaps, linear_snaps, eta: float) -> ComparisonSeries:
 
 def _pointwise_sup(snaps, r0: SpectralField, base) -> float:
     mt = multiplier_table(r0.grid)
-    absxi = np.sqrt(xi_squared(r0.grid))
+    absxi = np.sqrt(mt.q)
     h3sq = sobolev_norm(r0, 3.0) ** 2
     sup = 0.0
     for t, r in snaps:

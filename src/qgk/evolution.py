@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from . import diagnostics as diag
-from .grid import GridSpec, SpectralField, band_keep, multiplier_table, xi_squared
+from .grid import GridSpec, SpectralField, multiplier_table
 from .bilinear import transport
 from .quadrature import duhamel_time_factor, linear_segment_factor
 from .spectral import (
@@ -39,7 +39,6 @@ from .spectral import (
     project_jn,
     sanitize_band,
     sobolev_norm,
-    _jn_mask,
 )
 
 IF_RK4 = "if_rk4"
@@ -76,6 +75,7 @@ class ForcingSpec:
     amplitude: float = 1.0
     eta: float = 0.75
     table: list[tuple[float, SpectralField]] = field(default_factory=list)
+    knot_times: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.kind not in FORCING_KINDS:
@@ -95,6 +95,8 @@ class ForcingSpec:
             if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
                 raise ValueError("tabulated knots must have increasing times")
             self.table = [(t, sanitize_band(f)) for t, f in self.table]
+            self.knot_times = np.array(times, dtype=float)
+            self.knot_times.setflags(write=False)
 
     def coefficients(self, t: float, cols: int | None = None) -> np.ndarray | None:
         """f_hat(t) on the grid, or its first ``cols`` columns (the band block
@@ -103,7 +105,7 @@ class ForcingSpec:
             return None
         if self.kind == "separable_decaying":
             return self.amplitude * (1.0 + t) ** (-1.0 - self.eta) * self.profile.coeffs[:, :cols]
-        times = [tk for tk, _ in self.table]
+        times = self.knot_times
         if t <= times[0] or t >= times[-1]:
             if t == times[0]:
                 return self.table[0][1].coeffs[:, :cols].copy()
@@ -117,9 +119,14 @@ class ForcingSpec:
         return (1.0 - w) * f0.coeffs[:, :cols] + w * f1.coeffs[:, :cols]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Full description of one evolution experiment."""
+    """Full description of one evolution experiment.
+
+    Frozen, so the per-run constants below, each built on first use and
+    read-only, cannot go stale: the prepared initial state and its CFL
+    bound, and the stepper's symbols on the band block.
+    """
 
     grid: GridSpec
     mu: float
@@ -155,6 +162,45 @@ class RunConfig:
         if abs(steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ValueError("t_end must be an integer number of steps")
         return steps
+
+    @cached_property
+    def initial_state(self) -> SpectralField:
+        """Sanitized (and, if configured, Galerkin-projected) initial state."""
+        r = sanitize_band(self.initial_condition)
+        if self.galerkin_cut is not None:
+            r = project_jn(r, self.galerkin_cut)
+        r.coeffs.setflags(write=False)
+        return r
+
+    @cached_property
+    def initial_cfl(self) -> float:
+        """Advective CFL bound of the initial state."""
+        return cfl_limit(self.initial_state)
+
+    @cached_property
+    def d_block(self) -> np.ndarray:
+        """d(xi) on the band block (a view of the grid's table)."""
+        return multiplier_table(self.grid).d[:, :self.grid.n // 2]
+
+    @cached_property
+    def exp_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """exp(-mu h dt/2) and exp(-mu h dt) on the band block."""
+        h = multiplier_table(self.grid).h[:, :self.grid.n // 2]
+        e_half = np.exp(-self.mu * h * (0.5 * self.dt))
+        return _read_only(e_half), _read_only(e_half * e_half)
+
+    @cached_property
+    def galerkin_block(self) -> np.ndarray | None:
+        """The Galerkin cut's mask on the band block, or None without a cut."""
+        if self.galerkin_cut is None:
+            return None
+        q = multiplier_table(self.grid).q[:, :self.grid.n // 2]
+        return _read_only((q <= float(self.galerkin_cut)).astype(float))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass
@@ -206,15 +252,14 @@ def _nonlinear_rhs(y: np.ndarray, t: float, cfg: RunConfig) -> np.ndarray:
     ForcingSpec keeps its profiles on the symmetric band, and the Galerkin
     cut multiplies the whole sum, so the forcing needs no mask of its own.
     """
-    h = cfg.grid.n // 2
     nl = None if cfg.disable_transport else transport(y, y, cfg.grid)
-    f = cfg.forcing.coefficients(t, h)
+    f = cfg.forcing.coefficients(t, cfg.grid.n // 2)
     if f is None and nl is None:
         return np.zeros(y.shape, dtype=complex)
     inner = (f - nl) if (f is not None and nl is not None) else (f if nl is None else -nl)
-    rhs = multiplier_table(cfg.grid).d[:, :h] * inner
-    if cfg.galerkin_cut is not None:
-        rhs = rhs * _jn_mask(cfg.grid, float(cfg.galerkin_cut))[:, :h]
+    rhs = cfg.d_block * inner
+    if cfg.galerkin_block is not None:
+        rhs = rhs * cfg.galerkin_block
     return rhs
 
 
@@ -228,17 +273,6 @@ def tendency(r: SpectralField, t: float, cfg: RunConfig) -> SpectralField:
     if not np.all(np.isfinite(rhs)):
         raise SimulationAbort("non-finite tendency", t, r)
     return SpectralField(cfg.grid, complete_band(rhs))
-
-
-@lru_cache(maxsize=16)
-def _exp_factors(grid: GridSpec, mu: float, dt: float):
-    """exp(-mu h dt/2) and exp(-mu h dt) on the band block."""
-    h = multiplier_table(grid).h[:, :grid.n // 2]
-    e_half = np.exp(-mu * h * (0.5 * dt))
-    e_full = e_half * e_half
-    e_half.setflags(write=False)
-    e_full.setflags(write=False)
-    return e_half, e_full
 
 
 def step(r: SpectralField | np.ndarray, t: float, cfg: RunConfig):
@@ -258,7 +292,7 @@ def step(r: SpectralField | np.ndarray, t: float, cfg: RunConfig):
     solo = isinstance(r, SpectralField)
     y = r.coeffs[:, :cfg.grid.n // 2] if solo else r
     dt = cfg.dt
-    e_half, e_full = _exp_factors(cfg.grid, cfg.mu, dt)
+    e_half, e_full = cfg.exp_factors
     nl = _nonlinear_rhs
     if cfg.stepper == IF_RK2:
         k1 = nl(y, t, cfg)
@@ -305,11 +339,9 @@ def cfl_limit(r: SpectralField) -> float:
 
 
 def prepare_state(cfg: RunConfig) -> SpectralField:
-    """Sanitized (and, if configured, Galerkin-projected) initial state."""
-    r = sanitize_band(cfg.initial_condition)
-    if cfg.galerkin_cut is not None:
-        r = project_jn(r, cfg.galerkin_cut)
-    return r
+    """Sanitized (and, if configured, Galerkin-projected) initial state,
+    evaluated once per run and read-only."""
+    return cfg.initial_state
 
 
 def _record(r: SpectralField, t: float, cfg: RunConfig) -> TimeSeriesRecord:
@@ -342,10 +374,10 @@ def _attach_residuals(records: list, mu: float) -> None:
         rec.res_second = float(b)
 
 
-def start_warnings(cfg: RunConfig, r0: SpectralField) -> list[str]:
+def start_warnings(cfg: RunConfig) -> list[str]:
     """Warnings about a run as configured, from its prepared initial state."""
     warnings = []
-    limit = cfl_limit(r0)
+    limit = cfg.initial_cfl
     if cfg.dt > limit:
         warnings.append(f"dt = {cfg.dt:g} exceeds the advective CFL estimate {limit:g} "
                         "for the configured initial condition")
@@ -360,8 +392,8 @@ def simulate(cfg: RunConfig) -> SimulationResult:
     Deterministic given (cfg, seed): all randomness is consumed when the
     initial condition and forcing profile are built.
     """
-    r = prepare_state(cfg)
-    warnings = start_warnings(cfg, r)
+    r = cfg.initial_state
+    warnings = start_warnings(cfg)
     steps = cfg.n_steps
     if steps % cfg.diagnostics_every != 0:
         warnings.append("step count is not a multiple of diagnostics_every; "
@@ -401,52 +433,67 @@ def linear_evolve(w0: SpectralField, forcing: ForcingSpec, mu: float,
     integral is evaluated per mode, with the separable-decaying amplitude
     integrated by panel quadrature (grouped over the distinct rates of the
     forcing's support, so modes the profile leaves at zero keep the free
-    flow exactly) and tabulated forcing integrated segment-by-segment in
-    closed form.
+    flow exactly) and tabulated forcing integrated in closed form, carried
+    from knot to knot.
     """
     grid = w0.grid
     w0 = sanitize_band(w0)
     mt = multiplier_table(grid)
+    times = list(times)
+    if any(t < 0.0 for t in times):
+        raise ValueError("times must be nonnegative")
     if forcing.kind == "separable_decaying":
-        f0 = forcing.amplitude * mt.d * forcing.profile.coeffs * band_keep(grid)
+        f0 = forcing.amplitude * mt.d * forcing.profile.coeffs * mt.keep
         support = f0 != 0.0
         f0 = f0[support]
-        q, inverse = np.unique(xi_squared(grid)[support], return_inverse=True)
+        q, inverse = np.unique(mt.q[support], return_inverse=True)
         lam = mu * (1.0 + q) * q * q / (1.0 + q + q * q)
+    elif forcing.kind == "tabulated":
+        tabulated = _tabulated_duhamel(forcing, mu, times, grid)
     out = []
-    for t in times:
-        if t < 0.0:
-            raise ValueError("times must be nonnegative")
+    for i, t in enumerate(times):
         coeffs = np.exp(-mu * mt.h * t) * w0.coeffs
         if forcing.kind == "separable_decaying":
             coeffs[support] += f0 * duhamel_time_factor(lam, t, forcing.eta)[inverse]
         elif forcing.kind == "tabulated":
-            coeffs = coeffs + _tabulated_duhamel(forcing, mu, t, grid)
+            coeffs = coeffs + tabulated[i]
         out.append((float(t), SpectralField(grid, coeffs)))
     return out
 
 
-def _tabulated_duhamel(forcing: ForcingSpec, mu: float, t: float,
-                       grid: GridSpec) -> np.ndarray:
-    """Closed-form Duhamel integral of the piecewise-linear interpolant.
+def _tabulated_duhamel(forcing: ForcingSpec, mu: float, times: list,
+                       grid: GridSpec) -> list[np.ndarray]:
+    """Closed-form Duhamel integrals of the piecewise-linear interpolant at
+    each of the times, which may come in any order.
 
-    Each segment is integrated from its upper end so that only decaying
-    exponentials appear, keeping the evaluation stable for stiff modes.
+    Taking the times in increasing order, the integral is carried from knot
+    to knot and from the last knot at or below t, so each segment is
+    integrated once.  A segment is integrated from its upper end so that
+    only decaying exponentials appear, keeping the evaluation stable for
+    stiff modes.
     """
     mt = multiplier_table(grid)
     lam = mu * mt.h
-    acc = np.zeros(grid.shape, dtype=complex)
-    for (t0, f0), (t1, f1) in zip(forcing.table, forcing.table[1:]):
-        if t <= t0:
-            break
-        t_up = min(t, t1)
-        width = t_up - t0
-        a0 = mt.d * f0.coeffs
-        slope = (mt.d * f1.coeffs - a0) / (t1 - t0)
+    knots = forcing.knot_times
+    a = [mt.d * f.coeffs for _, f in forcing.table]
+
+    def carry(acc, k, width):
+        # e^{-lam width} acc + int_{t_k}^{t_k + width} e^{-lam (t_k + width - tau)} f(tau) dtau
+        acc = np.exp(-lam * width) * acc
+        if k + 1 == len(knots):
+            return acc
+        slope = (a[k + 1] - a[k]) / (knots[k + 1] - knots[k])
         j0, j1 = linear_segment_factor(lam, width)
-        # int_{t0}^{t_up} e^{-lam (t - tau)} (a0 + slope (tau - t0)) dtau
-        acc = acc + np.exp(-lam * (t - t_up)) * ((a0 + slope * width) * j0 - slope * j1)
-    return acc
+        return acc + ((a[k] + slope * width) * j0 - slope * j1)
+
+    zero = np.zeros(grid.shape, dtype=complex)
+    out, acc, k = [zero] * len(times), zero, 0      # acc: the integral up to knots[k]
+    for i in np.argsort(times, kind="stable"):
+        while k + 1 < len(knots) and knots[k + 1] <= times[i]:
+            acc, k = carry(acc, k, knots[k + 1] - knots[k]), k + 1
+        if times[i] > knots[0]:
+            out[i] = carry(acc, k, times[i] - knots[k])
+    return out
 
 
 def linear_series(cfg: RunConfig, times) -> tuple[list, list]:
@@ -456,7 +503,7 @@ def linear_series(cfg: RunConfig, times) -> tuple[list, list]:
     Returns the (t, state) pairs and one diagnostics record per state, with
     the balance residuals attached.
     """
-    states = linear_evolve(prepare_state(cfg), cfg.forcing, cfg.mu, times)
+    states = linear_evolve(cfg.initial_state, cfg.forcing, cfg.mu, times)
     if cfg.galerkin_cut is not None:
         # the projected system: the Duhamel term is cut like the stepped forcing
         states = [(t, project_jn(w, cfg.galerkin_cut)) for t, w in states]
@@ -501,7 +548,7 @@ def compare_runs(cfg: RunConfig, perturbation: SpectralField) -> StabilityReport
     """
     if perturbation.grid != cfg.grid:
         raise ValueError("perturbation grid does not match run grid")
-    base = prepare_state(cfg)
+    base = cfg.initial_state
     pert = SpectralField(cfg.grid, base.coeffs + sanitize_band(perturbation).coeffs)
     if cfg.galerkin_cut is not None:
         pert = project_jn(pert, cfg.galerkin_cut)

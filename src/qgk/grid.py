@@ -110,17 +110,37 @@ class SpectralField:
 
 @dataclass(frozen=True, eq=False)
 class MultiplierTable:
-    """Precomputed Fourier symbols on a grid.
+    """Every Fourier symbol that depends on the grid alone, built once per
+    grid; all arrays are read-only.
 
-    ``a = 1 + |xi|^2 + |xi|^4`` and ``d = 1/a`` invert each other mode-wise;
-    ``h = (1 + |xi|^2)|xi|^4 / a`` is the dissipation rate of the linear
-    flow (h(0) = 0, h ~ |xi|^2 at high frequency).  ``ixi1``/``ixi2`` are the
-    gradient symbols and ``bilap = |xi|^4`` the bilaplacian's, all with the
-    Nyquist row and column zeroed; ``one_minus_lap = 1 + |xi|^2`` is not a
-    derivative and keeps them.
+    Full (n, n) tables in FFT index order:
+
+    - ``k1``, ``k2``: integer wavevector indices (as floats, broadcast views)
+    - ``xi1``, ``xi2``: physical wavevector (2 pi / L) k; ``q = |xi|^2``
+    - ``nyquist``: True on the Nyquist row and column (index -n/2);
+      ``keep`` is 0.0 there and 1.0 on the symmetric band |k_i| <= n/2 - 1
+    - ``a = 1 + |xi|^2 + |xi|^4`` and ``d = 1/a``, which invert each other
+      mode-wise, and ``h = (1 + |xi|^2)|xi|^4 / a``, the dissipation rate of
+      the linear flow (h(0) = 0, h ~ |xi|^2 at high frequency)
+    - ``ixi1``, ``ixi2``: gradient symbols; ``bilap = |xi|^4`` and
+      ``lap = -|xi|^2``: bilaplacian and Laplacian symbols.  These four
+      derivatives have the Nyquist cells zeroed; ``one_minus_lap = 1 + |xi|^2``
+      is not a derivative and keeps them.
+
+    Also ``flip`` (n,), the index map k -> -k along one axis, and
+    ``two_thirds`` (n, n/2), the band block of the 2/3 rule's mask
+    |k_i| <= n//3.
     """
 
     grid: GridSpec
+    k1: np.ndarray
+    k2: np.ndarray
+    xi1: np.ndarray
+    xi2: np.ndarray
+    q: np.ndarray
+    nyquist: np.ndarray
+    keep: np.ndarray
+    flip: np.ndarray
     a: np.ndarray
     d: np.ndarray
     h: np.ndarray
@@ -128,82 +148,38 @@ class MultiplierTable:
     ixi2: np.ndarray
     bilap: np.ndarray
     one_minus_lap: np.ndarray
+    lap: np.ndarray
+    two_thirds: np.ndarray
 
 
-@lru_cache(maxsize=None)
-def index_grids(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Integer wavevector indices (k1, k2) broadcast to full grids."""
-    k = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
-    k1 = np.broadcast_to(k[:, None], grid.shape).copy()
-    k2 = np.broadcast_to(k[None, :], grid.shape).copy()
-    k1.setflags(write=False)
-    k2.setflags(write=False)
-    return k1, k2
-
-
-@lru_cache(maxsize=None)
-def wavevectors(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Physical wavevector components (xi1, xi2)."""
-    k1, k2 = index_grids(grid)
-    lam = grid.frequency_unit
-    xi1 = lam * k1
-    xi2 = lam * k2
-    xi1.setflags(write=False)
-    xi2.setflags(write=False)
-    return xi1, xi2
-
-
-@lru_cache(maxsize=None)
-def xi_squared(grid: GridSpec) -> np.ndarray:
-    xi1, xi2 = wavevectors(grid)
-    q = xi1 * xi1 + xi2 * xi2
-    q.setflags(write=False)
-    return q
-
-
-@lru_cache(maxsize=None)
-def nyquist_mask(grid: GridSpec) -> np.ndarray:
-    """True on the Nyquist row/column (index -n/2)."""
-    k1, k2 = index_grids(grid)
-    half = grid.n // 2
-    mask = (k1 == -half) | (k2 == -half)
-    mask.setflags(write=False)
-    return mask
-
-
-@lru_cache(maxsize=None)
-def band_keep(grid: GridSpec) -> np.ndarray:
-    """1.0 on the symmetric band |k_i| <= n/2 - 1, 0.0 on Nyquist cells."""
-    keep = np.where(nyquist_mask(grid), 0.0, 1.0)
-    keep.setflags(write=False)
-    return keep
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def multiplier_table(grid: GridSpec) -> MultiplierTable:
-    q = xi_squared(grid)
-    keep = band_keep(grid)
-    xi1, xi2 = wavevectors(grid)
+    n, half = grid.n, grid.n // 2
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    k1 = np.broadcast_to(k[:, None], grid.shape)
+    k2 = np.broadcast_to(k[None, :], grid.shape)
+    xi1 = grid.frequency_unit * k1
+    xi2 = grid.frequency_unit * k2
+    q = xi1 * xi1 + xi2 * xi2
+    nyquist = (k1 == -half) | (k2 == -half)
+    keep = np.where(nyquist, 0.0, 1.0)
     one_minus_lap = 1.0 + q
     a = one_minus_lap + q * q
     d = 1.0 / a
-    tables = dict(a=a, d=d, h=one_minus_lap * q * q * d, ixi1=1j * xi1 * keep,
-                  ixi2=1j * xi2 * keep, bilap=q * q * keep, one_minus_lap=one_minus_lap)
+    two_thirds = ((np.abs(k1) <= n // 3) & (np.abs(k2) <= n // 3)).astype(float)
+    tables = dict(k1=k1, k2=k2, xi1=xi1, xi2=xi2, q=q, nyquist=nyquist, keep=keep,
+                  flip=(-np.arange(n)) % n, a=a, d=d, h=one_minus_lap * q * q * d,
+                  ixi1=1j * xi1 * keep, ixi2=1j * xi2 * keep, bilap=q * q * keep,
+                  one_minus_lap=one_minus_lap, lap=-q * keep,
+                  two_thirds=np.ascontiguousarray(two_thirds[:, :half]))
     for arr in tables.values():
         arr.setflags(write=False)
     return MultiplierTable(grid=grid, **tables)
 
 
-@lru_cache(maxsize=None)
-def _flip_index(n: int) -> np.ndarray:
-    ix = (-np.arange(n)) % n
-    ix.setflags(write=False)
-    return ix
-
-
 def hermitian_defect(field: SpectralField) -> float:
     """Max |c(-k) - conj(c(k))| over all modes."""
-    ix = _flip_index(field.grid.n)
+    ix = multiplier_table(field.grid).flip
     mirrored = field.coeffs[np.ix_(ix, ix)]
     return float(np.max(np.abs(field.coeffs - np.conj(mirrored))))
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, band_keep, index_grids, xi_squared
+from .grid import GridSpec, SpectralField, multiplier_table
 from .spectral import l2_norm, product_sum, sanitize_band, weighted_l2
 
 
@@ -44,31 +44,35 @@ class DyadicPartition:
     """Per-grid tables of the dyadic block weights.
 
     ``weights[j + 1]`` is the symbol of block j (j runs from -1 to j_max);
-    the tables sum to 1 at every mode of the symmetric band.
+    the tables sum to 1 at every mode of the symmetric band.  Row j of
+    ``lows`` is the symbol of the low cut S_j = sum_{k <= j-1} block_k,
+    for 0 <= j <= j_max + 1.
     """
 
     grid: GridSpec
     j_max: int
     weights: list[np.ndarray] = field(repr=False)
+    lows: np.ndarray = field(repr=False)
 
     def block_range(self):
         return range(-1, self.j_max + 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def dyadic_partition(grid: GridSpec) -> DyadicPartition:
-    k1, k2 = index_grids(grid)
-    rho = np.hypot(k1, k2)
+    mt = multiplier_table(grid)
+    rho = np.hypot(mt.k1, mt.k2)
     rho_max = np.sqrt(2.0) * (grid.n / 2.0)
     j_max = max(1, int(np.ceil(np.log2(rho_max))))
-    keep = band_keep(grid)
+    keep = mt.keep
     weights = [chi_profile(2.0 * rho) * keep]
     for j in range(0, j_max + 1):
         w = (chi_profile(rho / 2.0 ** j) - chi_profile(rho / 2.0 ** (j - 1))) * keep
         weights.append(w)
-    for w in weights:
+    lows = np.cumsum(weights, axis=0)
+    for w in (*weights, lows):
         w.setflags(write=False)
-    return DyadicPartition(grid=grid, j_max=j_max, weights=weights)
+    return DyadicPartition(grid=grid, j_max=j_max, weights=weights, lows=lows)
 
 
 def _check_j(partition: DyadicPartition, j: int) -> None:
@@ -82,19 +86,11 @@ def dyadic_block(partition: DyadicPartition, u: SpectralField, j: int) -> Spectr
     return SpectralField(u.grid, u.coeffs * partition.weights[j + 1])
 
 
-@lru_cache(maxsize=None)
-def _low_symbols(grid: GridSpec) -> np.ndarray:
-    """Row j is the symbol of S_j = sum_{k <= j-1} block_k, for 0 <= j <= j_max+1."""
-    lows = np.cumsum(dyadic_partition(grid).weights, axis=0)
-    lows.setflags(write=False)
-    return lows
-
-
 def low_cut(partition: DyadicPartition, u: SpectralField, j: int) -> SpectralField:
     """Low-frequency cut S_j u = sum_{k <= j-1} block_k u, for 0 <= j <= j_max+1."""
     if not 0 <= j <= partition.j_max + 1:
         raise ValueError(f"low_cut index {j} out of range [0, {partition.j_max + 1}]")
-    return SpectralField(u.grid, u.coeffs * _low_symbols(u.grid)[j])
+    return SpectralField(u.grid, u.coeffs * partition.lows[j])
 
 
 def besov_norm(partition: DyadicPartition, u: SpectralField, s: float) -> float:
@@ -109,13 +105,13 @@ def besov_norm(partition: DyadicPartition, u: SpectralField, s: float) -> float:
 def besov_sobolev_bounds(partition: DyadicPartition, s: float) -> tuple[float, float]:
     """Mode-wise bounds of the Besov/Sobolev weight ratio for this profile."""
     grid = partition.grid
-    q = xi_squared(grid)
+    mt = multiplier_table(grid)
     num = np.zeros(grid.shape)
     for j in partition.block_range():
         w = partition.weights[j + 1]
         num += 4.0 ** (j * s) * w * w
-    ratio = num / (1.0 + q) ** s
-    keep = band_keep(grid).astype(bool)
+    ratio = num / (1.0 + mt.q) ** s
+    keep = mt.keep.astype(bool)
     vals = ratio[keep]
     return float(np.sqrt(np.min(vals))), float(np.sqrt(np.max(vals)))
 
@@ -154,9 +150,9 @@ def bernstein_ratio(partition: DyadicPartition, u: SpectralField, j: int, k: int
     base = l2_norm(u)
     if base == 0.0:
         return float("nan")
-    k1, k2 = index_grids(u.grid)
+    mt = multiplier_table(u.grid)
     lam = u.grid.frequency_unit
-    xik = (lam * np.hypot(k1, k2)) ** k
+    xik = (lam * np.hypot(mt.k1, mt.k2)) ** k
     num = weighted_l2(u, xik * xik)
     return num / (2.0 ** (j * k) * lam ** k * base)
 

@@ -14,8 +14,6 @@ reference (`duhamel_time_factor_quad`) backs the tests.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 from scipy.integrate import quad
 
@@ -24,12 +22,10 @@ class QuadratureError(RuntimeError):
     """Raised when an integral cannot be evaluated to tolerance."""
 
 
-@lru_cache(maxsize=None)
-def _gauss_nodes(order: int = 20):
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+# 20-point Gauss-Legendre nodes and weights on [-1, 1], read-only
+_GAUSS_NODES = np.polynomial.legendre.leggauss(20)
+_GAUSS_NODES[0].setflags(write=False)
+_GAUSS_NODES[1].setflags(write=False)
 
 
 def _panel_points(t: float, lam_max: float) -> np.ndarray:
@@ -58,7 +54,7 @@ def duhamel_time_factor(lam, t: float, eta: float) -> np.ndarray:
     if t == 0.0 or lam.size == 0:
         return np.zeros_like(lam)
     edges = _panel_points(t, float(np.max(lam)))
-    x, w = _gauss_nodes()
+    x, w = _GAUSS_NODES
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()

@@ -21,12 +21,8 @@ from .grid import (
     GridSpec,
     RealField,
     SpectralField,
-    band_keep,
-    index_grids,
     multiplier_table,
     require_same_grid,
-    xi_squared,
-    _flip_index,
 )
 
 
@@ -111,15 +107,8 @@ def divergence(u1: SpectralField, u2: SpectralField) -> SpectralField:
     return SpectralField(grid, u1.coeffs * mt.ixi1 + u2.coeffs * mt.ixi2)
 
 
-@lru_cache(maxsize=None)
-def _laplacian_symbol(grid: GridSpec) -> np.ndarray:
-    sym = -xi_squared(grid) * band_keep(grid)
-    sym.setflags(write=False)
-    return sym
-
-
 def laplacian(u: SpectralField) -> SpectralField:
-    return SpectralField(u.grid, u.coeffs * _laplacian_symbol(u.grid))
+    return SpectralField(u.grid, u.coeffs * multiplier_table(u.grid).lap)
 
 
 def bilaplacian(u: SpectralField) -> SpectralField:
@@ -131,23 +120,17 @@ def one_minus_laplacian(u: SpectralField) -> SpectralField:
     return SpectralField(u.grid, u.coeffs * multiplier_table(u.grid).one_minus_lap)
 
 
-@lru_cache(maxsize=16)
-def _jn_mask(grid: GridSpec, n_cut: float) -> np.ndarray:
-    mask = (xi_squared(grid) <= n_cut).astype(float)
-    mask.setflags(write=False)
-    return mask
-
-
 def project_jn(u: SpectralField, n_cut: float) -> SpectralField:
     """Sharp Galerkin cutoff: zero every coefficient with |xi|^2 > n_cut."""
     if not n_cut > 0:
         raise ValueError(f"n_cut must be positive, got {n_cut!r}")
-    return SpectralField(u.grid, u.coeffs * _jn_mask(u.grid, float(n_cut)))
+    mask = (multiplier_table(u.grid).q <= float(n_cut)).astype(float)
+    return SpectralField(u.grid, u.coeffs * mask)
 
 
 def sanitize_band(u: SpectralField) -> SpectralField:
     """Zero the Nyquist cells, restricting u to the symmetric band."""
-    return SpectralField(u.grid, u.coeffs * band_keep(u.grid))
+    return SpectralField(u.grid, u.coeffs * multiplier_table(u.grid).keep)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +158,7 @@ def l2_norm(u: SpectralField) -> float:
 
 @lru_cache(maxsize=16)
 def _sobolev_weight(grid: GridSpec, s: float) -> np.ndarray:
-    w = (1.0 + xi_squared(grid)) ** s
+    w = (1.0 + multiplier_table(grid).q) ** s
     w.setflags(write=False)
     return w
 
@@ -226,21 +209,11 @@ def band_samples(block: np.ndarray, m: int, workers: int | None = None) -> np.nd
     return sfft.irfft2(pad, s=(m,), axes=(-1,), norm="forward", workers=workers)
 
 
-@lru_cache(maxsize=None)
-def _two_thirds_mask(grid: GridSpec) -> np.ndarray:
-    k1, k2 = index_grids(grid)
-    cut = grid.n // 3
-    mask = ((np.abs(k1) <= cut) & (np.abs(k2) <= cut)).astype(float)
-    mask = np.ascontiguousarray(mask[:, :grid.n // 2])
-    mask.setflags(write=False)
-    return mask
-
-
 def band_product(grid: GridSpec, pairs) -> np.ndarray:
     """Band block of sum_i dealias(u_i * v_i) under the grid's dealias
     policy, from the band blocks (u_i, v_i) of each pair."""
     n, h = grid.n, grid.n // 2
-    mask = None if grid.dealias == THREE_HALVES else _two_thirds_mask(grid)
+    mask = None if grid.dealias == THREE_HALVES else multiplier_table(grid).two_thirds
     m = n if mask is not None else 3 * n // 2
     workers = fft_workers()
     acc = None
@@ -314,20 +287,19 @@ def _hermitian_random(grid: GridSpec, seed: int, radial_amp) -> SpectralField:
     a fixed order and mirrored, so the result is deterministic in the seed
     and exactly Hermitian.  Nyquist cells stay empty.
     """
-    n = grid.n
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=grid.shape)
-    k1, k2 = index_grids(grid)
+    mt = multiplier_table(grid)
+    k1, k2 = mt.k1, mt.k2
     half_plane = (k1 > 0) | ((k1 == 0) & (k2 > 0))
     kk = np.hypot(k1, k2)
     amp = np.asarray(radial_amp(kk), dtype=float)
     c = np.zeros(grid.shape, dtype=complex)
     c[half_plane] = amp[half_plane] * np.exp(1j * phases[half_plane])
-    flip = _flip_index(n)
-    mirrored = np.conj(c[np.ix_(flip, flip)])
+    mirrored = np.conj(c[np.ix_(mt.flip, mt.flip)])
     c = np.where(half_plane, c, mirrored)
     c[0, 0] = 0.0
-    c *= band_keep(grid)
+    c *= mt.keep
     return SpectralField(grid, c)
 
 

@@ -116,7 +116,7 @@ class TestCancellations:
         g = GridSpec(64, 2 * np.pi)
         rho = rand(g, 16)
         lam = bl.transport(rho, rho)
-        q = sp.xi_squared(g)
+        q = sp.multiplier_table(g).q
         target = sp.inner_product(lam, SpectralField(g, rho.coeffs * (1 + q + q * q)))
         scale = sp.l2_norm(lam) * sp.sobolev_norm(rho, 4.0)
         assert abs(target) <= 1e-12 * scale

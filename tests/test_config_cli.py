@@ -8,8 +8,10 @@ import pytest
 from qgk.cli import dispatch
 from qgk.config import ConfigError, manifest_from_values, parse_config, resolve_run_config
 from qgk.snapshots import read_snapshot, write_snapshot
-from qgk.grid import GridSpec, xi_squared
+from qgk.grid import GridSpec, multiplier_table
+from qgk import evolution
 from qgk import spectral as sp
+from qgk.evolution import cfl_limit
 
 
 MINIMAL = """\
@@ -142,6 +144,19 @@ class TestDispatch:
                   if ln.startswith("# qgk-warning")]
         assert sum("inviscid" in ln for ln in header) == 1
 
+    def test_initial_cfl_evaluated_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(r):
+            calls.append(r)
+            return cfl_limit(r)
+
+        monkeypatch.setattr(evolution, "cfl_limit", counting)
+        cfg = write_cfg(tmp_path, SMALL_RUN.replace("t_end = 0.2", "t_end = 0.23"))
+        assert dispatch(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        # 23 steps recorded every 5: the t = 0 state and 4 records
+        assert len(calls) == 5
+
     def test_linear_and_compare_pipeline(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_RUN)
         run_dir = tmp_path / "nl"
@@ -165,7 +180,7 @@ class TestDispatch:
         assert len(snaps) == 5
         for path in snaps:
             field, _ = read_snapshot(str(path))
-            outside = xi_squared(field.grid) > 12.0
+            outside = multiplier_table(field.grid).q > 12.0
             assert np.all(field.coeffs[outside] == 0.0)
             assert np.any(field.coeffs[~outside] != 0.0)
 

@@ -1,21 +1,22 @@
 """Time stepping, exact linear flow, Galerkin cuts, twin-run stability."""
 
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 
 from qgk.grid import (
     GridSpec,
     SpectralField,
-    band_keep,
     hermitian_defect,
-    index_grids,
     multiplier_table,
-    xi_squared,
 )
 from qgk import diagnostics as diag
 from qgk import evolution
+from qgk import littlewood_paley as lp
 from qgk import spectral as sp
-from qgk.quadrature import duhamel_time_factor
+from qgk.quadrature import duhamel_time_factor, linear_segment_factor
 from qgk.evolution import (
     ForcingSpec,
     RunConfig,
@@ -28,7 +29,6 @@ from qgk.evolution import (
     simulate,
     step,
     tendency,
-    _exp_factors,
     _grad_l4_fourth,
 )
 
@@ -237,9 +237,7 @@ class TestGalerkin:
                         initial_condition=band_ic(g, 15), galerkin_cut=16.0,
                         forcing=forcing_for(g))
         out = simulate(cfg)
-        from qgk.grid import xi_squared
-
-        outside = xi_squared(g) > 16.0
+        outside = multiplier_table(g).q > 16.0
         assert np.all(out.final.coeffs[outside] == 0.0)
 
     def test_refinement_differences_shrink(self):
@@ -286,19 +284,57 @@ def full_grid_duhamel(w0, forcing, mu, t):
     distinct |xi|^2 of the grid, not only on the forcing's support."""
     g = w0.grid
     mt = multiplier_table(g)
-    q, inverse = np.unique(xi_squared(g).ravel(), return_inverse=True)
+    q, inverse = np.unique(mt.q.ravel(), return_inverse=True)
     lam = mu * (1.0 + q) * q * q / (1.0 + q + q * q)
     factors = duhamel_time_factor(lam, t, forcing.eta)[inverse].reshape(g.shape)
     f0 = forcing.amplitude * mt.d * forcing.profile.coeffs
-    return np.exp(-mu * mt.h * t) * w0.coeffs + f0 * factors * band_keep(g)
+    return np.exp(-mu * mt.h * t) * w0.coeffs + f0 * factors * mt.keep
 
 
 def forcing_support(forcing, g):
     mt = multiplier_table(g)
-    return forcing.amplitude * mt.d * forcing.profile.coeffs * band_keep(g) != 0.0
+    return forcing.amplitude * mt.d * forcing.profile.coeffs * mt.keep != 0.0
+
+
+def resummed_tabulated_duhamel(forcing, mu, t, g):
+    """Duhamel integral of tabulated forcing summed segment by segment from
+    the first knot, as a reference for the carried evaluation."""
+    mt = multiplier_table(g)
+    lam = mu * mt.h
+    acc = np.zeros(g.shape, dtype=complex)
+    for (t0, f0), (t1, f1) in zip(forcing.table, forcing.table[1:]):
+        if t <= t0:
+            break
+        t_up = min(t, t1)
+        width = t_up - t0
+        a0 = mt.d * f0.coeffs
+        slope = (mt.d * f1.coeffs - a0) / (t1 - t0)
+        j0, j1 = linear_segment_factor(lam, width)
+        acc = acc + np.exp(-lam * (t - t_up)) * ((a0 + slope * width) * j0 - slope * j1)
+    return acc
 
 
 class TestLinearEvolve:
+    @pytest.mark.parametrize("mu", [0.0, 1.3])
+    def test_tabulated_carry_matches_resummation(self, mu):
+        g = G32
+        knots = [0.5, 0.8, 1.6, 2.0, 3.5, 4.0]
+        forcing = ForcingSpec(kind="tabulated", table=[
+            (t, band_ic(g, 60 + i, 0.4)) for i, t in enumerate(knots)])
+        assert forcing.knot_times.tolist() == knots and not forcing.knot_times.flags.writeable
+        # unsorted, repeated, before the first knot, on knots, inside
+        # segments and past the last knot
+        times = [2.7, 0.2, 1.6, 6.0, 0.5, 0.65, 4.0, 3.9, 1.6, 0.0, 2.0, 40.0]
+        zero = SpectralField(g, np.zeros(g.shape, complex))
+        states = linear_evolve(zero, forcing, mu, times)
+        assert [t for t, _ in states] == times
+        for t, field in states:
+            ref = resummed_tabulated_duhamel(forcing, mu, t, g)
+            if t <= knots[0]:
+                assert np.array_equal(field.coeffs, ref)
+            else:
+                assert np.max(np.abs(field.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("n", [24, 32, 48])
     @pytest.mark.parametrize("mu", [0.0, 1.3])
     def test_support_quadrature_matches_full_grid(self, n, mu):
@@ -328,7 +364,7 @@ class TestLinearEvolve:
 
         monkeypatch.setattr(evolution, "duhamel_time_factor", recording)
         linear_evolve(band_ic(g, 27), forcing, mu, times)
-        q = np.unique(xi_squared(g)[forcing_support(forcing, g)])
+        q = np.unique(multiplier_table(g).q[forcing_support(forcing, g)])
         expected = mu * (1.0 + q) * q * q / (1.0 + q + q * q)
         assert [t for _, t in calls] == times
         for lam, _ in calls:
@@ -337,7 +373,7 @@ class TestLinearEvolve:
     def test_profile_vanishing_on_grid_gives_free_flow(self):
         # a shell band beyond every |k| on the grid leaves an empty support
         g = G32
-        k1, k2 = index_grids(g)
+        k1, k2 = multiplier_table(g).k1, multiplier_table(g).k2
         radius = np.hypot(k1, k2)
         profile = SpectralField(g, np.where((radius >= g.n) & (radius <= 2 * g.n), 1.0 + 0j, 0.0))
         forcing = ForcingSpec(kind="separable_decaying", profile=profile, amplitude=0.5)
@@ -354,7 +390,7 @@ class TestLinearEvolve:
                         galerkin_cut=cut, forcing=forcing_for(g, K=0.6))
         states, records = linear_series(cfg, [0.0, 0.5, 1.0])
         assert len(records) == 3
-        outside = xi_squared(g) > cut
+        outside = multiplier_table(g).q > cut
         for _, field in states:
             assert np.all(field.coeffs[outside] == 0.0)
             assert np.any(field.coeffs[~outside] != 0.0)
@@ -568,12 +604,62 @@ class TestEnsembleAxis:
         assert np.array_equal(info.value.last_good.coeffs, doomed.coeffs)
         assert np.all(np.isfinite(info.value.last_good.coeffs))
 
-    def test_dt_sweep_keeps_exp_factor_cache_bounded(self):
+
+def qgk_caches():
+    """Every lru_cache table defined in a qgk module, by qualified name."""
+    caches = {}
+    for name in ("grid", "spectral", "bilinear", "evolution", "diagnostics", "quadrature",
+                 "littlewood_paley", "decay_lab", "snapshots", "config", "cli"):
+        module = importlib.import_module(f"qgk.{name}")
+        for attr, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                caches[f"{name}.{attr}"] = obj
+    return caches
+
+
+class TestRunConstants:
+    """The stepper's per-run constants live on the frozen RunConfig."""
+
+    def test_dt_sweep_grows_no_cache(self):
         g = GridSpec(16, 2 * np.pi)
         r0 = band_ic(g, 42, hi=3)
-        bound = _exp_factors.cache_info().maxsize
-        assert bound is not None and bound < 40
+        step(r0, 0.0, RunConfig(grid=g, mu=1.0, t_end=1e-3, dt=1e-3, initial_condition=r0))
+        caches = qgk_caches()
+        sizes = {name: cache.cache_info().currsize for name, cache in caches.items()}
         for k in range(40):
             dt = 1e-3 * (1.0 + k / 40.0)
             step(r0, 0.0, RunConfig(grid=g, mu=1.0, t_end=dt, dt=dt, initial_condition=r0))
-        assert _exp_factors.cache_info().currsize == bound
+        assert {name: cache.cache_info().currsize for name, cache in caches.items()} == sizes
+
+    def test_frozen_and_read_only(self):
+        cfg = stacked_config(G32, galerkin_cut=20.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.dt = 2e-2
+        assert prepare_state(cfg) is prepare_state(cfg)
+        arrays = [prepare_state(cfg).coeffs, cfg.d_block, *cfg.exp_factors, cfg.galerkin_block]
+        assert not any(arr.flags.writeable for arr in arrays)
+        assert stacked_config(G32).galerkin_block is None
+
+    def test_constants_match_the_grid_table(self):
+        cfg = stacked_config(G24_TWO_THIRDS, galerkin_cut=20.0)
+        mt, h = multiplier_table(cfg.grid), cfg.grid.n // 2
+        e_half = np.exp(-cfg.mu * mt.h[:, :h] * (0.5 * cfg.dt))
+        assert np.array_equal(cfg.d_block, mt.d[:, :h])
+        assert np.array_equal(cfg.exp_factors[0], e_half)
+        assert np.array_equal(cfg.exp_factors[1], e_half * e_half)
+        assert np.array_equal(cfg.galerkin_block, (mt.q[:, :h] <= 20.0).astype(float))
+
+
+def test_every_cache_bounded_over_20_grids():
+    caches = qgk_caches()
+    assert sorted(caches) == ["diagnostics._weights", "grid.multiplier_table",
+                              "littlewood_paley.dyadic_partition", "spectral._sobolev_weight"]
+    for n in range(8, 48, 2):
+        g = GridSpec(n, 2 * np.pi)
+        multiplier_table(g)
+        diag._weights(g)
+        lp.dyadic_partition(g)
+        sp._sobolev_weight(g, 3.0)
+        for cache in caches.values():
+            info = cache.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize

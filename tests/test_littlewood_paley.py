@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qgk.grid import GridSpec, SpectralField, band_keep, index_grids
+from qgk.grid import GridSpec, SpectralField, multiplier_table
 from qgk import littlewood_paley as lp
 from qgk import spectral as sp
 
@@ -37,11 +37,11 @@ class TestPartition:
         total = np.zeros(g.shape)
         for j in partition.block_range():
             total += partition.weights[j + 1]
-        keep = band_keep(g).astype(bool)
+        keep = multiplier_table(g).keep.astype(bool)
         assert np.max(np.abs(total[keep] - 1.0)) <= 1e-12
 
     def test_annulus_support(self, g, partition):
-        k1, k2 = index_grids(g)
+        k1, k2 = multiplier_table(g).k1, multiplier_table(g).k2
         rho = np.hypot(k1, k2)
         for j in range(0, partition.j_max + 1):
             w = partition.weights[j + 1]
@@ -159,7 +159,7 @@ class TestBony:
     def test_paraproduct_term_spectral_support(self, g, partition):
         # S_{j-1} u * block_j v vanishes outside radius 2.5 * 2^j
         u, v = rand(g, 13), rand(g, 14)
-        k1, k2 = index_grids(g)
+        k1, k2 = multiplier_table(g).k1, multiplier_table(g).k2
         rho = np.hypot(k1, k2)
         for j in (3, 4):
             su = lp.low_cut(partition, u, j - 1)

@@ -10,8 +10,6 @@ from qgk.grid import (
     SpectralField,
     hermitian_defect,
     multiplier_table,
-    nyquist_mask,
-    xi_squared,
 )
 from qgk import bilinear as bl
 from qgk import spectral as sp
@@ -38,7 +36,7 @@ class TestGridSpec:
 
     def test_wavevectors_scale(self):
         g = grid(16, L=4.0)
-        q = xi_squared(g)
+        q = multiplier_table(g).q
         assert q[1, 0] == pytest.approx((2 * np.pi / 4.0) ** 2, rel=1e-15)
         assert q[0, 0] == 0.0
 
@@ -118,7 +116,7 @@ class TestMultipliers:
     def test_h_positive_and_asymptotic(self):
         g = grid(64)
         mt = multiplier_table(g)
-        q = xi_squared(g)
+        q = mt.q
         off = q > 0
         assert np.all(mt.h[off] > 0)
         big = q > 100.0
@@ -291,7 +289,7 @@ def full_band_field(g: GridSpec, seed: int) -> SpectralField:
     c = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     flip = (-np.arange(g.n)) % g.n
     c = 0.5 * (c + np.conj(c[np.ix_(flip, flip)]))
-    c[nyquist_mask(g)] = 0.0
+    c[multiplier_table(g).nyquist] = 0.0
     return SpectralField(g, c)
 
 
@@ -381,9 +379,7 @@ class TestRandomFields:
     def test_band_limits_respected(self):
         g = grid(32)
         u = sp.random_band_field(g, 2, 1.0, 3.0, 3, 8)
-        from qgk.grid import index_grids
-
-        k1, k2 = index_grids(g)
+        k1, k2 = multiplier_table(g).k1, multiplier_table(g).k2
         kk = np.hypot(k1, k2)
         outside = (kk < 3) | (kk > 8)
         assert np.all(u.coeffs[outside] == 0.0)
@@ -396,7 +392,7 @@ class TestRandomFields:
     def test_nyquist_free(self):
         g = grid(16)
         u = sp.random_band_field(g, 4, 1.0, 3.0, 1, 8)
-        assert np.all(u.coeffs[nyquist_mask(g)] == 0.0)
+        assert np.all(u.coeffs[multiplier_table(g).nyquist] == 0.0)
 
 
 class TestOperatorAlgebra:

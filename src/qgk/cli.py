@@ -162,10 +162,24 @@ def _write_snaps(out_dir: str, snaps, manifest) -> None:
         write_manifest_sidecar(path, manifest)
 
 
+def _write_abort(out_dir: str, exc: SimulationAbort, manifest) -> None:
+    """abort.qgk holds the last good state of an aborted run, abort.txt why."""
+    path = os.path.join(out_dir, "abort.qgk")
+    write_snapshot(path, exc.last_good, exc.last_good_t)
+    write_manifest_sidecar(path, manifest)
+    with atomic_output(os.path.join(out_dir, "abort.txt"), encoding="utf-8") as fh:
+        fh.write(f"{exc} at t = {exc.t!r}; last good state at t = {exc.last_good_t!r} "
+                 "in abort.qgk\n")
+
+
 def _cmd_run(args) -> int:
     _, cfg, manifest = _load(args, "run")
     os.makedirs(args.out, exist_ok=True)
-    result = simulate(cfg)
+    try:
+        result = simulate(cfg)
+    except SimulationAbort as exc:
+        _write_abort(args.out, exc, manifest)
+        raise
     # simulate repeats the t = 0 warnings that resolve_run_config already gave
     manifest.warnings = tuple(dict.fromkeys((*manifest.warnings, *result.warnings)))
     _write_series(args.out, cfg, result.records, manifest)

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.optimize import brentq
 
 from .quadrature import (
     QuadratureError,
@@ -112,6 +110,8 @@ def _decay_radius(mu: float, t: float, log_cut: float = 709.0) -> float:
     """Radius where mu t h(rho) reaches log_cut (integrand underflow)."""
     if mu * t <= 0.0:
         return np.inf
+    from scipy.optimize import brentq
+
     target = log_cut / (mu * t)
     lo, hi = 0.0, 1.0
     while h_of(hi) < target:
@@ -145,6 +145,8 @@ def moment_integral(profile: RadialProfile, k: int, mu: float, t: float) -> floa
 def moment_integral_simpson(profile: RadialProfile, k: int, mu: float, t: float,
                             num: int = 40001) -> float:
     """Fixed-step Simpson cross-oracle for the same moment."""
+    from scipy.integrate import simpson
+
     upper = _upper_limit(profile, mu, t)
     rho = np.linspace(0.0, upper, num)
     y = np.exp(-mu * t * h_of(rho)) * rho ** (k + 1) * profile(rho)

@@ -62,12 +62,17 @@ def _contract(u: SpectralField, weights) -> np.ndarray:
     return u.grid.box_length ** 2 * np.array([float(np.sum(w * absq)) for w in weights])
 
 
-def quadratic_forms(u: SpectralField, sigmas=()) -> np.ndarray:
+def sigma_weight(grid: GridSpec, sigma: float) -> np.ndarray:
+    """E_sigma's mode weight (1 + q)^sigma Y."""
+    return (1.0 + multiplier_table(grid).q) ** sigma * _weights(grid)[0][Y]
+
+
+def quadratic_forms(u: SpectralField, sigma_weights=()) -> np.ndarray:
     """[X, Y, E_first, E_second, |u|_H3^2, |u|_H4^2, D_first, D_second,
-    E_sigma for each sigma], contracted row by row against one |c|^2."""
+    E_sigma for each row of sigma_weights (see sigma_weight)], contracted
+    row by row against one |c|^2."""
     forms, _ = _weights(u.grid)
-    q = multiplier_table(u.grid).q
-    return _contract(u, itertools.chain(forms, ((1.0 + q) ** s * forms[Y] for s in sigmas)))
+    return _contract(u, itertools.chain(forms, sigma_weights))
 
 
 def forcing_work(f_coeffs: np.ndarray, u: SpectralField) -> tuple[float, float]:
@@ -92,7 +97,7 @@ def energy_second(u: SpectralField) -> float:
 
 
 def energy_sigma(u: SpectralField, sigma: float) -> float:
-    return _form(u, (1.0 + multiplier_table(u.grid).q) ** sigma * _weights(u.grid)[0][Y])
+    return _form(u, sigma_weight(u.grid, sigma))
 
 
 def energy_tilde_s(u: SpectralField, s: float) -> float:

@@ -49,12 +49,14 @@ FORCING_KINDS = ("zero", "separable_decaying", "tabulated")
 
 
 class SimulationAbort(RuntimeError):
-    """Non-finite state encountered; carries the last good snapshot."""
+    """Non-finite state encountered at time t; carries the last good state
+    and its time."""
 
-    def __init__(self, message: str, t: float, last_good: SpectralField):
+    def __init__(self, message: str, t: float, last_good: SpectralField, last_good_t: float):
         super().__init__(message)
         self.t = t
         self.last_good = last_good
+        self.last_good_t = last_good_t
 
 
 @dataclass(eq=False)
@@ -125,7 +127,8 @@ class RunConfig:
 
     Frozen, so the per-run constants below, each built on first use and
     read-only, cannot go stale: the prepared initial state and its CFL
-    bound, and the stepper's symbols on the band block.
+    bound, the stepper's symbols on the band block and the E_sigma weights
+    of the records.
     """
 
     grid: GridSpec
@@ -188,6 +191,11 @@ class RunConfig:
         h = multiplier_table(self.grid).h[:, :self.grid.n // 2]
         e_half = np.exp(-self.mu * h * (0.5 * self.dt))
         return _read_only(e_half), _read_only(e_half * e_half)
+
+    @cached_property
+    def sigma_weights(self) -> tuple[np.ndarray, ...]:
+        """E_sigma's mode weight for each sigma of sigma_list."""
+        return tuple(_read_only(diag.sigma_weight(self.grid, s)) for s in self.sigma_list)
 
     @cached_property
     def galerkin_block(self) -> np.ndarray | None:
@@ -271,7 +279,7 @@ def tendency(r: SpectralField, t: float, cfg: RunConfig) -> SpectralField:
     y = r.coeffs[:, :h]
     rhs = _nonlinear_rhs(y, t, cfg) - cfg.mu * multiplier_table(cfg.grid).h[:, :h] * y
     if not np.all(np.isfinite(rhs)):
-        raise SimulationAbort("non-finite tendency", t, r)
+        raise SimulationAbort("non-finite tendency", t, r, t)
     return SpectralField(cfg.grid, complete_band(rhs))
 
 
@@ -286,8 +294,8 @@ def step(r: SpectralField | np.ndarray, t: float, cfg: RunConfig):
     exp(-mu h dt) multiplies the state exactly, so a vanishing nonlinearity
     propagates exactly for any dt.
 
-    A non-finite result raises SimulationAbort carrying the pre-step state:
-    r itself, or the first stacked member whose step is not finite.
+    A non-finite result raises SimulationAbort carrying the pre-step state
+    and t: r itself, or the first stacked member whose step is not finite.
     """
     solo = isinstance(r, SpectralField)
     y = r.coeffs[:, :cfg.grid.n // 2] if solo else r
@@ -306,7 +314,7 @@ def step(r: SpectralField | np.ndarray, t: float, cfg: RunConfig):
         out = e_full * y + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
     if not np.all(np.isfinite(out)):
         raise SimulationAbort("non-finite state after step", t + dt,
-                              r if solo else _first_nonfinite(y, out, cfg.grid))
+                              r if solo else _first_nonfinite(y, out, cfg.grid), t)
     return SpectralField(cfg.grid, complete_band(out)) if solo else out
 
 
@@ -346,7 +354,7 @@ def prepare_state(cfg: RunConfig) -> SpectralField:
 
 def _record(r: SpectralField, t: float, cfg: RunConfig) -> TimeSeriesRecord:
     x, y, e_first, e_second, h3_sq, h4_sq, diss_first, diss_second, *e_sigma = (
-        diag.quadratic_forms(r, cfg.sigma_list).tolist())
+        diag.quadratic_forms(r, cfg.sigma_weights).tolist())
     f = cfg.forcing.coefficients(t)
     # no Galerkin mask on f: stepped states and the exact linear flow of
     # linear_series both vanish outside the cut

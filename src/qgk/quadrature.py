@@ -15,7 +15,6 @@ reference (`duhamel_time_factor_quad`) backs the tests.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 
 
 class QuadratureError(RuntimeError):
@@ -71,6 +70,8 @@ def duhamel_time_factor(lam, t: float, eta: float) -> np.ndarray:
 
 def duhamel_time_factor_quad(lam: float, t: float, eta: float, epsrel: float = 1e-12) -> float:
     """Adaptive scipy reference for a single rate (used as a cross-oracle)."""
+    from scipy.integrate import quad
+
     if t == 0.0:
         return 0.0
 
@@ -111,6 +112,8 @@ def linear_segment_factor(lam, width: float):
 
 def radial_quad(integrand, upper: float, points=(), epsrel: float = 1e-11) -> float:
     """Adaptive quadrature of a radial integrand on [0, upper]."""
+    from scipy.integrate import quad
+
     pts = [p for p in points if 0.0 < p < upper]
     val, err = quad(integrand, 0.0, upper, epsrel=epsrel, epsabs=0.0,
                     limit=300, points=pts or None)

@@ -14,7 +14,6 @@ import os
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as sfft
 
 from .grid import (
     THREE_HALVES,
@@ -24,6 +23,10 @@ from .grid import (
     multiplier_table,
     require_same_grid,
 )
+
+# every one-worker FFT is looked up on this attribute, which
+# perfbench/tracing.py replaces to time the 2-D calls
+sfft = np.fft
 
 
 def _threads_setting() -> int | None:
@@ -52,6 +55,21 @@ def fft_workers_warnings() -> list[str]:
             "FFTs run on 1 worker"]
 
 
+def _fft(name: str, x: np.ndarray, workers: int, out: np.ndarray | None = None, **kw):
+    """One pass of the FFT routine ``name``: numpy.fft on one worker,
+    scipy.fft (imported on first use) with ``workers`` threads on more.
+    ``out`` is written in place; it may be ``x``."""
+    if workers == 1:
+        return getattr(sfft, name)(x, out=out, **kw)
+    import scipy.fft
+
+    y = getattr(scipy.fft, name)(x, workers=workers, overwrite_x=out is x, **kw)
+    if out is None:
+        return y
+    out[...] = y
+    return out
+
+
 # ---------------------------------------------------------------------------
 # transforms
 
@@ -61,14 +79,14 @@ def forward_transform(f: RealField) -> SpectralField:
     if not np.all(np.isfinite(f.samples)):
         raise ValueError("forward_transform: input samples contain non-finite values")
     n = f.grid.n
-    coeffs = sfft.fft2(f.samples, workers=fft_workers()) / (n * n)
+    coeffs = _fft("fft2", f.samples, fft_workers()) / (n * n)
     return SpectralField(f.grid, coeffs)
 
 
 def inverse_transform(u: SpectralField) -> RealField:
     """Fourier-series coefficients -> samples at the grid points."""
     n = u.grid.n
-    samples = sfft.ifft2(u.coeffs, workers=fft_workers()).real * (n * n)
+    samples = _fft("ifft2", u.coeffs, fft_workers()).real * (n * n)
     return RealField(u.grid, samples)
 
 
@@ -199,14 +217,14 @@ def band_samples(block: np.ndarray, m: int, workers: int | None = None) -> np.nd
     h = block.shape[-1]
     workers = workers or fft_workers()
     # the c2r input has all m/2 + 1 columns, so irfft2 pads nothing; the
-    # axis -2 pass runs on the n/2 band columns only, in place when scipy
-    # can, and then the assignment copies nothing
+    # axis -2 pass runs in place on the n/2 band columns only (ifftn, since
+    # numpy's ifft2 ignores out=)
     pad = np.zeros(block.shape[:-2] + (m, m // 2 + 1), dtype=complex)
     cols = pad[..., :h]
     cols[..., :h, :] = block[..., :h, :]
     cols[..., m - h + 1:, :] = block[..., h + 1:, :]
-    cols[...] = sfft.ifft2(cols, axes=(-2,), norm="forward", overwrite_x=True, workers=workers)
-    return sfft.irfft2(pad, s=(m,), axes=(-1,), norm="forward", workers=workers)
+    _fft("ifftn", cols, workers, out=cols, axes=(-2,), norm="forward")
+    return _fft("irfft2", pad, workers, s=(m,), axes=(-1,), norm="forward")
 
 
 def band_product(grid: GridSpec, pairs) -> np.ndarray:
@@ -223,8 +241,8 @@ def band_product(grid: GridSpec, pairs) -> np.ndarray:
         term = band_samples(u, m, workers)
         term *= band_samples(v, m, workers)
         acc = term if acc is None else np.add(acc, term, out=acc)
-    half = sfft.rfft2(acc, axes=(-1,), norm="forward", workers=workers)[..., :h]
-    band = sfft.fft2(half, axes=(-2,), norm="forward", overwrite_x=True, workers=workers)
+    band = _fft("rfft2", acc, workers, axes=(-1,), norm="forward")[..., :h]
+    _fft("fft2", band, workers, out=band, axes=(-2,), norm="forward")
     out = np.zeros(band.shape[:-2] + (n, h), dtype=complex)
     out[..., :h, :] = band[..., :h, :]
     out[..., h + 1:, :] = band[..., m - h + 1:, :]

@@ -1,6 +1,9 @@
 """Config parsing, manifests, and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -260,3 +263,67 @@ ic.band_hi = 10
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert dispatch(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+            run_cfg, _ = resolve_run_config(parse_config(cfg))
+            r, t = evolution.prepare_state(run_cfg), 0.0
+            while True:   # the state just before the step that blows up
+                try:
+                    r, t = evolution.step(r, t, run_cfg), t + run_cfg.dt
+                except evolution.SimulationAbort:
+                    break
+        saved, t_saved = read_snapshot(tmp_path / "x" / "abort.qgk")
+        assert t_saved == t > 0.0
+        assert np.array_equal(saved.coeffs, r.coeffs)
+        reason = (tmp_path / "x" / "abort.txt").read_text().splitlines()
+        assert reason == [f"non-finite state after step at t = {t + run_cfg.dt!r}; "
+                          f"last good state at t = {t!r} in abort.qgk"]
+        assert sorted(p.name for p in (tmp_path / "x").iterdir()) == [
+            "abort.qgk", "abort.qgk.manifest.txt", "abort.txt"]
+
+
+IMPORT_HYGIENE = """\
+import sys
+from qgk.cli import main
+from qgk.grid import GridSpec
+from qgk.snapshots import write_snapshot
+from qgk.spectral import random_band_field
+
+cfg, out = sys.argv[1], sys.argv[2]
+write_snapshot(out + "/pert.qgk", random_band_field(GridSpec(32, 6.283185307179586), 3, 1e-3), 0.0)
+codes = [
+    main(["run", "--config", cfg, "--out", out + "/run"]),
+    main(["linear", "--config", cfg, "--out", out + "/lin"]),
+    main(["stability", "--config", cfg, "--perturb", out + "/pert.qgk", "--out", out + "/s.csv"]),
+    main(["compare", "--run-a", out + "/run", "--run-b", out + "/lin", "--eta", "0.2",
+          "--out", out + "/c.csv"]),
+]
+print("codes", codes)
+print("scipy before decay", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print("decay", main(["decay", "--window", "1e2,1e3", "--samples", "8",
+                      "--out", out + "/d.csv"]),
+      "scipy.integrate" in sys.modules)
+"""
+
+
+def test_run_path_imports_no_scipy(tmp_path):
+    """On one FFT worker qgk run, linear, stability and compare need numpy
+    only; qgk decay imports scipy when it is called."""
+    cfg = write_cfg(tmp_path, """\
+grid.n = 32
+grid.box_length = 6.283185307179586
+mu = 1.0
+dt = 1e-2
+t_end = 0.1
+diagnostics_every = 5
+snapshot_every = 1
+forcing.kind = separable_decaying
+""")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, QGK_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE, cfg, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "codes [0, 0, 0, 0]" in lines
+    assert "scipy before decay []" in lines
+    assert "decay 0 True" in lines

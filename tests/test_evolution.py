@@ -636,7 +636,8 @@ class TestRunConstants:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.dt = 2e-2
         assert prepare_state(cfg) is prepare_state(cfg)
-        arrays = [prepare_state(cfg).coeffs, cfg.d_block, *cfg.exp_factors, cfg.galerkin_block]
+        arrays = [prepare_state(cfg).coeffs, cfg.d_block, *cfg.exp_factors, cfg.galerkin_block,
+                  *cfg.sigma_weights]
         assert not any(arr.flags.writeable for arr in arrays)
         assert stacked_config(G32).galerkin_block is None
 
@@ -648,6 +649,16 @@ class TestRunConstants:
         assert np.array_equal(cfg.exp_factors[0], e_half)
         assert np.array_equal(cfg.exp_factors[1], e_half * e_half)
         assert np.array_equal(cfg.galerkin_block, (mt.q[:, :h] <= 20.0).astype(float))
+
+    def test_sigma_weights_built_once_per_run(self):
+        cfg = stacked_config(G32, sigma_list=(1.0, 2.5))
+        assert cfg.sigma_weights is cfg.sigma_weights
+        q, y = multiplier_table(cfg.grid).q, diag._weights(cfg.grid)[0][diag.Y]
+        for s, w in zip(cfg.sigma_list, cfg.sigma_weights):
+            assert np.array_equal(w, (1.0 + q) ** s * y)
+        r = prepare_state(cfg)
+        e_sigma = diag.quadratic_forms(r, cfg.sigma_weights)[diag.D_SECOND + 1:]
+        assert e_sigma.tolist() == [diag.energy_sigma(r, s) for s in cfg.sigma_list]
 
 
 def test_every_cache_bounded_over_20_grids():

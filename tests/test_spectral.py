@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.signal import convolve2d
 
 from qgk.grid import (
@@ -344,6 +345,73 @@ class TestBandKernel:
         assert np.array_equal(third.coeffs, kept)
         assert np.array_equal(first.coeffs, kept)
         assert not np.shares_memory(first.coeffs, third.coeffs)
+
+
+def scipy_band_samples(block, m):
+    """The band kernel's inverse passes as scipy.fft ran them, the reference
+    the numpy.fft route must reproduce bit for bit."""
+    h = block.shape[-1]
+    pad = np.zeros(block.shape[:-2] + (m, m // 2 + 1), dtype=complex)
+    cols = pad[..., :h]
+    cols[..., :h, :] = block[..., :h, :]
+    cols[..., m - h + 1:, :] = block[..., h + 1:, :]
+    cols[...] = scipy.fft.ifft2(cols, axes=(-2,), norm="forward", overwrite_x=True, workers=1)
+    return scipy.fft.irfft2(pad, s=(m,), axes=(-1,), norm="forward", workers=1)
+
+
+def scipy_band_product(g, pairs):
+    n, h = g.n, g.n // 2
+    mask = None if g.dealias == "three_halves_padding" else multiplier_table(g).two_thirds
+    m = n if mask is not None else 3 * n // 2
+    acc = None
+    for u, v in pairs:
+        if mask is not None:
+            u, v = u * mask, v * mask
+        term = scipy_band_samples(u, m) * scipy_band_samples(v, m)
+        acc = term if acc is None else acc + term
+    half = scipy.fft.rfft2(acc, axes=(-1,), norm="forward", workers=1)[..., :h]
+    band = scipy.fft.fft2(half, axes=(-2,), norm="forward", overwrite_x=True, workers=1)
+    out = np.zeros(band.shape[:-2] + (n, h), dtype=complex)
+    out[..., :h, :] = band[..., :h, :]
+    out[..., h + 1:, :] = band[..., m - h + 1:, :]
+    if mask is not None:
+        out *= mask
+    return out
+
+
+def scipy_transport(rho, zeta, g):
+    h = g.n // 2
+    mt = multiplier_table(g)
+    ixi1, ixi2 = mt.ixi1[:, :h], mt.ixi2[:, :h]
+    a = rho * mt.one_minus_lap[:, :h]
+    b = zeta * mt.bilap[:, :h]
+    lam = scipy_band_product(g, ((-a * ixi2, b * ixi1), (a * ixi1, b * ixi2)))
+    lam[..., 0, 0] = 0.0
+    return lam
+
+
+class TestNumpyRoute:
+    """On one FFT worker the band kernel runs on numpy.fft with in-place
+    axis -2 passes; it must equal the scipy.fft kernel bit for bit.  A pass
+    whose ``out=`` numpy ignored would leave the band columns untransformed."""
+
+    CASES = [(24, "two_thirds_truncation", ()), (48, "three_halves_padding", ()),
+             (64, "three_halves_padding", ()), (256, "three_halves_padding", ()),
+             (64, "three_halves_padding", (2,))]
+
+    @pytest.mark.parametrize("n, dealias, stack", CASES)
+    def test_bitwise_equal_to_scipy_kernel(self, n, dealias, stack, monkeypatch):
+        monkeypatch.setenv("QGK_THREADS", "1")
+        g = grid(n, L=5.0, dealias=dealias)
+        h = n // 2
+        seeds = np.arange(2 * int(np.prod(stack))).reshape(2, -1) + 7 * n
+        rho, zeta = (np.stack([full_band_field(g, int(k)).coeffs[:, :h] for k in row])
+                     .reshape(stack + (n, h)) for row in seeds)
+        for m in (n, 3 * n // 2):
+            assert np.array_equal(sp.band_samples(rho, m), scipy_band_samples(rho, m))
+        pairs = ((rho, zeta), (zeta, rho * 0.5))
+        assert np.array_equal(sp.band_product(g, pairs), scipy_band_product(g, pairs))
+        assert np.array_equal(bl.transport(rho, zeta, g), scipy_transport(rho, zeta, g))
 
 
 class TestNormsAndInnerProducts:

@@ -24,8 +24,8 @@ from .grid import (
     require_same_grid,
 )
 
-# every one-worker FFT is looked up on this attribute, which
-# perfbench/tracing.py replaces to time the 2-D calls
+# every FFT is looked up on this attribute, which perfbench/tracing.py
+# replaces to time the 2-D calls
 sfft = np.fft
 
 
@@ -38,7 +38,9 @@ def _threads_setting() -> int | None:
 
 
 def fft_workers() -> int:
-    """Worker count for FFT calls; QGK_THREADS caps it (0 = auto, unparsable = 1)."""
+    """The FFT worker count QGK_THREADS asks for (0 = one per core,
+    unparsable = 1).  Every FFT here runs on numpy.fft, one thread, whatever
+    it says; the benchmark records the value with its host."""
     val = _threads_setting()
     if val is None:
         return 1
@@ -55,21 +57,6 @@ def fft_workers_warnings() -> list[str]:
             "FFTs run on 1 worker"]
 
 
-def _fft(name: str, x: np.ndarray, workers: int, out: np.ndarray | None = None, **kw):
-    """One pass of the FFT routine ``name``: numpy.fft on one worker,
-    scipy.fft (imported on first use) with ``workers`` threads on more.
-    ``out`` is written in place; it may be ``x``."""
-    if workers == 1:
-        return getattr(sfft, name)(x, out=out, **kw)
-    import scipy.fft
-
-    y = getattr(scipy.fft, name)(x, workers=workers, overwrite_x=out is x, **kw)
-    if out is None:
-        return y
-    out[...] = y
-    return out
-
-
 # ---------------------------------------------------------------------------
 # transforms
 
@@ -79,14 +66,14 @@ def forward_transform(f: RealField) -> SpectralField:
     if not np.all(np.isfinite(f.samples)):
         raise ValueError("forward_transform: input samples contain non-finite values")
     n = f.grid.n
-    coeffs = _fft("fft2", f.samples, fft_workers()) / (n * n)
+    coeffs = sfft.fft2(f.samples) / (n * n)
     return SpectralField(f.grid, coeffs)
 
 
 def inverse_transform(u: SpectralField) -> RealField:
     """Fourier-series coefficients -> samples at the grid points."""
     n = u.grid.n
-    samples = _fft("ifft2", u.coeffs, fft_workers()).real * (n * n)
+    samples = sfft.ifft2(u.coeffs).real * (n * n)
     return RealField(u.grid, samples)
 
 
@@ -212,10 +199,9 @@ def complete_band(block: np.ndarray) -> np.ndarray:
     return out
 
 
-def band_samples(block: np.ndarray, m: int, workers: int | None = None) -> np.ndarray:
+def band_samples(block: np.ndarray, m: int) -> np.ndarray:
     """Samples on the m x m grid (m >= n) of the fields with band blocks ``block``."""
     h = block.shape[-1]
-    workers = workers or fft_workers()
     # the c2r input has all m/2 + 1 columns, so irfft2 pads nothing; the
     # axis -2 pass runs in place on the n/2 band columns only (ifftn, since
     # numpy's ifft2 ignores out=)
@@ -223,8 +209,8 @@ def band_samples(block: np.ndarray, m: int, workers: int | None = None) -> np.nd
     cols = pad[..., :h]
     cols[..., :h, :] = block[..., :h, :]
     cols[..., m - h + 1:, :] = block[..., h + 1:, :]
-    _fft("ifftn", cols, workers, out=cols, axes=(-2,), norm="forward")
-    return _fft("irfft2", pad, workers, s=(m,), axes=(-1,), norm="forward")
+    sfft.ifftn(cols, axes=(-2,), norm="forward", out=cols)
+    return sfft.irfft2(pad, s=(m,), axes=(-1,), norm="forward")
 
 
 def band_product(grid: GridSpec, pairs) -> np.ndarray:
@@ -233,16 +219,15 @@ def band_product(grid: GridSpec, pairs) -> np.ndarray:
     n, h = grid.n, grid.n // 2
     mask = None if grid.dealias == THREE_HALVES else multiplier_table(grid).two_thirds
     m = n if mask is not None else 3 * n // 2
-    workers = fft_workers()
     acc = None
     for u, v in pairs:
         if mask is not None:
             u, v = u * mask, v * mask
-        term = band_samples(u, m, workers)
-        term *= band_samples(v, m, workers)
+        term = band_samples(u, m)
+        term *= band_samples(v, m)
         acc = term if acc is None else np.add(acc, term, out=acc)
-    band = _fft("rfft2", acc, workers, axes=(-1,), norm="forward")[..., :h]
-    _fft("fft2", band, workers, out=band, axes=(-2,), norm="forward")
+    band = sfft.rfft2(acc, axes=(-1,), norm="forward")[..., :h]
+    sfft.fft2(band, axes=(-2,), norm="forward", out=band)
     out = np.zeros(band.shape[:-2] + (n, h), dtype=complex)
     out[..., :h, :] = band[..., :h, :]
     out[..., h + 1:, :] = band[..., m - h + 1:, :]

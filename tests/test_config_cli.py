@@ -305,8 +305,8 @@ print("decay", main(["decay", "--window", "1e2,1e3", "--samples", "8",
 
 
 def test_run_path_imports_no_scipy(tmp_path):
-    """On one FFT worker qgk run, linear, stability and compare need numpy
-    only; qgk decay imports scipy when it is called."""
+    """qgk run, linear, stability and compare need numpy only; qgk decay
+    imports scipy when it is called."""
     cfg = write_cfg(tmp_path, """\
 grid.n = 32
 grid.box_length = 6.283185307179586

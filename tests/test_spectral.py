@@ -391,8 +391,8 @@ def scipy_transport(rho, zeta, g):
 
 
 class TestNumpyRoute:
-    """On one FFT worker the band kernel runs on numpy.fft with in-place
-    axis -2 passes; it must equal the scipy.fft kernel bit for bit.  A pass
+    """The band kernel runs on numpy.fft with in-place axis -2 passes; it
+    must equal the scipy.fft kernel bit for bit.  A pass
     whose ``out=`` numpy ignored would leave the band columns untransformed."""
 
     CASES = [(24, "two_thirds_truncation", ()), (48, "three_halves_padding", ()),
@@ -400,8 +400,7 @@ class TestNumpyRoute:
              (64, "three_halves_padding", (2,))]
 
     @pytest.mark.parametrize("n, dealias, stack", CASES)
-    def test_bitwise_equal_to_scipy_kernel(self, n, dealias, stack, monkeypatch):
-        monkeypatch.setenv("QGK_THREADS", "1")
+    def test_bitwise_equal_to_scipy_kernel(self, n, dealias, stack):
         g = grid(n, L=5.0, dealias=dealias)
         h = n // 2
         seeds = np.arange(2 * int(np.prod(stack))).reshape(2, -1) + 7 * n

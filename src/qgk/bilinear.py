@@ -56,7 +56,7 @@ def transport(rho, zeta, grid: GridSpec | None = None):
     solo = isinstance(rho, SpectralField)
     if solo:
         grid = require_same_grid(rho, zeta)
-        rho, zeta = rho.coeffs[:, :grid.n // 2], zeta.coeffs[:, :grid.n // 2]
+        rho, zeta = rho.band, zeta.band
     h = grid.n // 2
     mt = multiplier_table(grid)
     ixi1, ixi2 = mt.ixi1[:, :h], mt.ixi2[:, :h]
@@ -114,8 +114,8 @@ def antisymmetry_residual(rho: SpectralField, phi: SpectralField) -> float:
     u1, u2 = velocity(rho)
     g1, g2 = gradient(phi)
     arho = SpectralField(rho.grid, rho.coeffs * multiplier_table(rho.grid).a)
-    h, m = rho.grid.n // 2, 2 * rho.grid.n
-    u1p, u2p, g1p, g2p, ap = (band_samples(f.coeffs[:, :h], m) for f in (u1, u2, g1, g2, arho))
+    m = 2 * rho.grid.n
+    u1p, u2p, g1p, g2p, ap = (band_samples(f.band, m) for f in (u1, u2, g1, g2, arho))
     cell = (rho.grid.box_length / m) ** 2
     udotg = u1p * g1p + u2p * g2p
     rhs = -cell * float(np.sum(udotg * ap))

@@ -62,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     lin = sub.add_parser("linear", help="exact linear flow with the config's datum and forcing")
     lin.add_argument("--config", required=True)
     lin.add_argument("--out", required=True)
-    lin.add_argument("--times", default="", help="comma list; default: diagnostics cadence")
+    lin.add_argument("--times", default="", help="comma list of evenly spaced times "
+                     "(uneven lists are rejected); default: diagnostics cadence")
 
     dec = sub.add_parser("decay", help="radial-quadrature decay moments")
     dec.add_argument("--profile", default="gaussian:1.0")
@@ -195,13 +196,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_linear(args) -> int:
     _, cfg, manifest = _load(args, "linear")
-    os.makedirs(args.out, exist_ok=True)
     if args.times:
         times = [float(s) for s in args.times.split(",") if s.strip()]
     else:
         stride = cfg.diagnostics_every * cfg.dt
         times = [i * stride for i in range(cfg.n_steps // cfg.diagnostics_every + 1)]
     states, records = linear_series(cfg, times)
+    os.makedirs(args.out, exist_ok=True)
     _write_series(args.out, cfg, records, manifest)
     _write_snaps(args.out, states, manifest)
     print(f"linear flow evaluated at {len(times)} times -> {args.out}")

@@ -29,7 +29,6 @@ from .evolution import (
 from .snapshots import atomic_output, read_snapshot
 from .spectral import (
     cosine_field,
-    fft_workers_warnings,
     random_band_field,
     random_exponential_field,
 )
@@ -188,7 +187,7 @@ def resolve_run_config(values: dict) -> tuple[RunConfig, list]:
         sigma_list=_sigma_list(values["diag.sigma"]),
         disable_transport=bool(values["disable_transport"]),
     )
-    return cfg, start_warnings(cfg) + fft_workers_warnings()
+    return cfg, start_warnings(cfg)
 
 
 @dataclass

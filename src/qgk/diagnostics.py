@@ -18,6 +18,12 @@ and the dissipation weights of the two balance laws are
 For the semi-discrete system these balances are exact identities, so their
 residuals over a run measure only the time stepper and the Simpson rule of
 the time quadrature; both shrink at fourth order under dt-halving.
+
+Every form is contracted over a field's band block coeffs[:, :n/2], the
+state a run advances.  Each weight row carries a mirror weight, 1 on the
+k2 = 0 column and 2 on the others, each of which stands for its mirrored
+column -k2 by Hermitian symmetry.  Nyquist cells (index -n/2) carry no
+energy: their column lies outside the block and their row is weighted 0.
 """
 
 from __future__ import annotations
@@ -38,9 +44,12 @@ X, Y, E_FIRST, E_SECOND, H3_SQ, H4_SQ, D_FIRST, D_SECOND = range(8)
 
 @lru_cache(maxsize=8)
 def _weights(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic-form rows (X .. D_second) and the two forcing-pairing rows."""
-    q = multiplier_table(grid).q
-    forms = np.stack([
+    """Quadratic-form rows (X .. D_second) and the two forcing-pairing rows
+    on the band block, mirror weight included."""
+    mt, h = multiplier_table(grid), grid.n // 2
+    q = mt.q[:, :h]
+    mirror = np.where(mt.k2[:, :h] == 0.0, 1.0, 2.0) * mt.keep[:, :h]
+    forms = mirror * np.stack([
         1.0 + q + q**2 + q**3,
         q**2 + q**3 + q**4,
         0.5 * (1.0 + 2.0 * q + 2.0 * q**2 + q**3),
@@ -50,42 +59,48 @@ def _weights(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
         q**2 + 2.0 * q**3 + q**4,
         q**2 + 2.0 * q**3 + 2.0 * q**4 + q**5,
     ])
-    pairings = np.stack([1.0 + q, 1.0 + q + q**2])
+    pairings = mirror * np.stack([1.0 + q, 1.0 + q + q**2])
     forms.setflags(write=False)
     pairings.setflags(write=False)
     return forms, pairings
 
 
-def _contract(u: SpectralField, weights) -> np.ndarray:
-    """L^2 sum_k w(k) |c(k)|^2 for each weight row; |c|^2 is formed once."""
-    absq = u.coeffs.real ** 2 + u.coeffs.imag ** 2
-    return u.grid.box_length ** 2 * np.array([float(np.sum(w * absq)) for w in weights])
+def _contract(y: np.ndarray, grid: GridSpec, weights) -> np.ndarray:
+    """L^2 sum_k w(k) |c(k)|^2 over the band block y for each weight row."""
+    absq = y.real ** 2 + y.imag ** 2
+    return grid.box_length ** 2 * np.array([float(np.sum(w * absq)) for w in weights])
+
+
+def _power_row(grid: GridSpec, s: float, row: int) -> np.ndarray:
+    """(1 + q)^s times a quadratic-form row."""
+    return (1.0 + multiplier_table(grid).q[:, :grid.n // 2]) ** s * _weights(grid)[0][row]
 
 
 def sigma_weight(grid: GridSpec, sigma: float) -> np.ndarray:
-    """E_sigma's mode weight (1 + q)^sigma Y."""
-    return (1.0 + multiplier_table(grid).q) ** sigma * _weights(grid)[0][Y]
+    """E_sigma's weight row (1 + q)^sigma Y on the band block."""
+    return _power_row(grid, sigma, Y)
 
 
-def quadratic_forms(u: SpectralField, sigma_weights=()) -> np.ndarray:
-    """[X, Y, E_first, E_second, |u|_H3^2, |u|_H4^2, D_first, D_second,
-    E_sigma for each row of sigma_weights (see sigma_weight)], contracted
-    row by row against one |c|^2."""
-    forms, _ = _weights(u.grid)
-    return _contract(u, itertools.chain(forms, sigma_weights))
+def quadratic_forms(y: np.ndarray, grid: GridSpec, sigma_weights=(),
+                    rows=slice(None)) -> np.ndarray:
+    """[X, Y, E_first, E_second, |u|_H3^2, |u|_H4^2, D_first, D_second][rows],
+    then E_sigma for each of sigma_weights (see sigma_weight), of the field
+    with band block y, contracted against one |c|^2."""
+    forms, _ = _weights(grid)
+    return _contract(y, grid, itertools.chain(forms[rows], sigma_weights))
 
 
-def forcing_work(f_coeffs: np.ndarray, u: SpectralField) -> tuple[float, float]:
+def forcing_work(f: np.ndarray, y: np.ndarray, grid: GridSpec) -> tuple[float, float]:
     """< f, (Id - Delta) u > and < f, (Id - Delta + Delta^2) u > from the
-    forcing coefficient array; f conj(u) is formed once."""
-    _, pairings = _weights(u.grid)
-    fu = f_coeffs * np.conj(u.coeffs)
-    L2 = u.grid.box_length ** 2
+    band blocks f of the forcing and y of u; f conj(u) is formed once."""
+    _, pairings = _weights(grid)
+    fu = f * np.conj(y)
+    L2 = grid.box_length ** 2
     return tuple(L2 * float(np.real(np.sum(fu * w))) for w in pairings)
 
 
 def _form(u: SpectralField, weight: np.ndarray) -> float:
-    return float(_contract(u, [weight])[0])
+    return float(_contract(u.band, u.grid, [weight])[0])
 
 
 def energy_first(u: SpectralField) -> float:
@@ -101,7 +116,7 @@ def energy_sigma(u: SpectralField, sigma: float) -> float:
 
 
 def energy_tilde_s(u: SpectralField, s: float) -> float:
-    return _form(u, (1.0 + multiplier_table(u.grid).q) ** s * _weights(u.grid)[0][X])
+    return _form(u, _power_row(u.grid, s, X))
 
 
 def x_of(u: SpectralField) -> float:
@@ -163,15 +178,21 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
+def uniform_cadence(times) -> float:
+    """The spacing of evenly spaced times (0.0 for fewer than two)."""
+    steps = np.diff(np.asarray(times, dtype=float))
+    dx = float(steps[0]) if len(steps) else 0.0
+    if not np.allclose(steps, dx, rtol=1e-8, atol=1e-12):
+        raise ValueError("balance residuals need a uniform diagnostics cadence")
+    return dx
+
+
 def balance_residuals(times, energy, diss, work, mu: float) -> np.ndarray:
     """Normalized defect of an energy equality over [0, t_k]: either balance
     law, given its energy, dissipation and forcing-work series."""
-    times = np.asarray(times, dtype=float)
     if len(times) < 3:
         raise ValueError("balance residuals need at least three diagnostics rows")
-    dx = times[1] - times[0]
-    if not np.allclose(np.diff(times), dx, rtol=1e-8, atol=1e-12):
-        raise ValueError("balance residuals need a uniform diagnostics cadence")
+    dx = uniform_cadence(times)
     diss_int = cumulative_simpson(np.asarray(diss, float), dx)
     work_int = cumulative_simpson(np.asarray(work, float), dx)
     energy = np.asarray(energy, dtype=float)

@@ -15,10 +15,12 @@ cutoff is applied to the nonlinear term and the forcing, the initial datum
 is projected, and all cancellations survive because the cutoff is
 self-adjoint and idempotent.
 
-The stepper advances band blocks coeffs[..., :, :n/2]: the negative columns
-of a real field follow from Hermitian symmetry, so they are written
-(spectral.complete_band) only for records, snapshots and CFL checks.  Any
-leading axes are an ensemble of runs stepped together.
+A run's state is the band block coeffs[..., :, :n/2] from its prepared
+datum to its outputs: the negative columns of a real field follow from
+Hermitian symmetry.  One step loop (_advance) serves simulate and
+compare_runs; records, CFL checks and twin diagnostics read the blocks, and
+spectral.complete_band writes full arrays only for snapshots, the final
+state and the abort record.  Leading axes stack runs stepped together.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .spectral import (
     complete_band,
     project_jn,
     sanitize_band,
-    sobolev_norm,
 )
 
 IF_RK4 = "if_rk4"
@@ -100,25 +101,24 @@ class ForcingSpec:
             self.knot_times = np.array(times, dtype=float)
             self.knot_times.setflags(write=False)
 
-    def coefficients(self, t: float, cols: int | None = None) -> np.ndarray | None:
-        """f_hat(t) on the grid, or its first ``cols`` columns (the band block
-        for cols = n/2); None for the zero fast path."""
+    def coefficients(self, t: float) -> np.ndarray | None:
+        """The band block of f_hat(t); None for the zero fast path."""
         if self.kind == "zero":
             return None
         if self.kind == "separable_decaying":
-            return self.amplitude * (1.0 + t) ** (-1.0 - self.eta) * self.profile.coeffs[:, :cols]
+            return self.amplitude * (1.0 + t) ** (-1.0 - self.eta) * self.profile.band
         times = self.knot_times
         if t <= times[0] or t >= times[-1]:
             if t == times[0]:
-                return self.table[0][1].coeffs[:, :cols].copy()
+                return self.table[0][1].band.copy()
             if t == times[-1]:
-                return self.table[-1][1].coeffs[:, :cols].copy()
+                return self.table[-1][1].band.copy()
             return None
         i = int(np.searchsorted(times, t) - 1)
         t0, f0 = self.table[i]
         t1, f1 = self.table[i + 1]
         w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * f0.coeffs[:, :cols] + w * f1.coeffs[:, :cols]
+        return (1.0 - w) * f0.band + w * f1.band
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +178,7 @@ class RunConfig:
     @cached_property
     def initial_cfl(self) -> float:
         """Advective CFL bound of the initial state."""
-        return cfl_limit(self.initial_state)
+        return cfl_limit(self.initial_state.band, self.grid)
 
     @cached_property
     def d_block(self) -> np.ndarray:
@@ -261,7 +261,7 @@ def _nonlinear_rhs(y: np.ndarray, t: float, cfg: RunConfig) -> np.ndarray:
     cut multiplies the whole sum, so the forcing needs no mask of its own.
     """
     nl = None if cfg.disable_transport else transport(y, y, cfg.grid)
-    f = cfg.forcing.coefficients(t, cfg.grid.n // 2)
+    f = cfg.forcing.coefficients(t)
     if f is None and nl is None:
         return np.zeros(y.shape, dtype=complex)
     inner = (f - nl) if (f is not None and nl is not None) else (f if nl is None else -nl)
@@ -276,7 +276,7 @@ def tendency(r: SpectralField, t: float, cfg: RunConfig) -> SpectralField:
     if r.grid != cfg.grid:
         raise ValueError("state grid does not match config grid")
     h = cfg.grid.n // 2
-    y = r.coeffs[:, :h]
+    y = r.band
     rhs = _nonlinear_rhs(y, t, cfg) - cfg.mu * multiplier_table(cfg.grid).h[:, :h] * y
     if not np.all(np.isfinite(rhs)):
         raise SimulationAbort("non-finite tendency", t, r, t)
@@ -298,7 +298,7 @@ def step(r: SpectralField | np.ndarray, t: float, cfg: RunConfig):
     and t: r itself, or the first stacked member whose step is not finite.
     """
     solo = isinstance(r, SpectralField)
-    y = r.coeffs[:, :cfg.grid.n // 2] if solo else r
+    y = r.band if solo else r
     dt = cfg.dt
     e_half, e_full = cfg.exp_factors
     nl = _nonlinear_rhs
@@ -325,25 +325,25 @@ def _first_nonfinite(y: np.ndarray, out: np.ndarray, grid: GridSpec) -> Spectral
     return SpectralField(grid, complete_band(members[np.argmin(finite)]))
 
 
-def _velocity_samples(r: SpectralField) -> np.ndarray:
-    """Grid samples (2, n, n) of the velocity perp_gradient((Id - Delta) r)."""
-    h = r.grid.n // 2
-    mt = multiplier_table(r.grid)
-    a = r.coeffs[:, :h] * mt.one_minus_lap[:, :h]
-    return band_samples(np.stack([-a * mt.ixi2[:, :h], a * mt.ixi1[:, :h]]), r.grid.n)
+def _velocity_samples(y: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Grid samples (2, n, n) of the velocity perp_gradient((Id - Delta) r)
+    from the band block y of r."""
+    mt, h = multiplier_table(grid), grid.n // 2
+    a = y * mt.one_minus_lap[:, :h]
+    return band_samples(np.stack([-a * mt.ixi2[:, :h], a * mt.ixi1[:, :h]]), grid.n)
 
 
-def max_velocity(r: SpectralField) -> float:
-    p1, p2 = _velocity_samples(r)
+def max_velocity(y: np.ndarray, grid: GridSpec) -> float:
+    p1, p2 = _velocity_samples(y, grid)
     return float(np.max(np.hypot(p1, p2)))
 
 
-def cfl_limit(r: SpectralField) -> float:
+def cfl_limit(y: np.ndarray, grid: GridSpec) -> float:
     """Advective bound dt <= 0.5 (L/n) / max|u| (inf when the flow is still)."""
-    umax = max_velocity(r)
+    umax = max_velocity(y, grid)
     if umax == 0.0:
         return float("inf")
-    return 0.5 * r.grid.dx / umax
+    return 0.5 * grid.dx / umax
 
 
 def prepare_state(cfg: RunConfig) -> SpectralField:
@@ -352,13 +352,13 @@ def prepare_state(cfg: RunConfig) -> SpectralField:
     return cfg.initial_state
 
 
-def _record(r: SpectralField, t: float, cfg: RunConfig) -> TimeSeriesRecord:
+def _record(state: np.ndarray, t: float, cfg: RunConfig) -> TimeSeriesRecord:
     x, y, e_first, e_second, h3_sq, h4_sq, diss_first, diss_second, *e_sigma = (
-        diag.quadratic_forms(r, cfg.sigma_weights).tolist())
+        diag.quadratic_forms(state, cfg.grid, cfg.sigma_weights).tolist())
     f = cfg.forcing.coefficients(t)
     # no Galerkin mask on f: stepped states and the exact linear flow of
     # linear_series both vanish outside the cut
-    work_first, work_second = (0.0, 0.0) if f is None else diag.forcing_work(f, r)
+    work_first, work_second = (0.0, 0.0) if f is None else diag.forcing_work(f, state, cfg.grid)
     return TimeSeriesRecord(
         t=t, x=x, y=y, e_first=e_first, e_second=e_second, e_sigma=tuple(e_sigma),
         h3=math.sqrt(h3_sq), h4=math.sqrt(h4_sq),
@@ -394,36 +394,43 @@ def start_warnings(cfg: RunConfig) -> list[str]:
     return warnings
 
 
+def _advance(cfg: RunConfig, y: np.ndarray, record) -> np.ndarray:
+    """Step the band blocks y from t = 0 to the last step, calling
+    record(t, y) at t = 0 and every diagnostics_every steps; returns y."""
+    record(0.0, y)
+    for i in range(cfg.n_steps):
+        y = step(y, i * cfg.dt, cfg)
+        if (i + 1) % cfg.diagnostics_every == 0:
+            record((i + 1) * cfg.dt, y)
+    return y
+
+
 def simulate(cfg: RunConfig) -> SimulationResult:
     """Advance the configured run to t_end, collecting diagnostics.
 
     Deterministic given (cfg, seed): all randomness is consumed when the
     initial condition and forcing profile are built.
     """
-    r = cfg.initial_state
     warnings = start_warnings(cfg)
-    steps = cfg.n_steps
-    if steps % cfg.diagnostics_every != 0:
+    if cfg.n_steps % cfg.diagnostics_every != 0:
         warnings.append("step count is not a multiple of diagnostics_every; "
                         "the final partial window is not recorded")
-    records = [_record(r, 0.0, cfg)]
-    snapshots = [(0.0, r.copy())] if cfg.snapshot_every > 0 else []
-    y = r.coeffs[:, :cfg.grid.n // 2]
-    for i in range(steps):
-        t = i * cfg.dt
-        y = step(y, t, cfg)
-        done = i + 1
-        if done % cfg.diagnostics_every == 0:
-            t_rec = done * cfg.dt
-            r = SpectralField(cfg.grid, complete_band(y))
-            records.append(_record(r, t_rec, cfg))
-            if cfg.snapshot_every > 0 and (done // cfg.diagnostics_every) % cfg.snapshot_every == 0:
-                snapshots.append((t_rec, r.copy()))
-            if len(warnings) < 8:
-                limit = cfl_limit(r)
-                if cfg.dt > limit:
-                    warnings.append(
-                        f"dt = {cfg.dt:g} exceeds the advective CFL bound {limit:g} at t = {t_rec:g}")
+    records, snapshots = [], []
+
+    def record(t, y):
+        k = len(records)
+        records.append(_record(y, t, cfg))
+        if cfg.snapshot_every > 0 and k % cfg.snapshot_every == 0:
+            # t = 0: the datum itself; complete_band would alter its Nyquist signed zeros
+            snapshots.append((t, cfg.initial_state.copy() if k == 0
+                              else SpectralField(cfg.grid, complete_band(y))))
+        if k > 0 and len(warnings) < 8:
+            limit = cfl_limit(y, cfg.grid)
+            if cfg.dt > limit:
+                warnings.append(
+                    f"dt = {cfg.dt:g} exceeds the advective CFL bound {limit:g} at t = {t:g}")
+
+    y = _advance(cfg, cfg.initial_state.band, record)
     _attach_residuals(records, cfg.mu)
     final = SpectralField(cfg.grid, complete_band(y))
     return SimulationResult(final=final, records=records, snapshots=snapshots, warnings=warnings)
@@ -509,13 +516,15 @@ def linear_series(cfg: RunConfig, times) -> tuple[list, list]:
     projected onto the Galerkin cut when one is set.
 
     Returns the (t, state) pairs and one diagnostics record per state, with
-    the balance residuals attached.
+    the balance residuals attached.  Uneven times are rejected up front.
     """
+    times = list(times)
+    diag.uniform_cadence(times)
     states = linear_evolve(cfg.initial_state, cfg.forcing, cfg.mu, times)
     if cfg.galerkin_cut is not None:
         # the projected system: the Duhamel term is cut like the stepped forcing
         states = [(t, project_jn(w, cfg.galerkin_cut)) for t, w in states]
-    records = [_record(w, t, cfg) for t, w in states]
+    records = [_record(w.band, t, cfg) for t, w in states]
     _attach_residuals(records, cfg.mu)
     return states, records
 
@@ -538,9 +547,10 @@ class StabilityReport:
     envelope_margin: float       # sup of measured / envelope
 
 
-def _grad_l4_fourth(r: SpectralField) -> float:
-    p1, p2 = _velocity_samples(r)
-    return r.grid.dx ** 2 * float(np.sum((p1 * p1 + p2 * p2) ** 2))
+def _grad_l4_fourth(y: np.ndarray, grid: GridSpec) -> float:
+    """|grad (Id - Delta) r|_{L4}^4 from the band block y of r."""
+    p1, p2 = _velocity_samples(y, grid)
+    return grid.dx ** 2 * float(np.sum((p1 * p1 + p2 * p2) ** 2))
 
 
 def compare_runs(cfg: RunConfig, perturbation: SpectralField) -> StabilityReport:
@@ -560,27 +570,16 @@ def compare_runs(cfg: RunConfig, perturbation: SpectralField) -> StabilityReport
     pert = SpectralField(cfg.grid, base.coeffs + sanitize_band(perturbation).coeffs)
     if cfg.galerkin_cut is not None:
         pert = project_jn(pert, cfg.galerkin_cut)
-    h = cfg.grid.n // 2
-    times, e_delta, delta_h3, g_rate = [], [], [], []
+    samples = []
 
     def push(t, pair):
-        a, b = complete_band(pair)
-        delta = SpectralField(cfg.grid, b - a)
-        times.append(t)
-        e_delta.append(diag.energy_first(delta))
-        delta_h3.append(sobolev_norm(delta, 3.0))
-        g_rate.append(_grad_l4_fourth(SpectralField(cfg.grid, a)))
+        e, h3_sq = diag.quadratic_forms(pair[1] - pair[0], cfg.grid,
+                                        rows=[diag.E_FIRST, diag.H3_SQ])
+        samples.append((t, e, math.sqrt(h3_sq), _grad_l4_fourth(pair[0], cfg.grid)))
 
-    pair = np.stack([base.coeffs[:, :h], pert.coeffs[:, :h]])
-    push(0.0, pair)
-    for i in range(cfg.n_steps):
-        pair = step(pair, i * cfg.dt, cfg)
-        if (i + 1) % cfg.diagnostics_every == 0:
-            push((i + 1) * cfg.dt, pair)
-
-    times = np.asarray(times)
-    e_delta = np.asarray(e_delta)
-    g_int = diag.cumulative_simpson(np.asarray(g_rate), times[1] if len(times) > 1 else 1.0)
+    _advance(cfg, np.stack([base.band, pert.band]), push)
+    times, e_delta, delta_h3, g_rate = (np.array(col) for col in zip(*samples))
+    g_int = diag.cumulative_simpson(g_rate, times[1] if len(times) > 1 else 1.0)
     if e_delta[0] > 0.0:
         # smallest constants of the one-sided Gronwall shape: the growth rate
         # K must be nonnegative, C is then the minimal dominating prefactor
@@ -597,7 +596,7 @@ def compare_runs(cfg: RunConfig, perturbation: SpectralField) -> StabilityReport
         envelope = np.zeros_like(e_delta)
         margin = 0.0
     return StabilityReport(
-        times=times, e_delta=e_delta, delta_h3=np.asarray(delta_h3),
+        times=times, e_delta=e_delta, delta_h3=delta_h3,
         growth_integral=g_int, fitted_c=c_fit, fitted_k=k_fit,
         envelope=envelope, envelope_margin=margin,
     )

@@ -104,6 +104,11 @@ class SpectralField:
         if self.coeffs.shape != self.grid.shape:
             raise ValueError(f"coeffs shape {self.coeffs.shape} != grid {self.grid.shape}")
 
+    @property
+    def band(self) -> np.ndarray:
+        """The band block coeffs[:, :n/2], a view; it fixes a real field."""
+        return self.coeffs[:, :self.grid.n // 2]
+
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy())
 

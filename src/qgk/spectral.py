@@ -29,32 +29,15 @@ from .grid import (
 sfft = np.fft
 
 
-def _threads_setting() -> int | None:
-    """QGK_THREADS as an integer (default 1), or None when it does not parse."""
-    try:
-        return int(os.environ.get("QGK_THREADS", "1"))
-    except ValueError:
-        return None
-
-
 def fft_workers() -> int:
-    """The FFT worker count QGK_THREADS asks for (0 = one per core,
-    unparsable = 1).  Every FFT here runs on numpy.fft, one thread, whatever
-    it says; the benchmark records the value with its host."""
-    val = _threads_setting()
-    if val is None:
+    """The FFT worker count the QGK_THREADS environment variable asks for
+    (0 = one per core, unparsable = 1).  No FFT here reads it: every one runs
+    on numpy.fft, one thread.  The benchmark records the value with its host."""
+    try:
+        val = int(os.environ.get("QGK_THREADS", "1"))
+    except ValueError:
         return 1
-    if val == 0:
-        return os.cpu_count() or 1
-    return max(1, val)
-
-
-def fft_workers_warnings() -> list[str]:
-    """Manifest warning naming a QGK_THREADS value that does not parse."""
-    if _threads_setting() is not None:
-        return []
-    return [f"QGK_THREADS = {os.environ['QGK_THREADS']!r} is not an integer; "
-            "FFTs run on 1 worker"]
+    return (os.cpu_count() or 1) if val == 0 else max(1, val)
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +219,6 @@ def band_product(grid: GridSpec, pairs) -> np.ndarray:
     return out
 
 
-def band_product_sum(grid: GridSpec, pairs) -> SpectralField:
-    """sum_i dealias(u_i * v_i) under the grid's dealias policy, from the
-    band blocks (u_i, v_i) of each pair."""
-    return SpectralField(grid, complete_band(band_product(grid, pairs)))
-
-
 def product_sum(pairs: list[tuple[SpectralField, SpectralField]]) -> SpectralField:
     """sum_i dealias(u_i * v_i) under the grid's dealias policy."""
     if not pairs:
@@ -251,8 +228,8 @@ def product_sum(pairs: list[tuple[SpectralField, SpectralField]]) -> SpectralFie
         require_same_grid(u, v)
         if u.grid != grid:
             raise ValueError("product_sum: mixed grids")
-    h = grid.n // 2
-    return band_product_sum(grid, ((u.coeffs[:, :h], v.coeffs[:, :h]) for u, v in pairs))
+    block = band_product(grid, ((u.band, v.band) for u, v in pairs))
+    return SpectralField(grid, complete_band(block))
 
 
 def dealiased_product(u: SpectralField, v: SpectralField) -> SpectralField:

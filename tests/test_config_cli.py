@@ -72,13 +72,6 @@ class TestParseConfig:
         cfg, warnings = resolve_run_config(values)
         assert any("CFL" in w for w in warnings)
 
-    def test_unparsable_threads_warned(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QGK_THREADS", "two")
-        values = parse_config(write_cfg(tmp_path, MINIMAL))
-        _, warnings = resolve_run_config(values)
-        assert any("QGK_THREADS = 'two'" in w for w in warnings)
-        assert sp.fft_workers() == 1
-
 
 class TestManifest:
     def test_hash_stable_and_sensitive(self, tmp_path):
@@ -150,9 +143,9 @@ class TestDispatch:
     def test_initial_cfl_evaluated_once(self, tmp_path, monkeypatch):
         calls = []
 
-        def counting(r):
-            calls.append(r)
-            return cfl_limit(r)
+        def counting(y, grid):
+            calls.append(y)
+            return cfl_limit(y, grid)
 
         monkeypatch.setattr(evolution, "cfl_limit", counting)
         cfg = write_cfg(tmp_path, SMALL_RUN.replace("t_end = 0.2", "t_end = 0.23"))
@@ -173,6 +166,27 @@ class TestDispatch:
         lines = [ln for ln in out_csv.read_text().splitlines() if not ln.startswith("#")]
         assert lines[0] == "t,z_h3,envelope_ratio"
         assert len(lines) > 3
+
+    def test_linear_rejects_uneven_times_before_any_work(self, tmp_path, monkeypatch, capsys):
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        out = tmp_path / "lin"
+
+        def no_work(*args):
+            raise AssertionError("linear_evolve called")
+
+        with monkeypatch.context() as m:
+            m.setattr(evolution, "linear_evolve", no_work)
+            code = dispatch(["linear", "--config", cfg, "--out", str(out),
+                             "--times", "0,0.1,0.5"])
+        assert code == 1
+        assert "uniform diagnostics cadence" in capsys.readouterr().err
+        assert not out.exists()
+        # the default cadence, spelled out as a list, writes the same series
+        assert dispatch(["linear", "--config", cfg, "--out", str(tmp_path / "default")]) == 0
+        times = ",".join(repr(i * 0.05) for i in range(5))
+        assert dispatch(["linear", "--config", cfg, "--out", str(out), "--times", times]) == 0
+        assert ((out / "series.csv").read_bytes()
+                == (tmp_path / "default" / "series.csv").read_bytes())
 
     def test_linear_galerkin_states_vanish_outside_cut(self, tmp_path):
         # the forcing band (|k| <= 5) reaches past the cut |xi|^2 <= 12

@@ -58,6 +58,94 @@ class TestEnergies:
             assert val >= 0.0
 
 
+def full_grid_q(g: GridSpec) -> np.ndarray:
+    k = np.fft.fftfreq(g.n, d=1.0 / g.n) * g.frequency_unit
+    return k[:, None] ** 2 + k[None, :] ** 2
+
+
+def full_grid_forms(u: np.ndarray, g: GridSpec, sigmas=(), tildes=()) -> np.ndarray:
+    """Reference contraction over the whole (n, n) coefficient array u, with
+    the weights written out from q = |xi|^2: the rows of quadratic_forms,
+    then E_sigma for each sigma and E_tilde_s for each s of tildes."""
+    q = full_grid_q(g)
+    x, y = 1 + q + q**2 + q**3, q**2 + q**3 + q**4
+    rows = [x, y, (1 + 2 * q + 2 * q**2 + q**3) / 2,
+            (1 + 2 * q + 3 * q**2 + 2 * q**3 + q**4) / 2, (1 + q) ** 3, (1 + q) ** 4,
+            q**2 + 2 * q**3 + q**4, q**2 + 2 * q**3 + 2 * q**4 + q**5]
+    rows += [(1 + q) ** s * y for s in sigmas] + [(1 + q) ** s * x for s in tildes]
+    absq = np.abs(u) ** 2
+    return g.box_length ** 2 * np.array([np.sum(w * absq) for w in rows])
+
+
+def assert_work_matches_full_grid(work, f: np.ndarray, u: np.ndarray, g: GridSpec):
+    """The forcing pairings against the sums over the whole arrays, to 1e-15
+    of the sums of the magnitudes of their terms (they change sign)."""
+    q = full_grid_q(g)
+    L2 = g.box_length ** 2
+    for got, w in zip(work, (1 + q, 1 + q + q**2)):
+        ref = L2 * np.real(np.sum(f * np.conj(u) * w))
+        assert abs(got - ref) <= 1e-15 * L2 * np.sum(np.abs(f * u) * w)
+
+
+CONTRACTION_CASES = [(n, dealias, cut) for n in (8, 12, 24, 48)
+                     for dealias in ("three_halves_padding", "two_thirds_truncation")
+                     for cut in (None, (n // 4) ** 2 + 0.5)]
+
+
+class TestBandContraction:
+    """The band-block contraction with its mirror weights equals the sum over
+    the whole coefficient array of a real field, to 1e-15 relative."""
+
+    SIGMAS = (1.0, 2.5)
+
+    @pytest.mark.parametrize("n,dealias,cut", CONTRACTION_CASES)
+    def test_public_forms_match_full_grid(self, n, dealias, cut):
+        g = GridSpec(n, 2 * np.pi, dealias)
+        u = sp.random_exponential_field(g, n + 1, 1.0, decay=0.1)
+        u.coeffs[0, 0] = 0.7       # the k2 = 0 column carries the mean too
+        if cut is not None:
+            u = sp.project_jn(u, cut)
+        ref = full_grid_forms(u.coeffs, g, self.SIGMAS, tildes=(0.5, 2.0))
+        weights = [diag.sigma_weight(g, s) for s in self.SIGMAS]
+        np.testing.assert_allclose(diag.quadratic_forms(u.band, g, weights), ref[:10],
+                                   rtol=1e-15, atol=0.0)
+        public = [diag.x_of(u), diag.y_of(u), diag.energy_first(u), diag.energy_second(u),
+                  *(diag.energy_sigma(u, s) for s in self.SIGMAS),
+                  diag.energy_tilde_s(u, 0.5), diag.energy_tilde_s(u, 2.0)]
+        np.testing.assert_allclose(public, ref[[0, 1, 2, 3, 8, 9, 10, 11]], rtol=1e-15, atol=0.0)
+        f = sp.random_exponential_field(g, n + 2, 1.0, decay=0.1)
+        assert_work_matches_full_grid(diag.forcing_work(f.band, u.band, g), f.coeffs, u.coeffs, g)
+
+    @pytest.mark.parametrize("n,dealias,cut", CONTRACTION_CASES)
+    def test_run_records_match_full_grid(self, n, dealias, cut):
+        g = GridSpec(n, 2 * np.pi, dealias)
+        forcing = ForcingSpec(kind="separable_decaying", amplitude=0.5, eta=0.75,
+                              profile=sp.random_exponential_field(g, n + 3, 1.0, decay=0.3))
+        cfg = RunConfig(grid=g, mu=0.5, t_end=3e-3, dt=1e-3, galerkin_cut=cut,
+                        initial_condition=sp.random_exponential_field(g, n + 4, 1.0, decay=0.3),
+                        forcing=forcing, diagnostics_every=1, snapshot_every=1,
+                        sigma_list=self.SIGMAS)
+        out = simulate(cfg)
+        assert len(out.records) == len(out.snapshots) == 4
+        for rec, (t, state) in zip(out.records, out.snapshots):
+            assert rec.t == t
+            ref = full_grid_forms(state.coeffs, g, self.SIGMAS)
+            got = [rec.x, rec.y, rec.e_first, rec.e_second, rec.diss_first, rec.diss_second,
+                   *rec.e_sigma]
+            np.testing.assert_allclose(got, np.delete(ref, [4, 5]), rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose([rec.h3, rec.h4], np.sqrt(ref[[4, 5]]), rtol=1e-15, atol=0.0)
+            f = forcing.amplitude * (1 + t) ** (-1 - forcing.eta) * forcing.profile.coeffs
+            assert_work_matches_full_grid((rec.work_first, rec.work_second), f, state.coeffs, g)
+
+    def test_nyquist_cells_carry_no_energy(self):
+        g = GridSpec(16, 2 * np.pi)
+        u = SpectralField(g, np.zeros(g.shape, complex))
+        u.coeffs[8, 3] = u.coeffs[8, 13] = 1.0     # the Nyquist row
+        u.coeffs[5, 8] = u.coeffs[11, 8] = 1.0     # the Nyquist column
+        assert diag.energy_first(u) == diag.x_of(u) == 0.0
+        assert not np.any(diag.quadratic_forms(u.band, g))
+
+
 class TestCumulativeSimpson:
     def test_polynomial_exact(self):
         # cubic integrands are exact for both Simpson and the 3/8 patch
@@ -96,7 +184,7 @@ class TestBalanceResiduals:
         cfg = RunConfig(grid=G, mu=mu, t_end=0.5, dt=0.005,
                         initial_condition=w0, disable_transport=True,
                         diagnostics_every=1)
-        records = [_record(f, t, cfg) for t, f in states]
+        records = [_record(f.band, t, cfg) for t, f in states]
         _attach_residuals(records, mu)
         assert records[-1].res_first <= 1e-10
         assert records[-1].res_second <= 1e-10

@@ -52,7 +52,7 @@ class TestForcingSpec:
         f = forcing_for(g, K=0.7, eta=0.6)
         base = sp.sobolev_norm(f.profile, 2.0)
         for t in (0.0, 1.5, 10.0):
-            field = SpectralField(g, f.coefficients(t))
+            field = SpectralField(g, sp.complete_band(f.coefficients(t)))
             assert sp.sobolev_norm(field, 2.0) == pytest.approx(
                 0.7 * (1 + t) ** (-1.6) * base, rel=1e-14)
 
@@ -61,7 +61,7 @@ class TestForcingSpec:
         a, b = band_ic(g, 2), band_ic(g, 3)
         f = ForcingSpec(kind="tabulated", table=[(0.0, a), (2.0, b)])
         mid = f.coefficients(1.0)
-        assert np.allclose(mid, 0.5 * (a.coeffs + b.coeffs))
+        assert np.allclose(mid, 0.5 * (a.band + b.band))
         assert f.coefficients(5.0) is None
 
     def test_validation(self):
@@ -91,7 +91,7 @@ class TestTendency:
                         initial_condition=zero, forcing=f)
         rhs = tendency(zero, 0.3, cfg)
         mt = multiplier_table(g)
-        expected = mt.d * f.coefficients(0.3)
+        expected = mt.d * sp.complete_band(f.coefficients(0.3))
         assert np.max(np.abs(rhs.coeffs - expected)) == 0.0
 
     def test_mean_mode_with_mean_free_forcing(self):
@@ -210,7 +210,7 @@ class TestSimulate:
         g = G32
         r0 = band_ic(g, 13, amplitude=50.0, hi=8)
         dt = 10.0 * 0.5 * g.dx / max_velocity(prepare_state(
-            RunConfig(grid=g, mu=1.0, t_end=1.0, dt=1.0, initial_condition=r0)))
+            RunConfig(grid=g, mu=1.0, t_end=1.0, dt=1.0, initial_condition=r0)).band, g)
         steps = 2
         cfg = RunConfig(grid=g, mu=1.0, t_end=steps * dt, dt=dt,
                         initial_condition=r0, diagnostics_every=1)
@@ -553,8 +553,8 @@ class TestEnsembleAxis:
         def push(a, b):
             delta = SpectralField(g, b.coeffs - a.coeffs)
             e_delta.append(diag.energy_first(delta))
-            delta_h3.append(sp.sobolev_norm(delta, 3.0))
-            rate.append(_grad_l4_fourth(a))
+            delta_h3.append(np.sqrt(diag.quadratic_forms(delta.band, g)[diag.H3_SQ]))
+            rate.append(_grad_l4_fourth(a.band, g))
 
         push(base, pert)
         for i in range(cfg.n_steps):
@@ -566,18 +566,6 @@ class TestEnsembleAxis:
         assert np.array_equal(report.e_delta, e_delta)
         assert np.array_equal(report.delta_h3, delta_h3)
         assert np.array_equal(report.growth_integral, growth)
-
-    def test_worker_count_does_not_change_bits(self, monkeypatch):
-        cfg = stacked_config(G64, initial_condition=band_ic(G64, 39, 1.5),
-                             forcing=forcing_for(G64))
-        h = G64.n // 2
-        pair = np.stack([prepare_state(cfg).coeffs[:, :h]] * 2)
-        pair[1] *= 0.5
-        results = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv("QGK_THREADS", workers)
-            results.append(step(pair, 0.0, cfg))
-        assert np.array_equal(results[0], results[1])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [0, 1])
@@ -653,12 +641,36 @@ class TestRunConstants:
     def test_sigma_weights_built_once_per_run(self):
         cfg = stacked_config(G32, sigma_list=(1.0, 2.5))
         assert cfg.sigma_weights is cfg.sigma_weights
-        q, y = multiplier_table(cfg.grid).q, diag._weights(cfg.grid)[0][diag.Y]
+        q = multiplier_table(cfg.grid).q[:, :cfg.grid.n // 2]
+        y = diag._weights(cfg.grid)[0][diag.Y]
         for s, w in zip(cfg.sigma_list, cfg.sigma_weights):
             assert np.array_equal(w, (1.0 + q) ** s * y)
         r = prepare_state(cfg)
-        e_sigma = diag.quadratic_forms(r, cfg.sigma_weights)[diag.D_SECOND + 1:]
+        e_sigma = diag.quadratic_forms(r.band, cfg.grid, cfg.sigma_weights)[diag.D_SECOND + 1:]
         assert e_sigma.tolist() == [diag.energy_sigma(r, s) for s in cfg.sigma_list]
+
+
+class TestBandState:
+    """A run's state stays a band block from its prepared datum to its
+    outputs."""
+
+    def test_full_arrays_only_at_the_output_edge(self, monkeypatch):
+        calls = []
+
+        def counting(block):
+            calls.append(block.shape)
+            return sp.complete_band(block)
+
+        monkeypatch.setattr(evolution, "complete_band", counting)
+        cfg = stacked_config(G32, t_end=0.12, snapshot_every=2, forcing=forcing_for(G32))
+        out = simulate(cfg)
+        # 12 steps recorded every 3: 5 records, snapshots at records 0, 2 and 4;
+        # the one at t = 0 is the prepared datum itself
+        assert [t for t, _ in out.snapshots] == [0.0, 6 * cfg.dt, 12 * cfg.dt]
+        assert calls == [(32, 16)] * 3
+        calls.clear()
+        compare_runs(cfg, band_ic(G32, 43, 1e-4))
+        assert calls == []
 
 
 def test_every_cache_bounded_over_20_grids():

@@ -1,15 +1,20 @@
 """Panel quadrature for Duhamel time integrals and radial Fourier moments.
 
-The scalar integral behind every forced-mode evaluation is
+Every integral in qgk runs on one rule: `panel_rule` places 20-point
+Gauss-Legendre nodes on each panel between given edges, and the caller
+chooses the edges.  The scalar integral behind every forced-mode
+evaluation is
 
     I(lam, t) = int_0^t exp(-lam s) (1 + t - s)^(-1-eta) ds ,
 
 smooth but two-scaled: exp(-lam s) lives on the scale 1/lam near s = 0 and
 the algebraic factor on the unit scale near s = t.  Panels refine
-geometrically from both endpoints, and 20-point Gauss-Legendre per panel
-resolves each factor to better than 1e-12 relative, uniformly in lam; the
-evaluation is vectorized over an array of rates.  A scipy adaptive
-reference (`duhamel_time_factor_quad`) backs the tests.
+geometrically from both endpoints, which resolves each factor to better
+than 1e-12 relative, uniformly in lam; the evaluation is vectorized over an
+array of rates.  The radial moments of `qgk.decay_lab` use the same rule on
+their own radial panels.  A scipy adaptive reference
+(`duhamel_time_factor_quad`) backs the tests; no other code here needs
+scipy.
 """
 
 from __future__ import annotations
@@ -25,6 +30,18 @@ class QuadratureError(RuntimeError):
 _GAUSS_NODES = np.polynomial.legendre.leggauss(20)
 _GAUSS_NODES[0].setflags(write=False)
 _GAUSS_NODES[1].setflags(write=False)
+
+
+def panel_rule(edges):
+    """Nodes and weights of 20-point Gauss-Legendre on every panel between
+    consecutive edges, flattened panel by panel."""
+    x, w = _GAUSS_NODES
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
 
 
 def _panel_points(t: float, lam_max: float) -> np.ndarray:
@@ -52,12 +69,7 @@ def duhamel_time_factor(lam, t: float, eta: float) -> np.ndarray:
         raise ValueError("t must be nonnegative")
     if t == 0.0 or lam.size == 0:
         return np.zeros_like(lam)
-    edges = _panel_points(t, float(np.max(lam)))
-    x, w = _GAUSS_NODES
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    nodes, weights = panel_rule(_panel_points(t, float(np.max(lam))))
     g = (1.0 + t - nodes) ** (-1.0 - eta)
     # (n_lam, n_nodes) exponential table; underflow to zero is harmless
     expo = np.exp(-np.outer(lam, nodes))
@@ -108,20 +120,6 @@ def linear_segment_factor(lam, width: float):
     j0 = np.where(lam == 0.0, width, j0)
     j1 = width * width * psi
     return j0, j1
-
-
-def radial_quad(integrand, upper: float, points=(), epsrel: float = 1e-11) -> float:
-    """Adaptive quadrature of a radial integrand on [0, upper]."""
-    from scipy.integrate import quad
-
-    pts = [p for p in points if 0.0 < p < upper]
-    val, err = quad(integrand, 0.0, upper, epsrel=epsrel, epsabs=0.0,
-                    limit=300, points=pts or None)
-    if not np.isfinite(val):
-        raise QuadratureError("radial quadrature returned a non-finite value")
-    if err > max(abs(val), 1e-300) * 1e-6:
-        raise QuadratureError(f"radial quadrature did not converge: value={val}, err={err}")
-    return val
 
 
 def ols_loglog(x, y):

@@ -296,6 +296,7 @@ ic.band_hi = 10
 
 IMPORT_HYGIENE = """\
 import sys
+sys.modules["scipy"] = None   # any scipy import now raises ImportError
 from qgk.cli import main
 from qgk.grid import GridSpec
 from qgk.snapshots import write_snapshot
@@ -309,18 +310,16 @@ codes = [
     main(["stability", "--config", cfg, "--perturb", out + "/pert.qgk", "--out", out + "/s.csv"]),
     main(["compare", "--run-a", out + "/run", "--run-b", out + "/lin", "--eta", "0.2",
           "--out", out + "/c.csv"]),
+    main(["decay", "--window", "1e2,1e3", "--samples", "8", "--duhamel-eta", "0.75",
+          "--out", out + "/d.csv"]),
+    main(["invariants", "--config", cfg]),
 ]
 print("codes", codes)
-print("scipy before decay", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-print("decay", main(["decay", "--window", "1e2,1e3", "--samples", "8",
-                      "--out", out + "/d.csv"]),
-      "scipy.integrate" in sys.modules)
 """
 
 
 def test_run_path_imports_no_scipy(tmp_path):
-    """qgk run, linear, stability and compare need numpy only; qgk decay
-    imports scipy when it is called."""
+    """Every qgk command needs numpy only: each runs with scipy blocked."""
     cfg = write_cfg(tmp_path, """\
 grid.n = 32
 grid.box_length = 6.283185307179586
@@ -338,6 +337,4 @@ forcing.kind = separable_decaying
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert "codes [0, 0, 0, 0]" in lines
-    assert "scipy before decay []" in lines
-    assert "decay 0 True" in lines
+    assert "codes [0, 0, 0, 0, 0, 0]" in lines

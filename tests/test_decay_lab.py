@@ -5,13 +5,54 @@ import pytest
 from scipy.integrate import quad
 
 from qgk import decay_lab as dl
-from qgk.quadrature import duhamel_time_factor, duhamel_time_factor_quad, ols_loglog
+from qgk.quadrature import (
+    QuadratureError,
+    duhamel_time_factor,
+    duhamel_time_factor_quad,
+    ols_loglog,
+)
+
+KNOTS = np.arange(0.0, 4.01, 0.5)
+
+
+def tabulated_exp():
+    """e^{-r} sampled at r = 0, 0.5, ..., 4: kinks at every knot."""
+    return dl.tabulated_profile(KNOTS, np.exp(-KNOTS))
+
+
+def nan_profile():
+    return dl.RadialProfile(kind="nan", evaluate=lambda rho: np.full_like(rho, np.nan),
+                            edges=(1.0,))
+
+
+def adaptive_moment(profile, k, mu, t):
+    """M_k(t) by scipy's adaptive quad up to the decay radius, with the
+    concentration peak of rho^(k+1) e^{-mu t rho^4} and the profile's inner
+    edges as break points: the oracle for the panel rule."""
+    upper = dl._upper_limit(profile, mu, t)
+
+    def integrand(rho):
+        return np.exp(-mu * t * dl.h_of(rho)) * rho ** (k + 1) * profile(rho)
+
+    pts = list(profile.edges[:-1])
+    if mu * t > 0.0:
+        peak = ((k + 1) / (4.0 * mu * t)) ** 0.25
+        pts += [peak / 4.0, peak, 4.0 * peak]
+    pts = [p for p in pts if 0.0 < p < upper]
+    val, _ = quad(integrand, 0.0, upper, epsrel=1e-11, epsabs=0.0, limit=300,
+                  points=pts or None)
+    return 2.0 * np.pi * val
 
 
 class TestProfiles:
     def test_gaussian_validation(self):
         with pytest.raises(ValueError):
             dl.gaussian_profile(0.0)
+
+    def test_edges_end_at_the_support(self):
+        assert dl.gaussian_profile(2.0).edges == (2.0 * np.sqrt(2.0 * 709.0),)
+        assert dl.compact_indicator_profile(2.5).edges == (2.5,)
+        assert tabulated_exp().edges == tuple(KNOTS[1:])
 
     def test_tabulated_validation(self):
         with pytest.raises(ValueError):
@@ -40,6 +81,27 @@ class TestMomentIntegral:
         times = [0.0, 1.0, 10.0, 100.0, 1e4]
         vals = [dl.moment_integral(prof, 1, 1.0, t) for t in times]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("profile", [
+        dl.gaussian_profile(0.3), dl.gaussian_profile(1.0), dl.gaussian_profile(3.0),
+        dl.compact_indicator_profile(1.0), dl.compact_indicator_profile(2.5),
+        tabulated_exp(),
+    ], ids=lambda p: p.kind)
+    def test_matches_adaptive_oracle(self, profile):
+        times = [0.0, *np.geomspace(1e-2, 1e7, 30)]
+        worst = 0.0
+        for k in (0, 1, 2, 3, 5):
+            for mu in (0.1, 1.0):
+                for t in times:
+                    val = dl.moment_integral(profile, k, mu, t)
+                    ref = adaptive_moment(profile, k, mu, t)
+                    worst = max(worst, abs(val - ref) / ref)
+        assert worst <= 1e-13
+
+    def test_non_finite_raises(self):
+        with pytest.raises(QuadratureError):
+            dl.moment_integral(nan_profile(), 1, 1.0, 1.0)
 
     def test_matches_simpson_cross_oracle(self):
         prof = dl.gaussian_profile(1.0)
@@ -92,18 +154,28 @@ class TestDuhamelMoment:
         with pytest.raises(ValueError):
             dl.duhamel_moment(dl.gaussian_profile(1.0), 1, 1.0, 1.5, 1.0, 1.0)
 
-    def test_against_nested_adaptive_quadrature(self):
-        prof = dl.gaussian_profile(1.0)
-        mu, eta, K, t, k = 1.0, 0.75, 1.0, 30.0, 1
+    @pytest.mark.parametrize("prof,t", [
+        (dl.gaussian_profile(1.0), 30.0),
+        # the panels must have an edge on every kink of the interpolant
+        (tabulated_exp(), 0.5), (tabulated_exp(), 30.0),
+    ], ids=["gaussian-30", "tabulated-0.5", "tabulated-30"])
+    def test_against_nested_adaptive_quadrature(self, prof, t):
+        mu, eta, K, k = 1.0, 0.75, 1.0, 1
 
         def outer(rho):
             lam = mu * dl.h_of(rho)
             return rho ** (k + 1) * prof(rho) * dl.d_of(rho) * duhamel_time_factor_quad(lam, t, eta)
 
-        ref, _ = quad(outer, 0.0, 12.0, epsrel=1e-10, limit=200)
+        upper = min(prof.edges[-1], 12.0)
+        ref, _ = quad(outer, 0.0, upper, epsrel=1e-12, limit=200,
+                      points=prof.edges[:-1] or None)
         ref *= 2.0 * np.pi * K
         val = dl.duhamel_moment(prof, k, mu, eta, K, t)
-        assert val == pytest.approx(ref, rel=1e-8)
+        assert val == pytest.approx(ref, rel=1e-12)
+
+    def test_non_finite_raises(self):
+        with pytest.raises(QuadratureError):
+            dl.duhamel_moment(nan_profile(), 1, 1.0, 0.75, 1.0, 1.0)
 
     def test_envelope_plateaus(self):
         # (1+t)^(1/2) (D1 + D3) stays bounded over a long window

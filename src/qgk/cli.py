@@ -36,7 +36,7 @@ from .evolution import (
 )
 from .grid import SpectralField, hermitian_defect, multiplier_table
 from .quadrature import QuadratureError
-from .snapshots import SnapshotError, atomic_output, read_snapshot, write_snapshot
+from .snapshots import SnapshotError, atomic_output, read_on_grid, read_snapshot, write_snapshot
 from .spectral import (
     apply_multiplier,
     cosine_field,
@@ -239,21 +239,20 @@ def _cmd_decay(args) -> int:
     return 0
 
 
-def _load_run_dir(path: str):
-    snaps = []
-    for name in sorted(os.listdir(path)):
-        if name.startswith("snap_") and name.endswith(".qgk"):
-            field, t = read_snapshot(os.path.join(path, name))
-            snaps.append((t, field))
-    if not snaps:
+def _run_dir_snapshots(path: str):
+    """(t, field) of each snapshot of a run directory, read as it is iterated."""
+    names = sorted(name for name in os.listdir(path)
+                   if name.startswith("snap_") and name.endswith(".qgk"))
+    if not names:
         raise ConfigError(f"no snap_*.qgk snapshots in {path}")
-    return snaps
+    for name in names:
+        field, t = read_snapshot(os.path.join(path, name))
+        yield t, field
 
 
 def _cmd_compare(args) -> int:
-    snaps_a = _load_run_dir(args.run_a)
-    snaps_b = _load_run_dir(args.run_b)
-    series = diag.compare_h3(snaps_a, snaps_b, args.eta)
+    series = diag.compare_h3(_run_dir_snapshots(args.run_a), _run_dir_snapshots(args.run_b),
+                             args.eta)
     manifest = manifest_from_values("compare", {"run_a": args.run_a, "run_b": args.run_b,
                                                 "eta": args.eta})
     rows = list(zip(series.times, series.z_h3, series.envelope_ratio))
@@ -264,11 +263,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_stability(args) -> int:
     _, cfg, manifest = _load(args, "stability")
-    pert, _ = read_snapshot(args.perturb)
-    if pert.grid.n != cfg.grid.n or pert.grid.box_length != cfg.grid.box_length:
-        raise ConfigError("perturbation snapshot grid does not match the config grid")
-    pert = SpectralField(cfg.grid, pert.coeffs)
-    report = compare_runs(cfg, pert)
+    report = compare_runs(cfg, read_on_grid(args.perturb, cfg.grid))
     rows = list(zip(report.times, report.e_delta, report.delta_h3,
                     report.growth_integral, report.envelope))
     manifest.warnings = tuple(manifest.warnings) + (

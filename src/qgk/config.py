@@ -26,7 +26,7 @@ from .evolution import (
     RunConfig,
     start_warnings,
 )
-from .snapshots import atomic_output, read_snapshot
+from .snapshots import atomic_output, read_on_grid
 from .spectral import (
     cosine_field,
     random_band_field,
@@ -141,10 +141,7 @@ def build_initial_condition(values: dict, grid: GridSpec) -> SpectralField:
     if kind == "file":
         if not values["ic.file"]:
             raise ConfigError("ic.kind = file needs ic.file")
-        field, _ = read_snapshot(values["ic.file"], dealias=grid.dealias)
-        if field.grid.n != grid.n or field.grid.box_length != grid.box_length:
-            raise ConfigError(f"ic.file grid {field.grid} does not match config grid {grid}")
-        return SpectralField(grid, field.coeffs)
+        return read_on_grid(values["ic.file"], grid)
     band_hi = values["ic.band_hi"] or grid.n // 6
     if kind == "random_band":
         return random_band_field(grid, values["ic.seed"], values["ic.amplitude"],

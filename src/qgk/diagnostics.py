@@ -24,6 +24,8 @@ state a run advances.  Each weight row carries a mirror weight, 1 on the
 k2 = 0 column and 2 on the others, each of which stands for its mirrored
 column -k2 by Hermitian symmetry.  Nyquist cells (index -n/2) carry no
 energy: their column lies outside the block and their row is weighted 0.
+compare_h3 contracts the difference of two snapshots' blocks with the
+|u|_H3^2 row, and the pointwise Fourier bounds take their sup over blocks.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import GridSpec, SpectralField, multiplier_table
-from .spectral import sobolev_norm
 
 
 # rows of the quadratic-form weight table, in the order quadratic_forms returns them
@@ -222,34 +223,33 @@ class ComparisonSeries:
 
 
 def compare_h3(nonlinear_snaps, linear_snaps, eta: float) -> ComparisonSeries:
-    """Pair up snapshots (t, field) from the two runs and compare in H^3."""
-    if len(nonlinear_snaps) != len(linear_snaps):
-        raise ValueError("runs have different snapshot counts")
-    times, z_h3 = [], []
-    for (t_r, r), (t_w, w) in zip(nonlinear_snaps, linear_snaps):
+    """Pair up snapshots (t, field) from the two runs and compare their band
+    blocks in H^3.  Any iterables will do, read one pair at a time; unequal
+    counts raise ValueError."""
+    times, z_sq = [], []
+    for (t_r, r), (t_w, w) in zip(nonlinear_snaps, linear_snaps, strict=True):
         if abs(t_r - t_w) > 1e-9 * max(1.0, abs(t_r)):
             raise ValueError(f"snapshot times differ: {t_r} vs {t_w}")
         if r.grid != w.grid:
             raise ValueError("runs live on different grids")
-        z = SpectralField(r.grid, r.coeffs - w.coeffs)
         times.append(t_r)
-        z_h3.append(sobolev_norm(z, 3.0))
+        z_sq.append(quadratic_forms(r.band - w.band, r.grid, rows=[H3_SQ])[0])
     times = np.asarray(times)
-    z_h3 = np.asarray(z_h3)
+    z_h3 = np.sqrt(z_sq)
     ratio = z_h3 / (1.0 + times) ** (0.5 - eta)
     return ComparisonSeries(times=times, z_h3=z_h3, envelope_ratio=ratio, eta=eta)
 
 
 def _pointwise_sup(snaps, r0: SpectralField, base) -> float:
-    mt = multiplier_table(r0.grid)
-    absxi = np.sqrt(mt.q)
-    h3sq = sobolev_norm(r0, 3.0) ** 2
+    mt, h = multiplier_table(r0.grid), r0.grid.n // 2
+    absxi = np.sqrt(mt.q[:, :h])
+    h3sq = quadratic_forms(r0.band, r0.grid, rows=[H3_SQ])[0]
     sup = 0.0
     for t, r in snaps:
         if t <= 0.0:
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (np.abs(r.coeffs) - base) * mt.a / (absxi * np.sqrt(t) * h3sq)
+            ratio = (np.abs(r.band) - base) * mt.a[:, :h] / (absxi * np.sqrt(t) * h3sq)
         ratio[absxi == 0.0] = 0.0
         sup = max(sup, float(np.max(ratio)))
     return sup
@@ -259,10 +259,10 @@ def pointwise_bound_sup(snaps, r0: SpectralField) -> float:
     """Fitted constant of the pointwise Fourier bound for unforced runs.
 
     For each snapshot at t > 0 and each mode xi != 0 the quantity
-    (|r_hat(t)| - |r0_hat|) a(xi) / (|xi| sqrt(t) |r0|_{H3}^2) is formed;
-    the supremum over modes and times is returned.
+    (|r_hat(t)| - |r0_hat|) a(xi) / (|xi| sqrt(t) |r0|_{H3}^2) is formed
+    on the band block; the supremum over modes and times is returned.
     """
-    return _pointwise_sup(snaps, r0, np.abs(r0.coeffs))
+    return _pointwise_sup(snaps, r0, np.abs(r0.band))
 
 
 def pointwise_z_bound_sup(z_snaps, r0: SpectralField) -> float:

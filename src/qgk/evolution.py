@@ -15,12 +15,12 @@ cutoff is applied to the nonlinear term and the forcing, the initial datum
 is projected, and all cancellations survive because the cutoff is
 self-adjoint and idempotent.
 
-A run's state is the band block coeffs[..., :, :n/2] from its prepared
-datum to its outputs: the negative columns of a real field follow from
-Hermitian symmetry.  One step loop (_advance) serves simulate and
-compare_runs; records, CFL checks and twin diagnostics read the blocks, and
-spectral.complete_band writes full arrays only for snapshots, the final
-state and the abort record.  Leading axes stack runs stepped together.
+Every state a run or the linear flow prepares, evolves or writes is its
+band block coeffs[..., :, :n/2]; the negative columns of a real field follow
+from Hermitian symmetry.  One step loop (_advance) serves simulate and
+compare_runs.  Records, CFL checks and twin diagnostics read the blocks, and
+spectral.complete_band builds a full array only where a SpectralField leaves
+this module.  Leading axes stack runs stepped together.
 """
 
 from __future__ import annotations
@@ -35,12 +35,7 @@ from . import diagnostics as diag
 from .grid import GridSpec, SpectralField, multiplier_table
 from .bilinear import transport
 from .quadrature import duhamel_time_factor, linear_segment_factor
-from .spectral import (
-    band_samples,
-    complete_band,
-    project_jn,
-    sanitize_band,
-)
+from .spectral import band_samples, complete_band, sanitize_band
 
 IF_RK4 = "if_rk4"
 IF_RK2 = "if_rk2"
@@ -168,10 +163,8 @@ class RunConfig:
 
     @cached_property
     def initial_state(self) -> SpectralField:
-        """Sanitized (and, if configured, Galerkin-projected) initial state."""
-        r = sanitize_band(self.initial_condition)
-        if self.galerkin_cut is not None:
-            r = project_jn(r, self.galerkin_cut)
+        """The datum's band block, restricted like the run's states, completed once."""
+        r = SpectralField(self.grid, complete_band(_restrict(self, self.initial_condition.band)))
         r.coeffs.setflags(write=False)
         return r
 
@@ -209,6 +202,12 @@ class RunConfig:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _restrict(cfg: RunConfig, y: np.ndarray) -> np.ndarray:
+    """Band blocks y without the Nyquist row, cut like the run's states."""
+    y = y * multiplier_table(cfg.grid).keep[:, :cfg.grid.n // 2]
+    return y if cfg.galerkin_block is None else y * cfg.galerkin_block
 
 
 @dataclass
@@ -421,9 +420,7 @@ def simulate(cfg: RunConfig) -> SimulationResult:
         k = len(records)
         records.append(_record(y, t, cfg))
         if cfg.snapshot_every > 0 and k % cfg.snapshot_every == 0:
-            # t = 0: the datum itself; complete_band would alter its Nyquist signed zeros
-            snapshots.append((t, cfg.initial_state.copy() if k == 0
-                              else SpectralField(cfg.grid, complete_band(y))))
+            snapshots.append((t, SpectralField(cfg.grid, complete_band(y))))
         if k > 0 and len(warnings) < 8:
             limit = cfl_limit(y, cfg.grid)
             if cfg.dt > limit:
@@ -442,7 +439,8 @@ def simulate(cfg: RunConfig) -> SimulationResult:
 
 def linear_evolve(w0: SpectralField, forcing: ForcingSpec, mu: float,
                   times) -> list[tuple[float, SpectralField]]:
-    """Exact mode-wise solution of the linear equation at the given times.
+    """Exact mode-wise solution of the linear equation from the band block
+    of w0 at the given times, each state completed once as it is returned.
 
     The free part is the diagonal propagator exp(-mu h t); the Duhamel
     integral is evaluated per mode, with the separable-decaying amplitude
@@ -452,34 +450,34 @@ def linear_evolve(w0: SpectralField, forcing: ForcingSpec, mu: float,
     from knot to knot.
     """
     grid = w0.grid
-    w0 = sanitize_band(w0)
-    mt = multiplier_table(grid)
+    mt, half = multiplier_table(grid), grid.n // 2
+    y0, h = w0.band * mt.keep[:, :half], mt.h[:, :half]
     times = list(times)
     if any(t < 0.0 for t in times):
         raise ValueError("times must be nonnegative")
     if forcing.kind == "separable_decaying":
-        f0 = forcing.amplitude * mt.d * forcing.profile.coeffs * mt.keep
+        f0 = forcing.amplitude * mt.d[:, :half] * forcing.profile.band
         support = f0 != 0.0
         f0 = f0[support]
-        q, inverse = np.unique(mt.q[support], return_inverse=True)
+        q, inverse = np.unique(mt.q[:, :half][support], return_inverse=True)
         lam = mu * (1.0 + q) * q * q / (1.0 + q + q * q)
     elif forcing.kind == "tabulated":
         tabulated = _tabulated_duhamel(forcing, mu, times, grid)
     out = []
     for i, t in enumerate(times):
-        coeffs = np.exp(-mu * mt.h * t) * w0.coeffs
+        y = np.exp(-mu * h * t) * y0
         if forcing.kind == "separable_decaying":
-            coeffs[support] += f0 * duhamel_time_factor(lam, t, forcing.eta)[inverse]
+            y[support] += f0 * duhamel_time_factor(lam, t, forcing.eta)[inverse]
         elif forcing.kind == "tabulated":
-            coeffs = coeffs + tabulated[i]
-        out.append((float(t), SpectralField(grid, coeffs)))
+            y = y + tabulated[i]
+        out.append((float(t), SpectralField(grid, complete_band(y))))
     return out
 
 
 def _tabulated_duhamel(forcing: ForcingSpec, mu: float, times: list,
                        grid: GridSpec) -> list[np.ndarray]:
-    """Closed-form Duhamel integrals of the piecewise-linear interpolant at
-    each of the times, which may come in any order.
+    """Band blocks of the closed-form Duhamel integrals of the piecewise-linear
+    interpolant at each of the times, which may come in any order.
 
     Taking the times in increasing order, the integral is carried from knot
     to knot and from the last knot at or below t, so each segment is
@@ -487,10 +485,10 @@ def _tabulated_duhamel(forcing: ForcingSpec, mu: float, times: list,
     only decaying exponentials appear, keeping the evaluation stable for
     stiff modes.
     """
-    mt = multiplier_table(grid)
-    lam = mu * mt.h
+    mt, half = multiplier_table(grid), grid.n // 2
+    lam = mu * mt.h[:, :half]
     knots = forcing.knot_times
-    a = [mt.d * f.coeffs for _, f in forcing.table]
+    a = [mt.d[:, :half] * f.band for _, f in forcing.table]
 
     def carry(acc, k, width):
         # e^{-lam width} acc + int_{t_k}^{t_k + width} e^{-lam (t_k + width - tau)} f(tau) dtau
@@ -501,7 +499,7 @@ def _tabulated_duhamel(forcing: ForcingSpec, mu: float, times: list,
         j0, j1 = linear_segment_factor(lam, width)
         return acc + ((a[k] + slope * width) * j0 - slope * j1)
 
-    zero = np.zeros(grid.shape, dtype=complex)
+    zero = np.zeros(lam.shape, dtype=complex)
     out, acc, k = [zero] * len(times), zero, 0      # acc: the integral up to knots[k]
     for i in np.argsort(times, kind="stable"):
         while k + 1 < len(knots) and knots[k + 1] <= times[i]:
@@ -513,7 +511,7 @@ def _tabulated_duhamel(forcing: ForcingSpec, mu: float, times: list,
 
 def linear_series(cfg: RunConfig, times) -> tuple[list, list]:
     """Exact linear flow from the configured datum at the given times,
-    projected onto the Galerkin cut when one is set.
+    cut like the run when it has a Galerkin cut.
 
     Returns the (t, state) pairs and one diagnostics record per state, with
     the balance residuals attached.  Uneven times are rejected up front.
@@ -521,9 +519,10 @@ def linear_series(cfg: RunConfig, times) -> tuple[list, list]:
     times = list(times)
     diag.uniform_cadence(times)
     states = linear_evolve(cfg.initial_state, cfg.forcing, cfg.mu, times)
-    if cfg.galerkin_cut is not None:
+    if cfg.galerkin_block is not None:
         # the projected system: the Duhamel term is cut like the stepped forcing
-        states = [(t, project_jn(w, cfg.galerkin_cut)) for t, w in states]
+        states = [(t, SpectralField(cfg.grid, complete_band(w.band * cfg.galerkin_block)))
+                  for t, w in states]
     records = [_record(w.band, t, cfg) for t, w in states]
     _attach_residuals(records, cfg.mu)
     return states, records
@@ -566,10 +565,7 @@ def compare_runs(cfg: RunConfig, perturbation: SpectralField) -> StabilityReport
     """
     if perturbation.grid != cfg.grid:
         raise ValueError("perturbation grid does not match run grid")
-    base = cfg.initial_state
-    pert = SpectralField(cfg.grid, base.coeffs + sanitize_band(perturbation).coeffs)
-    if cfg.galerkin_cut is not None:
-        pert = project_jn(pert, cfg.galerkin_cut)
+    base = cfg.initial_state.band
     samples = []
 
     def push(t, pair):
@@ -577,7 +573,7 @@ def compare_runs(cfg: RunConfig, perturbation: SpectralField) -> StabilityReport
                                         rows=[diag.E_FIRST, diag.H3_SQ])
         samples.append((t, e, math.sqrt(h3_sq), _grad_l4_fourth(pair[0], cfg.grid)))
 
-    _advance(cfg, np.stack([base.band, pert.band]), push)
+    _advance(cfg, np.stack([base, _restrict(cfg, base + perturbation.band)]), push)
     times, e_delta, delta_h3, g_rate = (np.array(col) for col in zip(*samples))
     g_int = diag.cumulative_simpson(g_rate, times[1] if len(times) > 1 else 1.0)
     if e_delta[0] > 0.0:

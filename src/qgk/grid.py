@@ -109,9 +109,6 @@ class SpectralField:
         """The band block coeffs[:, :n/2], a view; it fixes a real field."""
         return self.coeffs[:, :self.grid.n // 2]
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
-
 
 @dataclass(frozen=True, eq=False)
 class MultiplierTable:

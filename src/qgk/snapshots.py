@@ -10,7 +10,8 @@ Layout (little-endian throughout):
     payload : n*n interleaved (re, im) f64 pairs, row-major in ascending
               integer-index order (k1, k2 from -n/2 to n/2 - 1)
 
-The reader validates the header, finiteness and Hermitian symmetry.
+The reader validates the header (t and L finite), finiteness and Hermitian
+symmetry to HERMITIAN_TOL times the largest coefficient.
 
 Every output file qgk writes goes through ``atomic_output``: it is written
 to a temporary file beside the target and renamed onto it, so an
@@ -19,6 +20,7 @@ interrupted write never leaves a half-written file.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -30,6 +32,7 @@ from .grid import GridSpec, SpectralField, hermitian_defect
 MAGIC = b"QGK1"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIdd")
+HERMITIAN_TOL = 1e-12
 
 
 class SnapshotError(ValueError):
@@ -53,18 +56,13 @@ def atomic_output(path, mode: str = "w", **open_kwargs):
 
 
 def write_snapshot(path, field: SpectralField, time: float) -> None:
-    n = field.grid.n
-    shifted = np.fft.fftshift(field.coeffs)
-    payload = np.empty((n, n, 2), dtype="<f8")
-    payload[:, :, 0] = shifted.real
-    payload[:, :, 1] = shifted.imag
+    payload = np.fft.fftshift(field.coeffs).astype("<c16", copy=False)
     with atomic_output(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, n, field.grid.box_length, float(time)))
-        fh.write(payload.tobytes())
+        fh.write(_HEADER.pack(MAGIC, VERSION, field.grid.n, field.grid.box_length, float(time)))
+        fh.write(payload)
 
 
-def read_snapshot(path, dealias: str = "three_halves_padding",
-                  hermitian_tol: float = 1e-12) -> tuple[SpectralField, float]:
+def read_snapshot(path) -> tuple[SpectralField, float]:
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -74,20 +72,28 @@ def read_snapshot(path, dealias: str = "three_halves_padding",
             raise SnapshotError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise SnapshotError(f"{path}: unsupported version {version}")
-        if n < 8 or n % 2 != 0 or not box_length > 0:
-            raise SnapshotError(f"{path}: invalid header fields n={n}, L={box_length}")
+        if n < 8 or n % 2 != 0 or not 0 < box_length < math.inf or not math.isfinite(time):
+            raise SnapshotError(f"{path}: invalid header fields n={n}, L={box_length}, t={time}")
         raw = fh.read()
-    expected = n * n * 2 * 8
+    expected = n * n * 16
     if len(raw) != expected:
         raise SnapshotError(f"{path}: payload has {len(raw)} bytes, expected {expected}")
-    payload = np.frombuffer(raw, dtype="<f8").reshape(n, n, 2)
-    coeffs = np.fft.ifftshift(payload[:, :, 0] + 1j * payload[:, :, 1])
-    if not np.all(np.isfinite(payload)):
+    coeffs = np.fft.ifftshift(np.frombuffer(raw, dtype="<c16").reshape(n, n))
+    if not np.all(np.isfinite(coeffs)):
         raise SnapshotError(f"{path}: non-finite coefficients")
-    field = SpectralField(GridSpec(n=int(n), box_length=float(box_length), dealias=dealias), coeffs)
+    field = SpectralField(GridSpec(n=int(n), box_length=float(box_length)), coeffs)
     scale = float(np.max(np.abs(coeffs))) or 1.0
     defect = hermitian_defect(field)
-    if defect > hermitian_tol * scale:
+    if defect > HERMITIAN_TOL * scale:
         raise SnapshotError(
             f"{path}: Hermitian symmetry violated (defect {defect:.3e}, scale {scale:.3e})")
     return field, float(time)
+
+
+def read_on_grid(path, grid: GridSpec) -> SpectralField:
+    """The snapshot's field at path, on the grid, whose n and L it must share."""
+    field, _ = read_snapshot(path)
+    if (field.grid.n, field.grid.box_length) != (grid.n, grid.box_length):
+        raise SnapshotError(f"{path}: snapshot grid n={field.grid.n}, L={field.grid.box_length!r} "
+                            f"does not match the config grid n={grid.n}, L={grid.box_length!r}")
+    return SpectralField(grid, field.coeffs)

@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from qgk import cli
+from qgk import diagnostics as diag
 from qgk.cli import dispatch
 from qgk.config import ConfigError, manifest_from_values, parse_config, resolve_run_config
 from qgk.snapshots import read_snapshot, write_snapshot
@@ -201,6 +203,31 @@ class TestDispatch:
             assert np.all(field.coeffs[outside] == 0.0)
             assert np.any(field.coeffs[~outside] != 0.0)
 
+    def test_compare_reads_one_pair_at_a_time(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        run_dir, lin_dir = tmp_path / "nl", tmp_path / "lin"
+        assert dispatch(["run", "--config", cfg, "--out", str(run_dir)]) == 0
+        assert dispatch(["linear", "--config", cfg, "--out", str(lin_dir)]) == 0
+        reads, compared = [], []
+
+        def reading(path):
+            reads.append(os.path.basename(os.path.dirname(path)))
+            return read_snapshot(path)
+
+        def contracting(y, grid, *args, **kwargs):
+            compared.append(len(reads))
+            return quadratic_forms(y, grid, *args, **kwargs)
+
+        quadratic_forms = diag.quadratic_forms
+        monkeypatch.setattr(cli, "read_snapshot", reading)
+        monkeypatch.setattr(diag, "quadratic_forms", contracting)
+        out = tmp_path / "compare.csv"
+        assert dispatch(["compare", "--run-a", str(run_dir), "--run-b", str(lin_dir),
+                         "--eta", "0.75", "--out", str(out)]) == 0
+        # each pair is compared as soon as it is read: no run is read ahead
+        assert reads == ["nl", "lin"] * 5
+        assert compared == [2, 4, 6, 8, 10]
+
     def test_decay_csv_and_summary(self, tmp_path):
         out = tmp_path / "decay.csv"
         code = dispatch(["decay", "--profile", "gaussian:1.0", "--mu", "1.0",
@@ -256,6 +283,30 @@ class TestDispatch:
         lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert lines[0] == "j,l2_of_block,weighted"
         assert lines[1].startswith("-1,")
+
+    def test_ic_file_prepares_the_snapshot_bitwise(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        assert dispatch(["run", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        final = tmp_path / "a" / "final.qgk"
+        restart = write_cfg(tmp_path, SMALL_RUN + f"ic.kind = file\nic.file = {final}\n",
+                            "restart.cfg")
+        run_cfg, _ = resolve_run_config(parse_config(restart))
+        saved, _ = read_snapshot(final)
+        assert evolution.prepare_state(run_cfg).coeffs.tobytes() == saved.coeffs.tobytes()
+
+    def test_snapshot_grid_mismatch_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        for grid in (GridSpec(16, 6.283185307179586), GridSpec(32, 6.0)):
+            path = tmp_path / "other.qgk"
+            write_snapshot(path, sp.random_band_field(grid, 5, 1e-3, 3.0, 1, 3), 0.0)
+            restart = write_cfg(tmp_path, SMALL_RUN + f"ic.kind = file\nic.file = {path}\n",
+                                "restart.cfg")
+            assert dispatch(["run", "--config", restart, "--out", str(tmp_path / "r")]) == 1
+            assert dispatch(["stability", "--config", cfg, "--perturb", str(path),
+                             "--out", str(tmp_path / "s.csv")]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 2 and all("does not match the config grid" in ln for ln in err)
+        assert not (tmp_path / "r").exists() and not (tmp_path / "s.csv").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         bad = write_cfg(tmp_path, MINIMAL.replace("mu = 1.0", "mu = -3"))

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from qgk import decay_lab as dl
+from qgk.diagnostics import bounded_non_increasing
 from qgk.quadrature import (
     QuadratureError,
     duhamel_time_factor,
@@ -177,8 +178,9 @@ class TestDuhamelMoment:
         with pytest.raises(QuadratureError):
             dl.duhamel_moment(nan_profile(), 1, 1.0, 0.75, 1.0, 1.0)
 
-    def test_envelope_plateaus(self):
-        # (1+t)^(1/2) (D1 + D3) stays bounded over a long window
+    def test_envelope_bounded_non_increasing_from_t10(self):
+        # (1+t)^(1/2) (D1 + D3) peaks near t = 3, then falls by about 0.75
+        # per half decade
         prof = dl.gaussian_profile(1.0)
         times = np.geomspace(1.0, 1e5, 11)
         env = []
@@ -188,7 +190,7 @@ class TestDuhamelMoment:
             env.append(np.sqrt(1.0 + t) * (d1 + d3))
         env = np.array(env)
         assert np.all(np.isfinite(env)) and np.all(env > 0)
-        assert np.max(env[len(env) // 2:]) <= np.max(env)
+        assert bounded_non_increasing(times, env, t_min=10.0)
 
 
 class TestFitExponent:

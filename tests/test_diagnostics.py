@@ -258,6 +258,17 @@ class TestCompareH3:
             diag.compare_h3(snaps, [(0.0, w0), (2.0, w0)], eta=0.8)
 
 
+    def test_pairs_any_iterables_and_matches_full_grid_norm(self):
+        r, w = rand(G, 11), rand(G, 12)
+        snaps_r, snaps_w = [(0.0, r), (1.0, w)], [(0.0, w), (1.0, w)]
+        series = diag.compare_h3(iter(snaps_r), (pair for pair in snaps_w), eta=0.8)
+        assert series.times.tolist() == [0.0, 1.0] and series.z_h3[1] == 0.0
+        full = sp.sobolev_norm(SpectralField(G, r.coeffs - w.coeffs), 3.0)
+        assert series.z_h3[0] == pytest.approx(full, rel=1e-14)
+        with pytest.raises(ValueError):
+            diag.compare_h3(iter(snaps_r), iter(snaps_w[:1]), eta=0.8)
+
+
 class TestPointwiseBounds:
     def test_time_zero_ratio_at_most_one(self):
         r0 = rand(G, 11)

@@ -17,6 +17,7 @@ from qgk import evolution
 from qgk import littlewood_paley as lp
 from qgk import spectral as sp
 from qgk.quadrature import duhamel_time_factor, linear_segment_factor
+from qgk.snapshots import read_snapshot, write_snapshot
 from qgk.evolution import (
     ForcingSpec,
     RunConfig,
@@ -664,13 +665,33 @@ class TestBandState:
         monkeypatch.setattr(evolution, "complete_band", counting)
         cfg = stacked_config(G32, t_end=0.12, snapshot_every=2, forcing=forcing_for(G32))
         out = simulate(cfg)
-        # 12 steps recorded every 3: 5 records, snapshots at records 0, 2 and 4;
-        # the one at t = 0 is the prepared datum itself
+        # the prepared datum, then 12 steps recorded every 3: 5 records,
+        # snapshots at records 0, 2 and 4, and the final state
         assert [t for t, _ in out.snapshots] == [0.0, 6 * cfg.dt, 12 * cfg.dt]
-        assert calls == [(32, 16)] * 3
+        assert calls == [(32, 16)] * 5
         calls.clear()
         compare_runs(cfg, band_ic(G32, 43, 1e-4))
         assert calls == []
+
+    @pytest.mark.parametrize("kind", ["separable", "tabulated"])
+    def test_every_state_is_its_band_block(self, kind, tmp_path):
+        # a datum the snapshot reader accepts: Hermitian only to 1e-13 of its
+        # largest coefficient, the asymmetry in a column outside the band block
+        g = GridSpec(16, 2 * np.pi)
+        w0 = band_ic(g, 44, hi=4)
+        w0.coeffs[2, -1] += 1e-13 * np.max(np.abs(w0.coeffs))
+        write_snapshot(tmp_path / "w0.qgk", w0, 0.0)
+        w0, _ = read_snapshot(tmp_path / "w0.qgk")
+        assert hermitian_defect(w0) > 0.0
+        forcing = forcing_for(g) if kind == "separable" else tabulated_forcing(g)
+        cfg = RunConfig(grid=g, mu=1.0, t_end=0.04, dt=1e-2, initial_condition=w0,
+                        forcing=forcing, diagnostics_every=2, snapshot_every=1)
+        states = linear_evolve(w0, forcing, cfg.mu, [0.0, 0.5, 2.0])
+        snaps = simulate(cfg).snapshots
+        assert [t for t, _ in snaps] == [0.0, 0.02, 0.04]
+        for _, field in states + snaps + linear_series(cfg, [0.0, 0.5, 1.0])[0]:
+            assert np.array_equal(field.coeffs, sp.complete_band(field.band))
+        assert np.array_equal(snaps[0][1].coeffs, prepare_state(cfg).coeffs)
 
 
 def test_every_cache_bounded_over_20_grids():

@@ -8,7 +8,14 @@ import pytest
 from qgk.grid import GridSpec
 from qgk import spectral as sp
 from qgk.config import write_csv, write_manifest_sidecar
-from qgk.snapshots import MAGIC, SnapshotError, atomic_output, read_snapshot, write_snapshot
+from qgk.snapshots import (
+    MAGIC,
+    SnapshotError,
+    atomic_output,
+    read_on_grid,
+    read_snapshot,
+    write_snapshot,
+)
 
 
 def field(n=16, L=2.5, seed=0):
@@ -126,3 +133,37 @@ def test_interrupted_csv_and_sidecar_writes_keep_earlier_files(tmp_path):
     assert csv_path.read_text() == "a,b\n0.5,0.25\n"
     assert sidecar.read_text() == "earlier manifest\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
+@pytest.mark.parametrize("offset,value", [
+    (20, float("nan")), (20, float("inf")), (12, float("inf")), (12, float("nan")),
+], ids=["nan-time", "inf-time", "inf-L", "nan-L"])
+def test_nonfinite_header_rejected(tmp_path, offset, value):
+    path = tmp_path / "state.qgk"
+    write_snapshot(path, field(), 0.5)
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotError, match="invalid header"):
+        read_snapshot(path)
+
+
+def test_payload_is_the_shifted_complex_array(tmp_path):
+    u = field(n=16, seed=7)
+    path = tmp_path / "state.qgk"
+    write_snapshot(path, u, 0.0)
+    shifted = np.fft.fftshift(u.coeffs)
+    interleaved = np.stack([shifted.real, shifted.imag], axis=-1).astype("<f8")
+    assert path.read_bytes()[28:] == interleaved.tobytes()
+
+
+def test_read_on_grid_keeps_the_grid_and_checks_n_and_l(tmp_path):
+    u = field(n=16, L=2.5, seed=8)
+    path = tmp_path / "state.qgk"
+    write_snapshot(path, u, 3.0)
+    grid = GridSpec(16, 2.5, "two_thirds_truncation")
+    v = read_on_grid(path, grid)
+    assert v.grid is grid and np.array_equal(v.coeffs, u.coeffs)
+    for other in (GridSpec(32, 2.5), GridSpec(16, 2.0)):
+        with pytest.raises(SnapshotError, match="does not match the config grid"):
+            read_on_grid(path, other)

@@ -26,7 +26,6 @@ from .spectral import (
     band_product,
     band_samples,
     bilaplacian,
-    complete_band,
     divergence,
     gradient,
     inner_product,
@@ -46,10 +45,10 @@ def velocity(rho: SpectralField) -> tuple[SpectralField, SpectralField]:
 def transport(rho, zeta, grid: GridSpec | None = None):
     """Default (dot product) route: u . grad(bilaplacian zeta).
 
-    rho and zeta are SpectralFields, or band blocks coeffs[..., :, :n/2] of
-    fields on ``grid`` with any leading (stack) axes; the result has the
-    same form.  Only the band blocks are read, and the symbols of velocity,
-    bilaplacian and gradient are applied in the same order.  The mean
+    rho and zeta are SpectralFields, or band blocks (..., n, n/2) of fields
+    on ``grid`` with any leading (stack) axes; the result has the same form.
+    The symbols of velocity, bilaplacian and gradient are applied in the
+    same order either way.  The mean
     coefficient is set to exactly zero: the operator is a divergence, and
     the dot-product route only misses that by round-off.
     """
@@ -57,14 +56,12 @@ def transport(rho, zeta, grid: GridSpec | None = None):
     if solo:
         grid = require_same_grid(rho, zeta)
         rho, zeta = rho.band, zeta.band
-    h = grid.n // 2
     mt = multiplier_table(grid)
-    ixi1, ixi2 = mt.ixi1[:, :h], mt.ixi2[:, :h]
-    a = rho * mt.one_minus_lap[:, :h]
-    b = zeta * mt.bilap[:, :h]
-    lam = band_product(grid, ((-a * ixi2, b * ixi1), (a * ixi1, b * ixi2)))
+    a = rho * mt.one_minus_lap
+    b = zeta * mt.bilap
+    lam = band_product(grid, ((-a * mt.ixi2, b * mt.ixi1), (a * mt.ixi1, b * mt.ixi2)))
     lam[..., 0, 0] = 0.0
-    return SpectralField(grid, complete_band(lam)) if solo else lam
+    return SpectralField(grid, lam) if solo else lam
 
 
 def transport_divergence_route(rho: SpectralField, zeta: SpectralField) -> SpectralField:
@@ -113,7 +110,7 @@ def antisymmetry_residual(rho: SpectralField, phi: SpectralField) -> float:
 
     u1, u2 = velocity(rho)
     g1, g2 = gradient(phi)
-    arho = SpectralField(rho.grid, rho.coeffs * multiplier_table(rho.grid).a)
+    arho = SpectralField(rho.grid, rho.band * multiplier_table(rho.grid).a)
     m = 2 * rho.grid.n
     u1p, u2p, g1p, g2p, ap = (band_samples(f.band, m) for f in (u1, u2, g1, g2, arho))
     cell = (rho.grid.box_length / m) ** 2

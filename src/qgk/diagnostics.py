@@ -20,10 +20,10 @@ residuals over a run measure only the time stepper and the Simpson rule of
 the time quadrature; both shrink at fourth order under dt-halving.
 
 Every form is contracted over a field's band block coeffs[:, :n/2], the
-state a run advances.  Each weight row carries a mirror weight, 1 on the
-k2 = 0 column and 2 on the others, each of which stands for its mirrored
-column -k2 by Hermitian symmetry.  Nyquist cells (index -n/2) carry no
-energy: their column lies outside the block and their row is weighted 0.
+state a run advances.  Each weight row carries the grid's mirror weight,
+1 on the k2 = 0 column and 2 on the others, each of which stands for its
+mirrored column -k2 by Hermitian symmetry.  Nyquist cells (index -n/2) carry
+no energy: their column lies outside the block and their row is weighted 0.
 compare_h3 contracts the difference of two snapshots' blocks with the
 |u|_H3^2 row, and the pointwise Fourier bounds take their sup over blocks.
 """
@@ -47,9 +47,8 @@ X, Y, E_FIRST, E_SECOND, H3_SQ, H4_SQ, D_FIRST, D_SECOND = range(8)
 def _weights(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Quadratic-form rows (X .. D_second) and the two forcing-pairing rows
     on the band block, mirror weight included."""
-    mt, h = multiplier_table(grid), grid.n // 2
-    q = mt.q[:, :h]
-    mirror = np.where(mt.k2[:, :h] == 0.0, 1.0, 2.0) * mt.keep[:, :h]
+    mt = multiplier_table(grid)
+    q, mirror = mt.q, mt.mirror * mt.keep
     forms = mirror * np.stack([
         1.0 + q + q**2 + q**3,
         q**2 + q**3 + q**4,
@@ -74,7 +73,7 @@ def _contract(y: np.ndarray, grid: GridSpec, weights) -> np.ndarray:
 
 def _power_row(grid: GridSpec, s: float, row: int) -> np.ndarray:
     """(1 + q)^s times a quadratic-form row."""
-    return (1.0 + multiplier_table(grid).q[:, :grid.n // 2]) ** s * _weights(grid)[0][row]
+    return (1.0 + multiplier_table(grid).q) ** s * _weights(grid)[0][row]
 
 
 def sigma_weight(grid: GridSpec, sigma: float) -> np.ndarray:
@@ -126,27 +125,6 @@ def x_of(u: SpectralField) -> float:
 
 def y_of(u: SpectralField) -> float:
     return _form(u, _weights(u.grid)[0][Y])
-
-
-@dataclass
-class EnergyReport:
-    e_first: float
-    e_second: float
-    e_sigma: dict
-    e_tilde_s: dict
-    x: float
-    y: float
-
-
-def energy_report(u: SpectralField, sigmas=(1.0,), s_list=()) -> EnergyReport:
-    return EnergyReport(
-        e_first=energy_first(u),
-        e_second=energy_second(u),
-        e_sigma={s: energy_sigma(u, s) for s in sigmas},
-        e_tilde_s={s: energy_tilde_s(u, s) for s in s_list},
-        x=x_of(u),
-        y=y_of(u),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +219,15 @@ def compare_h3(nonlinear_snaps, linear_snaps, eta: float) -> ComparisonSeries:
 
 
 def _pointwise_sup(snaps, r0: SpectralField, base) -> float:
-    mt, h = multiplier_table(r0.grid), r0.grid.n // 2
-    absxi = np.sqrt(mt.q[:, :h])
+    mt = multiplier_table(r0.grid)
+    absxi = np.sqrt(mt.q)
     h3sq = quadratic_forms(r0.band, r0.grid, rows=[H3_SQ])[0]
     sup = 0.0
     for t, r in snaps:
         if t <= 0.0:
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (np.abs(r.band) - base) * mt.a[:, :h] / (absxi * np.sqrt(t) * h3sq)
+            ratio = (np.abs(r.band) - base) * mt.a / (absxi * np.sqrt(t) * h3sq)
         ratio[absxi == 0.0] = 0.0
         sup = max(sup, float(np.max(ratio)))
     return sup

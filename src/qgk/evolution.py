@@ -15,12 +15,11 @@ cutoff is applied to the nonlinear term and the forcing, the initial datum
 is projected, and all cancellations survive because the cutoff is
 self-adjoint and idempotent.
 
-Every state a run or the linear flow prepares, evolves or writes is its
-band block coeffs[..., :, :n/2]; the negative columns of a real field follow
-from Hermitian symmetry.  One step loop (_advance) serves simulate and
-compare_runs.  Records, CFL checks and twin diagnostics read the blocks, and
-spectral.complete_band builds a full array only where a SpectralField leaves
-this module.  Leading axes stack runs stepped together.
+Every state a run or the linear flow prepares, evolves or returns is a band
+block coeffs[..., :n/2] (see qgk.grid), bare in the step loop and wrapped as
+a SpectralField where it leaves this module; no full array is built here.
+One step loop (_advance) serves simulate and compare_runs, and leading axes
+of the blocks stack runs stepped together.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from . import diagnostics as diag
 from .grid import GridSpec, SpectralField, multiplier_table
 from .bilinear import transport
 from .quadrature import duhamel_time_factor, linear_segment_factor
-from .spectral import band_samples, complete_band, sanitize_band
+from .spectral import band_samples, sanitize_band
 
 IF_RK4 = "if_rk4"
 IF_RK2 = "if_rk2"
@@ -163,9 +162,9 @@ class RunConfig:
 
     @cached_property
     def initial_state(self) -> SpectralField:
-        """The datum's band block, restricted like the run's states, completed once."""
-        r = SpectralField(self.grid, complete_band(_restrict(self, self.initial_condition.band)))
-        r.coeffs.setflags(write=False)
+        """The datum, restricted like the run's states."""
+        r = SpectralField(self.grid, _restrict(self, self.initial_condition.band))
+        r.band.setflags(write=False)
         return r
 
     @cached_property
@@ -174,14 +173,9 @@ class RunConfig:
         return cfl_limit(self.initial_state.band, self.grid)
 
     @cached_property
-    def d_block(self) -> np.ndarray:
-        """d(xi) on the band block (a view of the grid's table)."""
-        return multiplier_table(self.grid).d[:, :self.grid.n // 2]
-
-    @cached_property
     def exp_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """exp(-mu h dt/2) and exp(-mu h dt) on the band block."""
-        h = multiplier_table(self.grid).h[:, :self.grid.n // 2]
+        h = multiplier_table(self.grid).h
         e_half = np.exp(-self.mu * h * (0.5 * self.dt))
         return _read_only(e_half), _read_only(e_half * e_half)
 
@@ -195,7 +189,7 @@ class RunConfig:
         """The Galerkin cut's mask on the band block, or None without a cut."""
         if self.galerkin_cut is None:
             return None
-        q = multiplier_table(self.grid).q[:, :self.grid.n // 2]
+        q = multiplier_table(self.grid).q
         return _read_only((q <= float(self.galerkin_cut)).astype(float))
 
 
@@ -206,7 +200,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def _restrict(cfg: RunConfig, y: np.ndarray) -> np.ndarray:
     """Band blocks y without the Nyquist row, cut like the run's states."""
-    y = y * multiplier_table(cfg.grid).keep[:, :cfg.grid.n // 2]
+    y = y * multiplier_table(cfg.grid).keep
     return y if cfg.galerkin_block is None else y * cfg.galerkin_block
 
 
@@ -264,7 +258,7 @@ def _nonlinear_rhs(y: np.ndarray, t: float, cfg: RunConfig) -> np.ndarray:
     if f is None and nl is None:
         return np.zeros(y.shape, dtype=complex)
     inner = (f - nl) if (f is not None and nl is not None) else (f if nl is None else -nl)
-    rhs = cfg.d_block * inner
+    rhs = multiplier_table(cfg.grid).d * inner
     if cfg.galerkin_block is not None:
         rhs = rhs * cfg.galerkin_block
     return rhs
@@ -274,20 +268,18 @@ def tendency(r: SpectralField, t: float, cfg: RunConfig) -> SpectralField:
     """Right-hand side of the reformulated system at state r and time t."""
     if r.grid != cfg.grid:
         raise ValueError("state grid does not match config grid")
-    h = cfg.grid.n // 2
     y = r.band
-    rhs = _nonlinear_rhs(y, t, cfg) - cfg.mu * multiplier_table(cfg.grid).h[:, :h] * y
+    rhs = _nonlinear_rhs(y, t, cfg) - cfg.mu * multiplier_table(cfg.grid).h * y
     if not np.all(np.isfinite(rhs)):
         raise SimulationAbort("non-finite tendency", t, r, t)
-    return SpectralField(cfg.grid, complete_band(rhs))
+    return SpectralField(cfg.grid, rhs)
 
 
 def step(r: SpectralField | np.ndarray, t: float, cfg: RunConfig):
     """One integrating-factor Runge-Kutta step from t to t + dt.
 
     r is a SpectralField, or the band blocks (..., n, n/2) of states stacked
-    along any leading axes; the result has the same form.  Only the band
-    block is read and the rest follows from Hermitian symmetry.  Every mode
+    along any leading axes; the result has the same form.  Every mode
     of every member sees the same operation sequence, so a stacked member
     steps bitwise like the member alone.  The dissipative factor
     exp(-mu h dt) multiplies the state exactly, so a vanishing nonlinearity
@@ -314,22 +306,22 @@ def step(r: SpectralField | np.ndarray, t: float, cfg: RunConfig):
     if not np.all(np.isfinite(out)):
         raise SimulationAbort("non-finite state after step", t + dt,
                               r if solo else _first_nonfinite(y, out, cfg.grid), t)
-    return SpectralField(cfg.grid, complete_band(out)) if solo else out
+    return SpectralField(cfg.grid, out) if solo else out
 
 
 def _first_nonfinite(y: np.ndarray, out: np.ndarray, grid: GridSpec) -> SpectralField:
     """Pre-step state of the first stacked member whose step is not finite."""
     members = y.reshape(-1, *y.shape[-2:])
     finite = np.isfinite(out).reshape(len(members), -1).all(axis=1)
-    return SpectralField(grid, complete_band(members[np.argmin(finite)]))
+    return SpectralField(grid, members[np.argmin(finite)])
 
 
 def _velocity_samples(y: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Grid samples (2, n, n) of the velocity perp_gradient((Id - Delta) r)
     from the band block y of r."""
-    mt, h = multiplier_table(grid), grid.n // 2
-    a = y * mt.one_minus_lap[:, :h]
-    return band_samples(np.stack([-a * mt.ixi2[:, :h], a * mt.ixi1[:, :h]]), grid.n)
+    mt = multiplier_table(grid)
+    a = y * mt.one_minus_lap
+    return band_samples(np.stack([-a * mt.ixi2, a * mt.ixi1]), grid.n)
 
 
 def max_velocity(y: np.ndarray, grid: GridSpec) -> float:
@@ -420,7 +412,7 @@ def simulate(cfg: RunConfig) -> SimulationResult:
         k = len(records)
         records.append(_record(y, t, cfg))
         if cfg.snapshot_every > 0 and k % cfg.snapshot_every == 0:
-            snapshots.append((t, SpectralField(cfg.grid, complete_band(y))))
+            snapshots.append((t, SpectralField(cfg.grid, y)))
         if k > 0 and len(warnings) < 8:
             limit = cfl_limit(y, cfg.grid)
             if cfg.dt > limit:
@@ -429,8 +421,8 @@ def simulate(cfg: RunConfig) -> SimulationResult:
 
     y = _advance(cfg, cfg.initial_state.band, record)
     _attach_residuals(records, cfg.mu)
-    final = SpectralField(cfg.grid, complete_band(y))
-    return SimulationResult(final=final, records=records, snapshots=snapshots, warnings=warnings)
+    return SimulationResult(final=SpectralField(cfg.grid, y), records=records,
+                            snapshots=snapshots, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +431,8 @@ def simulate(cfg: RunConfig) -> SimulationResult:
 
 def linear_evolve(w0: SpectralField, forcing: ForcingSpec, mu: float,
                   times) -> list[tuple[float, SpectralField]]:
-    """Exact mode-wise solution of the linear equation from the band block
-    of w0 at the given times, each state completed once as it is returned.
+    """Exact mode-wise solution of the linear equation from w0 at the given
+    times.
 
     The free part is the diagonal propagator exp(-mu h t); the Duhamel
     integral is evaluated per mode, with the separable-decaying amplitude
@@ -450,16 +442,16 @@ def linear_evolve(w0: SpectralField, forcing: ForcingSpec, mu: float,
     from knot to knot.
     """
     grid = w0.grid
-    mt, half = multiplier_table(grid), grid.n // 2
-    y0, h = w0.band * mt.keep[:, :half], mt.h[:, :half]
+    mt = multiplier_table(grid)
+    y0, h = w0.band * mt.keep, mt.h
     times = list(times)
     if any(t < 0.0 for t in times):
         raise ValueError("times must be nonnegative")
     if forcing.kind == "separable_decaying":
-        f0 = forcing.amplitude * mt.d[:, :half] * forcing.profile.band
+        f0 = forcing.amplitude * mt.d * forcing.profile.band
         support = f0 != 0.0
         f0 = f0[support]
-        q, inverse = np.unique(mt.q[:, :half][support], return_inverse=True)
+        q, inverse = np.unique(mt.q[support], return_inverse=True)
         lam = mu * (1.0 + q) * q * q / (1.0 + q + q * q)
     elif forcing.kind == "tabulated":
         tabulated = _tabulated_duhamel(forcing, mu, times, grid)
@@ -470,7 +462,7 @@ def linear_evolve(w0: SpectralField, forcing: ForcingSpec, mu: float,
             y[support] += f0 * duhamel_time_factor(lam, t, forcing.eta)[inverse]
         elif forcing.kind == "tabulated":
             y = y + tabulated[i]
-        out.append((float(t), SpectralField(grid, complete_band(y))))
+        out.append((float(t), SpectralField(grid, y)))
     return out
 
 
@@ -485,10 +477,10 @@ def _tabulated_duhamel(forcing: ForcingSpec, mu: float, times: list,
     only decaying exponentials appear, keeping the evaluation stable for
     stiff modes.
     """
-    mt, half = multiplier_table(grid), grid.n // 2
-    lam = mu * mt.h[:, :half]
+    mt = multiplier_table(grid)
+    lam = mu * mt.h
     knots = forcing.knot_times
-    a = [mt.d[:, :half] * f.band for _, f in forcing.table]
+    a = [mt.d * f.band for _, f in forcing.table]
 
     def carry(acc, k, width):
         # e^{-lam width} acc + int_{t_k}^{t_k + width} e^{-lam (t_k + width - tau)} f(tau) dtau
@@ -521,8 +513,7 @@ def linear_series(cfg: RunConfig, times) -> tuple[list, list]:
     states = linear_evolve(cfg.initial_state, cfg.forcing, cfg.mu, times)
     if cfg.galerkin_block is not None:
         # the projected system: the Duhamel term is cut like the stepped forcing
-        states = [(t, SpectralField(cfg.grid, complete_band(w.band * cfg.galerkin_block)))
-                  for t, w in states]
+        states = [(t, SpectralField(cfg.grid, w.band * cfg.galerkin_block)) for t, w in states]
     records = [_record(w.band, t, cfg) for t, w in states]
     _attach_residuals(records, cfg.mu)
     return states, records

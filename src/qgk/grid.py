@@ -8,12 +8,13 @@ measure explicitly:
 
     int |f|^2 dx  =  L^2 * sum_k |c(k)|^2 .
 
-Integer wavevector indices run over [-n/2, n/2) per dimension.  The Nyquist
-index -n/2 is zeroed whenever a derivative symbol is applied (odd-order
-derivatives are ill-defined there; dropping it keeps gradient and divergence
-exact adjoints).  Operator outputs therefore live on the symmetric band
-|k_i| <= n/2 - 1; plain transforms of sampled data keep whatever the DFT
-produces so that round trips are exact.
+Integer wavevector indices run over [-n/2, n/2) per dimension.  A real
+field is fixed by its band block coeffs[:, :n/2], the only form a field or a
+symbol table takes in memory.  The Nyquist index -n/2 is zeroed whenever a
+derivative symbol is applied (odd-order derivatives are ill-defined there;
+dropping it keeps gradient and divergence exact adjoints), so operator
+outputs live on the symmetric band |k_i| <= n/2 - 1.  The block has no
+Nyquist column: sampled data round-trip exactly when that column is empty.
 """
 
 from __future__ import annotations
@@ -72,6 +73,11 @@ class GridSpec:
     def shape(self) -> tuple[int, int]:
         return (self.n, self.n)
 
+    @property
+    def band_shape(self) -> tuple[int, int]:
+        """Shape (n, n/2) of a field's band block and of every symbol table."""
+        return (self.n, self.n // 2)
+
 
 @dataclass(eq=False)
 class RealField:
@@ -88,26 +94,42 @@ class RealField:
 
 @dataclass(eq=False)
 class SpectralField:
-    """Fourier coefficients of a real field, in FFT index order.
+    """Fourier coefficients of a real field, held as its band block.
 
-    ``coeffs[k1, k2]`` holds the coefficient of exp(i xi . x) with integer
-    indices in numpy FFT order ``[0, .., n/2-1, -n/2, .., -1]``.  Real fields
-    satisfy the Hermitian symmetry c(-k) = conj(c(k)); operators in this
-    package preserve it exactly.
+    ``band[k1, k2]`` holds the coefficient of exp(i xi . x) for k1 in numpy
+    FFT order ``[0, .., n/2-1, -n/2, .., -1]`` and 0 <= k2 < n/2; the other
+    columns follow from the Hermitian symmetry c(-k) = conj(c(k)) of a real
+    field, which therefore holds by construction.  Leading axes are not
+    allowed here; the stepper stacks bare blocks.
     """
 
     grid: GridSpec
-    coeffs: np.ndarray
+    band: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != self.grid.shape:
-            raise ValueError(f"coeffs shape {self.coeffs.shape} != grid {self.grid.shape}")
+        self.band = np.ascontiguousarray(self.band, dtype=complex)
+        if self.band.shape != self.grid.band_shape:
+            raise ValueError(f"band shape {self.band.shape} != block {self.grid.band_shape} "
+                             f"of the grid")
 
     @property
-    def band(self) -> np.ndarray:
-        """The band block coeffs[:, :n/2], a view; it fixes a real field."""
-        return self.coeffs[:, :self.grid.n // 2]
+    def coeffs(self) -> np.ndarray:
+        """The full (n, n) coefficient array, built afresh and read-only."""
+        full = complete_band(self.band)
+        full.setflags(write=False)
+        return full
+
+
+def complete_band(block: np.ndarray) -> np.ndarray:
+    """Full coefficient arrays (..., n, n) of the real fields whose band
+    blocks are ``block``: negative columns from c(k1, -k2) = conj(c(-k1, k2)),
+    the Nyquist column zero."""
+    n, h = block.shape[-2:]
+    out = np.zeros(block.shape[:-1] + (n,), dtype=complex)
+    out[..., :h] = block
+    out[..., 0, h + 1:] = np.conj(block[..., 0, h - 1:0:-1])
+    out[..., 1:, h + 1:] = np.conj(block[..., :0:-1, h - 1:0:-1])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,23 +137,22 @@ class MultiplierTable:
     """Every Fourier symbol that depends on the grid alone, built once per
     grid; all arrays are read-only.
 
-    Full (n, n) tables in FFT index order:
+    Every table is (n, n/2), on the band block (FFT order in k1, 0 <= k2 < n/2):
 
     - ``k1``, ``k2``: integer wavevector indices (as floats, broadcast views)
     - ``xi1``, ``xi2``: physical wavevector (2 pi / L) k; ``q = |xi|^2``
-    - ``nyquist``: True on the Nyquist row and column (index -n/2);
-      ``keep`` is 0.0 there and 1.0 on the symmetric band |k_i| <= n/2 - 1
+    - ``keep``: 0.0 on the Nyquist row (k1 = -n/2) and 1.0 on the symmetric
+      band |k_i| <= n/2 - 1; ``mirror``: 1.0 on the k2 = 0 column and 2.0 on
+      the others, each of which stands for its mirrored column -k2 in sums
+      over the whole spectrum
     - ``a = 1 + |xi|^2 + |xi|^4`` and ``d = 1/a``, which invert each other
       mode-wise, and ``h = (1 + |xi|^2)|xi|^4 / a``, the dissipation rate of
       the linear flow (h(0) = 0, h ~ |xi|^2 at high frequency)
     - ``ixi1``, ``ixi2``: gradient symbols; ``bilap = |xi|^4`` and
       ``lap = -|xi|^2``: bilaplacian and Laplacian symbols.  These four
-      derivatives have the Nyquist cells zeroed; ``one_minus_lap = 1 + |xi|^2``
-      is not a derivative and keeps them.
-
-    Also ``flip`` (n,), the index map k -> -k along one axis, and
-    ``two_thirds`` (n, n/2), the band block of the 2/3 rule's mask
-    |k_i| <= n//3.
+      derivatives have the Nyquist row zeroed; ``one_minus_lap = 1 + |xi|^2``
+      is not a derivative and keeps it.
+    - ``two_thirds``: the 2/3 rule's mask |k_i| <= n//3.
     """
 
     grid: GridSpec
@@ -140,9 +161,8 @@ class MultiplierTable:
     xi1: np.ndarray
     xi2: np.ndarray
     q: np.ndarray
-    nyquist: np.ndarray
     keep: np.ndarray
-    flip: np.ndarray
+    mirror: np.ndarray
     a: np.ndarray
     d: np.ndarray
     h: np.ndarray
@@ -158,32 +178,31 @@ class MultiplierTable:
 def multiplier_table(grid: GridSpec) -> MultiplierTable:
     n, half = grid.n, grid.n // 2
     k = np.fft.fftfreq(n, d=1.0 / n)
-    k1 = np.broadcast_to(k[:, None], grid.shape)
-    k2 = np.broadcast_to(k[None, :], grid.shape)
+    k1 = np.broadcast_to(k[:, None], grid.band_shape)
+    k2 = np.broadcast_to(k[None, :half], grid.band_shape)
     xi1 = grid.frequency_unit * k1
     xi2 = grid.frequency_unit * k2
     q = xi1 * xi1 + xi2 * xi2
-    nyquist = (k1 == -half) | (k2 == -half)
-    keep = np.where(nyquist, 0.0, 1.0)
+    keep = np.where(k1 == -half, 0.0, 1.0)
     one_minus_lap = 1.0 + q
     a = one_minus_lap + q * q
     d = 1.0 / a
     two_thirds = ((np.abs(k1) <= n // 3) & (np.abs(k2) <= n // 3)).astype(float)
-    tables = dict(k1=k1, k2=k2, xi1=xi1, xi2=xi2, q=q, nyquist=nyquist, keep=keep,
-                  flip=(-np.arange(n)) % n, a=a, d=d, h=one_minus_lap * q * q * d,
-                  ixi1=1j * xi1 * keep, ixi2=1j * xi2 * keep, bilap=q * q * keep,
-                  one_minus_lap=one_minus_lap, lap=-q * keep,
-                  two_thirds=np.ascontiguousarray(two_thirds[:, :half]))
+    tables = dict(k1=k1, k2=k2, xi1=xi1, xi2=xi2, q=q, keep=keep,
+                  mirror=np.where(k2 == 0.0, 1.0, 2.0), a=a, d=d,
+                  h=one_minus_lap * q * q * d, ixi1=1j * xi1 * keep, ixi2=1j * xi2 * keep,
+                  bilap=q * q * keep, one_minus_lap=one_minus_lap, lap=-q * keep,
+                  two_thirds=two_thirds)
     for arr in tables.values():
         arr.setflags(write=False)
     return MultiplierTable(grid=grid, **tables)
 
 
-def hermitian_defect(field: SpectralField) -> float:
-    """Max |c(-k) - conj(c(k))| over all modes."""
-    ix = multiplier_table(field.grid).flip
-    mirrored = field.coeffs[np.ix_(ix, ix)]
-    return float(np.max(np.abs(field.coeffs - np.conj(mirrored))))
+def hermitian_defect(coeffs: np.ndarray) -> float:
+    """Max |c(-k) - conj(c(k))| over all modes of a full (n, n) coefficient
+    array, such as a snapshot file holds."""
+    ix = -np.arange(coeffs.shape[0])
+    return float(np.max(np.abs(coeffs - np.conj(coeffs[np.ix_(ix, ix)]))))
 
 
 def require_same_grid(u: SpectralField, v: SpectralField) -> GridSpec:

@@ -83,14 +83,14 @@ def _check_j(partition: DyadicPartition, j: int) -> None:
 def dyadic_block(partition: DyadicPartition, u: SpectralField, j: int) -> SpectralField:
     """Block j of u (j = -1 holds the mean and first shells)."""
     _check_j(partition, j)
-    return SpectralField(u.grid, u.coeffs * partition.weights[j + 1])
+    return SpectralField(u.grid, u.band * partition.weights[j + 1])
 
 
 def low_cut(partition: DyadicPartition, u: SpectralField, j: int) -> SpectralField:
     """Low-frequency cut S_j u = sum_{k <= j-1} block_k u, for 0 <= j <= j_max+1."""
     if not 0 <= j <= partition.j_max + 1:
         raise ValueError(f"low_cut index {j} out of range [0, {partition.j_max + 1}]")
-    return SpectralField(u.grid, u.coeffs * partition.lows[j])
+    return SpectralField(u.grid, u.band * partition.lows[j])
 
 
 def besov_norm(partition: DyadicPartition, u: SpectralField, s: float) -> float:
@@ -106,7 +106,7 @@ def besov_sobolev_bounds(partition: DyadicPartition, s: float) -> tuple[float, f
     """Mode-wise bounds of the Besov/Sobolev weight ratio for this profile."""
     grid = partition.grid
     mt = multiplier_table(grid)
-    num = np.zeros(grid.shape)
+    num = np.zeros(grid.band_shape)
     for j in partition.block_range():
         w = partition.weights[j + 1]
         num += 4.0 ** (j * s) * w * w

@@ -10,8 +10,10 @@ Layout (little-endian throughout):
     payload : n*n interleaved (re, im) f64 pairs, row-major in ascending
               integer-index order (k1, k2 from -n/2 to n/2 - 1)
 
-The reader validates the header (t and L finite), finiteness and Hermitian
-symmetry to HERMITIAN_TOL times the largest coefficient.
+The payload is the full spectrum, completed from the field's band block on
+writing.  The reader validates the header (t and L finite), finiteness and
+Hermitian symmetry of the whole payload to HERMITIAN_TOL times the largest
+coefficient, and then keeps the band block.
 
 Every output file qgk writes goes through ``atomic_output``: it is written
 to a temporary file beside the target and renamed onto it, so an
@@ -44,6 +46,10 @@ def atomic_output(path, mode: str = "w", **open_kwargs):
     """Open a temporary file beside ``path`` for writing and move it onto
     ``path`` with os.replace once the block completes; if the block raises,
     the temporary file is removed and ``path`` is left as it was."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"cannot write {os.fspath(path)}: "
+                                f"no directory {directory}")
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **open_kwargs) as fh:
@@ -81,13 +87,13 @@ def read_snapshot(path) -> tuple[SpectralField, float]:
     coeffs = np.fft.ifftshift(np.frombuffer(raw, dtype="<c16").reshape(n, n))
     if not np.all(np.isfinite(coeffs)):
         raise SnapshotError(f"{path}: non-finite coefficients")
-    field = SpectralField(GridSpec(n=int(n), box_length=float(box_length)), coeffs)
     scale = float(np.max(np.abs(coeffs))) or 1.0
-    defect = hermitian_defect(field)
+    defect = hermitian_defect(coeffs)
     if defect > HERMITIAN_TOL * scale:
         raise SnapshotError(
             f"{path}: Hermitian symmetry violated (defect {defect:.3e}, scale {scale:.3e})")
-    return field, float(time)
+    return SpectralField(GridSpec(n=int(n), box_length=float(box_length)),
+                         coeffs[:, :n // 2]), float(time)
 
 
 def read_on_grid(path, grid: GridSpec) -> SpectralField:
@@ -96,4 +102,4 @@ def read_on_grid(path, grid: GridSpec) -> SpectralField:
     if (field.grid.n, field.grid.box_length) != (grid.n, grid.box_length):
         raise SnapshotError(f"{path}: snapshot grid n={field.grid.n}, L={field.grid.box_length!r} "
                             f"does not match the config grid n={grid.n}, L={grid.box_length!r}")
-    return SpectralField(grid, field.coeffs)
+    return SpectralField(grid, field.band)

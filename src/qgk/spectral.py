@@ -1,11 +1,15 @@
 """Transforms, Fourier multipliers, derivatives, projections and dealiased
 products on the periodic grid.
 
-All operations are pure functions of their inputs.  Products are evaluated
-pseudo-spectrally; under the default 3/2 zero-padding rule the returned
-coefficients on the symmetric band equal the exact convolution of the
-inputs, which is what makes the discrete integration-by-parts identities of
-the transport operator hold to round-off.
+All operations are pure functions of their inputs, and every one of them
+reads and returns band blocks coeffs[:, :n/2] (see qgk.grid): operators
+multiply the block by the grid's symbol tables, and norms and inner products
+weight each block cell by the table ``mirror``, so they equal their sums
+over the whole spectrum.  Products are evaluated pseudo-spectrally; under
+the default 3/2 zero-padding rule the returned coefficients on the symmetric
+band equal the exact convolution of the inputs, which is what makes the
+discrete integration-by-parts identities of the transport operator hold to
+round-off.
 """
 
 from __future__ import annotations
@@ -45,19 +49,20 @@ def fft_workers() -> int:
 
 
 def forward_transform(f: RealField) -> SpectralField:
-    """Real samples -> Fourier-series coefficients (forward divides by n^2)."""
+    """Real samples -> Fourier-series coefficients (forward divides by n^2).
+
+    The band block keeps no Nyquist column, so whatever the samples hold
+    there is dropped."""
     if not np.all(np.isfinite(f.samples)):
         raise ValueError("forward_transform: input samples contain non-finite values")
-    n = f.grid.n
-    coeffs = sfft.fft2(f.samples) / (n * n)
-    return SpectralField(f.grid, coeffs)
+    return SpectralField(f.grid, sfft.rfft2(f.samples, norm="forward")[:, :f.grid.n // 2])
 
 
 def inverse_transform(u: SpectralField) -> RealField:
-    """Fourier-series coefficients -> samples at the grid points."""
-    n = u.grid.n
-    samples = sfft.ifft2(u.coeffs).real * (n * n)
-    return RealField(u.grid, samples)
+    """Fourier-series coefficients -> samples at the grid points (the c2r
+    input is the band block and a zero Nyquist column)."""
+    half_spectrum = np.pad(u.band, ((0, 0), (0, 1)))
+    return RealField(u.grid, sfft.irfft2(half_spectrum, s=u.grid.shape, norm="forward"))
 
 
 # ---------------------------------------------------------------------------
@@ -67,16 +72,17 @@ def inverse_transform(u: SpectralField) -> RealField:
 def apply_multiplier(u: SpectralField, symbol: np.ndarray) -> SpectralField:
     """Multiply coefficients mode-wise by a real symbol table."""
     symbol = np.asarray(symbol)
-    if symbol.shape != u.grid.shape:
-        raise ValueError(f"symbol shape {symbol.shape} does not match grid {u.grid.shape}")
-    return SpectralField(u.grid, u.coeffs * symbol)
+    if symbol.shape != u.grid.band_shape:
+        raise ValueError(f"symbol shape {symbol.shape} does not match the band block "
+                         f"{u.grid.band_shape}")
+    return SpectralField(u.grid, u.band * symbol)
 
 
 def gradient(u: SpectralField) -> tuple[SpectralField, SpectralField]:
     mt = multiplier_table(u.grid)
     return (
-        SpectralField(u.grid, u.coeffs * mt.ixi1),
-        SpectralField(u.grid, u.coeffs * mt.ixi2),
+        SpectralField(u.grid, u.band * mt.ixi1),
+        SpectralField(u.grid, u.band * mt.ixi2),
     )
 
 
@@ -84,28 +90,28 @@ def perp_gradient(u: SpectralField) -> tuple[SpectralField, SpectralField]:
     """Rotated gradient (-d2 u, d1 u); divergence-free mode by mode."""
     mt = multiplier_table(u.grid)
     return (
-        SpectralField(u.grid, -u.coeffs * mt.ixi2),
-        SpectralField(u.grid, u.coeffs * mt.ixi1),
+        SpectralField(u.grid, -u.band * mt.ixi2),
+        SpectralField(u.grid, u.band * mt.ixi1),
     )
 
 
 def divergence(u1: SpectralField, u2: SpectralField) -> SpectralField:
     grid = require_same_grid(u1, u2)
     mt = multiplier_table(grid)
-    return SpectralField(grid, u1.coeffs * mt.ixi1 + u2.coeffs * mt.ixi2)
+    return SpectralField(grid, u1.band * mt.ixi1 + u2.band * mt.ixi2)
 
 
 def laplacian(u: SpectralField) -> SpectralField:
-    return SpectralField(u.grid, u.coeffs * multiplier_table(u.grid).lap)
+    return SpectralField(u.grid, u.band * multiplier_table(u.grid).lap)
 
 
 def bilaplacian(u: SpectralField) -> SpectralField:
-    return SpectralField(u.grid, u.coeffs * multiplier_table(u.grid).bilap)
+    return SpectralField(u.grid, u.band * multiplier_table(u.grid).bilap)
 
 
 def one_minus_laplacian(u: SpectralField) -> SpectralField:
     """(Id - Delta) u.  Not a derivative: keeps whatever band u has."""
-    return SpectralField(u.grid, u.coeffs * multiplier_table(u.grid).one_minus_lap)
+    return SpectralField(u.grid, u.band * multiplier_table(u.grid).one_minus_lap)
 
 
 def project_jn(u: SpectralField, n_cut: float) -> SpectralField:
@@ -113,12 +119,12 @@ def project_jn(u: SpectralField, n_cut: float) -> SpectralField:
     if not n_cut > 0:
         raise ValueError(f"n_cut must be positive, got {n_cut!r}")
     mask = (multiplier_table(u.grid).q <= float(n_cut)).astype(float)
-    return SpectralField(u.grid, u.coeffs * mask)
+    return SpectralField(u.grid, u.band * mask)
 
 
 def sanitize_band(u: SpectralField) -> SpectralField:
     """Zero the Nyquist cells, restricting u to the symmetric band."""
-    return SpectralField(u.grid, u.coeffs * multiplier_table(u.grid).keep)
+    return SpectralField(u.grid, u.band * multiplier_table(u.grid).keep)
 
 
 # ---------------------------------------------------------------------------
@@ -129,19 +135,20 @@ def inner_product(u: SpectralField, v: SpectralField) -> float:
     """L^2(torus) pairing via Parseval."""
     grid = require_same_grid(u, v)
     L2 = grid.box_length * grid.box_length
-    return L2 * float(np.real(np.vdot(v.coeffs, u.coeffs)))
+    return L2 * float(np.real(np.vdot(v.band, multiplier_table(grid).mirror * u.band)))
 
 
 def weighted_l2(u: SpectralField, weight: np.ndarray) -> float:
-    """sqrt(L^2 sum weight |c|^2) for a nonnegative symbol table."""
+    """sqrt(L^2 sum weight |c|^2) over the whole spectrum, for a nonnegative
+    symbol table."""
     L2 = u.grid.box_length ** 2
-    val = L2 * float(np.sum(weight * (u.coeffs.real ** 2 + u.coeffs.imag ** 2)))
+    absq = u.band.real ** 2 + u.band.imag ** 2
+    val = L2 * float(np.sum(multiplier_table(u.grid).mirror * weight * absq))
     return float(np.sqrt(max(val, 0.0)))
 
 
 def l2_norm(u: SpectralField) -> float:
-    L2 = u.grid.box_length ** 2
-    return float(np.sqrt(L2 * np.sum(u.coeffs.real ** 2 + u.coeffs.imag ** 2)))
+    return weighted_l2(u, 1.0)
 
 
 @lru_cache(maxsize=16)
@@ -159,27 +166,14 @@ def sobolev_norm(u: SpectralField, s: float) -> float:
 # ---------------------------------------------------------------------------
 # dealiased products
 
-# A field's band block is coeffs[..., :, :n/2]; its Nyquist row is zero and
-# its negative columns follow from Hermitian symmetry (complete_band).  Any
-# leading axes are a stack of fields, transformed slice by slice.  Products
-# embed the blocks in an m x m grid, multiply pointwise and truncate back:
-# under the 3/2 rule m = 3n/2, so aliases of any product mode |s| <= n - 2
-# miss the band and the result is the exact convolution; under 2/3
-# truncation m = n, inputs and output cut to |k_i| <= n//3.  Transforms run
-# one axis at a time, the axis -2 passes only over the n/2 band columns, and
+# Products read band blocks whose Nyquist row is zero.  Any leading axes
+# are a stack of fields, transformed slice by slice.  Products embed the
+# blocks in an m x m grid, multiply pointwise and truncate back: under the
+# 3/2 rule m = 3n/2, so aliases of any product mode |s| <= n - 2 miss the
+# band and the result is the exact convolution; under 2/3 truncation m = n,
+# inputs and output cut to |k_i| <= n//3.  Transforms run one axis at a
+# time, the axis -2 passes only over the n/2 band columns, and
 # norm="forward" never rescales.
-
-
-def complete_band(block: np.ndarray) -> np.ndarray:
-    """Full coefficient arrays (..., n, n) of the real fields whose band
-    blocks are ``block``: negative columns from c(k1, -k2) = conj(c(-k1, k2)),
-    the Nyquist column zero."""
-    n, h = block.shape[-2:]
-    out = np.zeros(block.shape[:-1] + (n,), dtype=complex)
-    out[..., :h] = block
-    out[..., 0, h + 1:] = np.conj(block[..., 0, h - 1:0:-1])
-    out[..., 1:, h + 1:] = np.conj(block[..., :0:-1, h - 1:0:-1])
-    return out
 
 
 def band_samples(block: np.ndarray, m: int) -> np.ndarray:
@@ -228,8 +222,7 @@ def product_sum(pairs: list[tuple[SpectralField, SpectralField]]) -> SpectralFie
         require_same_grid(u, v)
         if u.grid != grid:
             raise ValueError("product_sum: mixed grids")
-    block = band_product(grid, ((u.band, v.band) for u, v in pairs))
-    return SpectralField(grid, complete_band(block))
+    return SpectralField(grid, band_product(grid, ((u.band, v.band) for u, v in pairs)))
 
 
 def dealiased_product(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -254,31 +247,33 @@ def cosine_field(grid: GridSpec, kx: int, ky: int, amplitude: float = 1.0) -> Sp
     half = grid.n // 2
     if not (-half < kx < half and -half < ky < half) or (kx, ky) == (0, 0):
         raise ValueError(f"cosine mode ({kx},{ky}) outside the symmetric band")
-    c = np.zeros(grid.shape, dtype=complex)
-    c[kx % grid.n, ky % grid.n] = 0.5 * amplitude
-    c[(-kx) % grid.n, (-ky) % grid.n] = 0.5 * amplitude
+    c = np.zeros(grid.band_shape, dtype=complex)
+    for k1, k2 in ((kx, ky), (-kx, -ky)):
+        if k2 >= 0:
+            c[k1 % grid.n, k2] = 0.5 * amplitude
     return SpectralField(grid, c)
 
 
 def _hermitian_random(grid: GridSpec, seed: int, radial_amp) -> SpectralField:
     """Random field with |c(k)| = radial_amp(|k|) and i.i.d. phases.
 
-    Phases are drawn once over the half-plane {k1 > 0} u {k1 = 0, k2 > 0} in
-    a fixed order and mirrored, so the result is deterministic in the seed
-    and exactly Hermitian.  Nyquist cells stay empty.
+    Phases are drawn once over the whole n x n index grid in a fixed order;
+    a mode of the half-plane {k1 > 0} u {k1 = 0, k2 > 0} takes its own, any
+    other mode the conjugate of its mirror's, so the result is deterministic
+    in the seed.  The mean and the Nyquist row stay empty.
     """
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=grid.shape)
     mt = multiplier_table(grid)
     k1, k2 = mt.k1, mt.k2
     half_plane = (k1 > 0) | ((k1 == 0) & (k2 > 0))
-    kk = np.hypot(k1, k2)
-    amp = np.asarray(radial_amp(kk), dtype=float)
-    c = np.zeros(grid.shape, dtype=complex)
-    c[half_plane] = amp[half_plane] * np.exp(1j * phases[half_plane])
-    mirrored = np.conj(c[np.ix_(mt.flip, mt.flip)])
-    c = np.where(half_plane, c, mirrored)
-    c[0, 0] = 0.0
+    amp = np.asarray(radial_amp(np.hypot(k1, k2)), dtype=float)
+    # negative indices -k map each block cell to its mirror's phase
+    mirrored = phases[np.ix_(-np.arange(grid.n), -np.arange(grid.n // 2))]
+    c = amp * np.exp(1j * np.where(half_plane, phases[:, :grid.n // 2], mirrored))
+    c = np.where(half_plane, c, np.conj(c))
+    # the mean and the Nyquist row (its own mirror), cleared so that keep leaves +0.0
+    c[0, 0] = c[grid.n // 2] = 0.0
     c *= mt.keep
     return SpectralField(grid, c)
 
@@ -310,7 +305,7 @@ def random_band_field(
     norm = sobolev_norm(field, s)
     if norm == 0.0:
         raise ValueError(f"empty band [{band_lo}, {band_hi}] on n={grid.n}")
-    field.coeffs *= amplitude / norm
+    field.band *= amplitude / norm
     return field
 
 
@@ -328,5 +323,5 @@ def random_exponential_field(
 
     field = _hermitian_random(grid, seed, radial_amp)
     norm = sobolev_norm(field, s)
-    field.coeffs *= amplitude / norm
+    field.band *= amplitude / norm
     return field

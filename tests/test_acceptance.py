@@ -246,11 +246,11 @@ def test_criterion_10_bony_and_besov():
     for seed in (51, 52):
         u = sp.random_band_field(g, seed, 1.0, 3.0, 1, 20)
         v = sp.random_band_field(g, seed + 10, 1.0, 3.0, 1, 20)
-        total = (lp.paraproduct(partition, u, v).coeffs
-                 + lp.paraproduct(partition, v, u).coeffs
-                 + lp.remainder(partition, u, v).coeffs)
+        total = (lp.paraproduct(partition, u, v).band
+                 + lp.paraproduct(partition, v, u).band
+                 + lp.remainder(partition, u, v).band)
         ref = sp.dealiased_product(u, v)
-        worst_bony = max(worst_bony, sp.l2_norm(SpectralField(g, total - ref.coeffs))
+        worst_bony = max(worst_bony, sp.l2_norm(SpectralField(g, total - ref.band))
                          / sp.l2_norm(ref))
     equiv_ok = True
     details = []
@@ -280,7 +280,7 @@ def test_criterion_11_galerkin_refinement():
     snaps = {cut: run(cut) for cut in (64.0, 256.0, 1024.0)}
     sups = []
     for lo, hi in ((64.0, 256.0), (256.0, 1024.0)):
-        diffs = [sp.sobolev_norm(SpectralField(g, a.coeffs - b.coeffs), 3.0)
+        diffs = [sp.sobolev_norm(SpectralField(g, a.band - b.band), 3.0)
                  for (_, a), (_, b) in zip(snaps[lo], snaps[hi])]
         sups.append(max(diffs))
     ok = sups[1] < sups[0] and sups[1] <= 0.5 * sups[0]
@@ -298,7 +298,7 @@ def test_criterion_12_stability_envelope():
                     initial_condition=sp.random_band_field(g, 71, 2.0, 3.0, 1, 6),
                     diagnostics_every=20)
     pert = sp.random_band_field(g, 72, 1e-6, 3.0, 1, 6)
-    half = SpectralField(g, 0.5 * pert.coeffs)
+    half = SpectralField(g, 0.5 * pert.band)
     full_report = compare_runs(cfg, pert)
     half_report = compare_runs(cfg, half)
     halving = max(full_report.delta_h3) / max(half_report.delta_h3)

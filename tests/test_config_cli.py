@@ -200,8 +200,8 @@ class TestDispatch:
         for path in snaps:
             field, _ = read_snapshot(str(path))
             outside = multiplier_table(field.grid).q > 12.0
-            assert np.all(field.coeffs[outside] == 0.0)
-            assert np.any(field.coeffs[~outside] != 0.0)
+            assert np.all(field.band[outside] == 0.0)
+            assert np.any(field.band[~outside] != 0.0)
 
     def test_compare_reads_one_pair_at_a_time(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, SMALL_RUN)
@@ -239,6 +239,18 @@ class TestDispatch:
         assert len(lines) == 1 + 12 and all(len(ln.split(",")) == 7 for ln in lines)
         summary = json.loads((tmp_path / "decay.csv.summary.json").read_text())
         assert summary["M0"]["slope"] == pytest.approx(-0.5, abs=0.05)
+
+    def test_missing_output_directory_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        missing = tmp_path / "nodir"
+        for argv in (["decay", "--window", "1e2,1e3", "--samples", "8"],
+                     ["invariants", "--config", cfg]):
+            target = missing / "x.csv"
+            assert dispatch(argv + ["--out", str(target)]) == 1
+            err = capsys.readouterr().err
+            assert f"cannot write {target}: no directory {missing}" in err
+            assert ".tmp" not in err
+        assert not missing.exists()
 
     def test_stability_subcommand(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_RUN)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import struct
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ import pytest
 from qgk.grid import (
     GridSpec,
     SpectralField,
+    complete_band,
     hermitian_defect,
     multiplier_table,
 )
 from qgk import diagnostics as diag
 from qgk import evolution
+from qgk import grid as grid_module
 from qgk import littlewood_paley as lp
 from qgk import spectral as sp
 from qgk.quadrature import duhamel_time_factor, linear_segment_factor
@@ -53,7 +56,7 @@ class TestForcingSpec:
         f = forcing_for(g, K=0.7, eta=0.6)
         base = sp.sobolev_norm(f.profile, 2.0)
         for t in (0.0, 1.5, 10.0):
-            field = SpectralField(g, sp.complete_band(f.coefficients(t)))
+            field = SpectralField(g, f.coefficients(t))
             assert sp.sobolev_norm(field, 2.0) == pytest.approx(
                 0.7 * (1 + t) ** (-1.6) * base, rel=1e-14)
 
@@ -81,19 +84,19 @@ class TestTendency:
         cfg = RunConfig(grid=g, mu=1.7, t_end=1.0, dt=0.1, initial_condition=r)
         rhs = tendency(r, 0.0, cfg)
         mt = multiplier_table(g)
-        expected = -1.7 * mt.h * r.coeffs
-        assert np.max(np.abs(rhs.coeffs - expected)) <= 1e-13 * np.max(np.abs(expected))
+        expected = -1.7 * mt.h * r.band
+        assert np.max(np.abs(rhs.band - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_zero_state_gives_inverse_operator_forcing(self):
         g = G32
         f = forcing_for(g)
-        zero = SpectralField(g, np.zeros(g.shape, complex))
+        zero = SpectralField(g, np.zeros(g.band_shape, complex))
         cfg = RunConfig(grid=g, mu=1.0, t_end=1.0, dt=0.1,
                         initial_condition=zero, forcing=f)
         rhs = tendency(zero, 0.3, cfg)
         mt = multiplier_table(g)
-        expected = mt.d * sp.complete_band(f.coefficients(0.3))
-        assert np.max(np.abs(rhs.coeffs - expected)) == 0.0
+        expected = mt.d * f.coefficients(0.3)
+        assert np.max(np.abs(rhs.band - expected)) == 0.0
 
     def test_mean_mode_with_mean_free_forcing(self):
         g = G32
@@ -120,7 +123,7 @@ class TestStep:
 
     def test_zero_field_stays_zero(self):
         g = G32
-        zero = SpectralField(g, np.zeros(g.shape, complex))
+        zero = SpectralField(g, np.zeros(g.band_shape, complex))
         cfg = RunConfig(grid=g, mu=1.0, t_end=0.5, dt=0.1, initial_condition=zero)
         out = simulate(cfg)
         assert np.all(out.final.coeffs == 0.0)
@@ -150,7 +153,7 @@ class TestStep:
             cfg = RunConfig(grid=g, mu=1.0, t_end=0.2, dt=dt,
                             initial_condition=r0, stepper="if_rk2")
             out = simulate(cfg).final
-            return sp.l2_norm(SpectralField(g, out.coeffs - ref.coeffs))
+            return sp.l2_norm(SpectralField(g, out.band - ref.band))
 
         ratio = err(2e-2) / err(1e-2)
         assert 3.0 < ratio < 5.5
@@ -179,7 +182,7 @@ class TestSimulate:
     def test_mean_conserved_exactly(self):
         g = G32
         r0 = band_ic(g, 9)
-        r0.coeffs[0, 0] = 0.25
+        r0.band[0, 0] = 0.25
         cfg = RunConfig(grid=g, mu=1.0, t_end=0.2, dt=5e-3,
                         initial_condition=r0, forcing=forcing_for(g))
         out = simulate(cfg)
@@ -190,7 +193,7 @@ class TestSimulate:
         cfg = RunConfig(grid=g, mu=1.0, t_end=0.2, dt=5e-3,
                         initial_condition=band_ic(g, 10), forcing=forcing_for(g))
         out = simulate(cfg)
-        assert hermitian_defect(out.final) <= 1e-13 * np.max(np.abs(out.final.coeffs))
+        assert hermitian_defect(out.final.coeffs) <= 1e-13 * np.max(np.abs(out.final.coeffs))
 
     def test_deterministic(self):
         g = G32
@@ -239,7 +242,7 @@ class TestGalerkin:
                         forcing=forcing_for(g))
         out = simulate(cfg)
         outside = multiplier_table(g).q > 16.0
-        assert np.all(out.final.coeffs[outside] == 0.0)
+        assert np.all(out.final.band[outside] == 0.0)
 
     def test_refinement_differences_shrink(self):
         # analytic datum: doubling the cut shrinks the H3 difference
@@ -256,7 +259,7 @@ class TestGalerkin:
         snaps = {cut: run(cut) for cut in (9.0, 36.0, 144.0)}
         sups = []
         for lo, hi in ((9.0, 36.0), (36.0, 144.0)):
-            diffs = [sp.sobolev_norm(SpectralField(g, a.coeffs - b.coeffs), 3.0)
+            diffs = [sp.sobolev_norm(SpectralField(g, a.band - b.band), 3.0)
                      for (_, a), (_, b) in zip(snaps[lo], snaps[hi])]
             sups.append(max(diffs))
         assert sups[1] < 0.5 * sups[0]
@@ -264,10 +267,10 @@ class TestGalerkin:
     def test_degenerate_cut_mean_only_ode(self):
         g = G32
         r0 = band_ic(g, 17)
-        r0.coeffs[0, 0] = 1.0
+        r0.band[0, 0] = 1.0
         # mean-mode forcing via tabulated constant field
-        fmean = SpectralField(g, np.zeros(g.shape, complex))
-        fmean.coeffs[0, 0] = 0.5
+        fmean = SpectralField(g, np.zeros(g.band_shape, complex))
+        fmean.band[0, 0] = 0.5
         forcing = ForcingSpec(kind="tabulated", table=[(0.0, fmean), (10.0, fmean)])
         cut = 0.5 * g.frequency_unit ** 2  # below the lowest shell
         cfg = RunConfig(grid=g, mu=1.0, t_end=1.0, dt=0.05,
@@ -287,14 +290,14 @@ def full_grid_duhamel(w0, forcing, mu, t):
     mt = multiplier_table(g)
     q, inverse = np.unique(mt.q.ravel(), return_inverse=True)
     lam = mu * (1.0 + q) * q * q / (1.0 + q + q * q)
-    factors = duhamel_time_factor(lam, t, forcing.eta)[inverse].reshape(g.shape)
-    f0 = forcing.amplitude * mt.d * forcing.profile.coeffs
-    return np.exp(-mu * mt.h * t) * w0.coeffs + f0 * factors * mt.keep
+    factors = duhamel_time_factor(lam, t, forcing.eta)[inverse].reshape(g.band_shape)
+    f0 = forcing.amplitude * mt.d * forcing.profile.band
+    return np.exp(-mu * mt.h * t) * w0.band + f0 * factors * mt.keep
 
 
 def forcing_support(forcing, g):
     mt = multiplier_table(g)
-    return forcing.amplitude * mt.d * forcing.profile.coeffs * mt.keep != 0.0
+    return forcing.amplitude * mt.d * forcing.profile.band * mt.keep != 0.0
 
 
 def resummed_tabulated_duhamel(forcing, mu, t, g):
@@ -302,14 +305,14 @@ def resummed_tabulated_duhamel(forcing, mu, t, g):
     the first knot, as a reference for the carried evaluation."""
     mt = multiplier_table(g)
     lam = mu * mt.h
-    acc = np.zeros(g.shape, dtype=complex)
+    acc = np.zeros(g.band_shape, dtype=complex)
     for (t0, f0), (t1, f1) in zip(forcing.table, forcing.table[1:]):
         if t <= t0:
             break
         t_up = min(t, t1)
         width = t_up - t0
-        a0 = mt.d * f0.coeffs
-        slope = (mt.d * f1.coeffs - a0) / (t1 - t0)
+        a0 = mt.d * f0.band
+        slope = (mt.d * f1.band - a0) / (t1 - t0)
         j0, j1 = linear_segment_factor(lam, width)
         acc = acc + np.exp(-lam * (t - t_up)) * ((a0 + slope * width) * j0 - slope * j1)
     return acc
@@ -326,15 +329,15 @@ class TestLinearEvolve:
         # unsorted, repeated, before the first knot, on knots, inside
         # segments and past the last knot
         times = [2.7, 0.2, 1.6, 6.0, 0.5, 0.65, 4.0, 3.9, 1.6, 0.0, 2.0, 40.0]
-        zero = SpectralField(g, np.zeros(g.shape, complex))
+        zero = SpectralField(g, np.zeros(g.band_shape, complex))
         states = linear_evolve(zero, forcing, mu, times)
         assert [t for t, _ in states] == times
         for t, field in states:
             ref = resummed_tabulated_duhamel(forcing, mu, t, g)
             if t <= knots[0]:
-                assert np.array_equal(field.coeffs, ref)
+                assert np.array_equal(field.band, ref)
             else:
-                assert np.max(np.abs(field.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
+                assert np.max(np.abs(field.band - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [24, 32, 48])
     @pytest.mark.parametrize("mu", [0.0, 1.3])
@@ -349,9 +352,9 @@ class TestLinearEvolve:
         times = [0.0, 0.5, 3.7, 25.0, 1000.0]
         for t, field in linear_evolve(w0, forcing, mu, times):
             ref = full_grid_duhamel(w0, forcing, mu, t)
-            assert np.max(np.abs(field.coeffs - ref)) <= 1e-15 * np.max(np.abs(ref))
-            free = np.exp(-mu * mt.h * t) * w0.coeffs
-            assert np.array_equal(field.coeffs[~support], free[~support])
+            assert np.max(np.abs(field.band - ref)) <= 1e-15 * np.max(np.abs(ref))
+            free = np.exp(-mu * mt.h * t) * w0.band
+            assert np.array_equal(field.band[~support], free[~support])
 
     def test_quadrature_sees_distinct_support_rates_once_per_time(self, monkeypatch):
         g = G32
@@ -382,7 +385,7 @@ class TestLinearEvolve:
         w0 = band_ic(g, 28)
         mt = multiplier_table(g)
         for t, field in linear_evolve(w0, forcing, 1.0, [0.0, 1.5, 40.0]):
-            assert np.array_equal(field.coeffs, np.exp(-mt.h * t) * w0.coeffs)
+            assert np.array_equal(field.band, np.exp(-mt.h * t) * w0.band)
 
     def test_linear_series_vanishes_outside_galerkin_cut(self):
         g = G32
@@ -393,16 +396,16 @@ class TestLinearEvolve:
         assert len(records) == 3
         outside = multiplier_table(g).q > cut
         for _, field in states:
-            assert np.all(field.coeffs[outside] == 0.0)
-            assert np.any(field.coeffs[~outside] != 0.0)
+            assert np.all(field.band[outside] == 0.0)
+            assert np.any(field.band[~outside] != 0.0)
 
     def test_free_flow_matches_closed_form(self):
         g = G32
         w0 = band_ic(g, 18)
         mt = multiplier_table(g)
         for t, field in linear_evolve(w0, ForcingSpec(kind="zero"), 0.8, [0.0, 0.7, 2.0]):
-            expected = np.exp(-0.8 * mt.h * t) * w0.coeffs
-            assert np.max(np.abs(field.coeffs - expected)) <= 1e-14 * np.max(np.abs(w0.coeffs))
+            expected = np.exp(-0.8 * mt.h * t) * w0.band
+            assert np.max(np.abs(field.band - expected)) <= 1e-14 * np.max(np.abs(w0.coeffs))
 
     def test_constant_forcing_saturates(self):
         # constant-in-time forcing: mode tends to f0_hat / (mu h)
@@ -410,11 +413,11 @@ class TestLinearEvolve:
         prof = band_ic(g, 19)
         forcing = ForcingSpec(kind="tabulated", table=[(0.0, prof), (1e4, prof)])
         mt = multiplier_table(g)
-        (t, field), = linear_evolve(SpectralField(g, np.zeros(g.shape, complex)),
+        (t, field), = linear_evolve(SpectralField(g, np.zeros(g.band_shape, complex)),
                                     forcing, 1.0, [2e3])
-        nz = np.abs(prof.coeffs) > 0
-        expected = (mt.d * prof.coeffs)[nz] / mt.h[nz]
-        assert np.allclose(field.coeffs[nz], expected, rtol=1e-10)
+        nz = np.abs(prof.band) > 0
+        expected = (mt.d * prof.band)[nz] / mt.h[nz]
+        assert np.allclose(field.band[nz], expected, rtol=1e-10)
 
     def test_separable_forcing_against_adaptive_quadrature(self):
         g = G32
@@ -441,7 +444,7 @@ class TestLinearEvolve:
                         disable_transport=True, diagnostics_every=100)
         out = simulate(cfg)
         (_, lin), = linear_evolve(w0, forcing, 1.0, [1.0])
-        err = sp.l2_norm(SpectralField(g, out.final.coeffs - lin.coeffs)) / sp.l2_norm(lin)
+        err = sp.l2_norm(SpectralField(g, out.final.band - lin.band)) / sp.l2_norm(lin)
         assert err <= 1e-10
 
 
@@ -450,7 +453,7 @@ class TestCompareRuns:
         g = G32
         cfg = RunConfig(grid=g, mu=1.0, t_end=0.2, dt=1e-2,
                         initial_condition=band_ic(g, 22), diagnostics_every=5)
-        zero = SpectralField(g, np.zeros(g.shape, complex))
+        zero = SpectralField(g, np.zeros(g.band_shape, complex))
         report = compare_runs(cfg, zero)
         assert np.all(report.e_delta == 0.0)
 
@@ -459,7 +462,7 @@ class TestCompareRuns:
         cfg = RunConfig(grid=g, mu=1.0, t_end=0.3, dt=5e-3,
                         initial_condition=band_ic(g, 23, 2.0), diagnostics_every=10)
         pert = band_ic(g, 24, 1e-6)
-        half = SpectralField(g, 0.5 * pert.coeffs)
+        half = SpectralField(g, 0.5 * pert.band)
         full_sup = max(compare_runs(cfg, pert).delta_h3)
         half_sup = max(compare_runs(cfg, half).delta_h3)
         assert full_sup / half_sup == pytest.approx(2.0, rel=0.1)
@@ -529,13 +532,13 @@ class TestEnsembleAxis:
         cfg = STACKED_CASES[case]()
         h = cfg.grid.n // 2
         solo = [prepare_state(cfg), SpectralField(
-            cfg.grid, prepare_state(cfg).coeffs + band_ic(cfg.grid, 36, 0.1, hi=5).coeffs)]
-        pair = np.stack([r.coeffs[:, :h] for r in solo])
+            cfg.grid, prepare_state(cfg).band + band_ic(cfg.grid, 36, 0.1, hi=5).band)]
+        pair = np.stack([r.band for r in solo])
         for i in range(cfg.n_steps):
             t = i * cfg.dt
             pair = step(pair, t, cfg)
             solo = [step(r, t, cfg) for r in solo]
-            for member, r in zip(sp.complete_band(pair), solo):
+            for member, r in zip(complete_band(pair), solo):
                 assert np.array_equal(member, r.coeffs)
         assert pair.shape == (2, cfg.grid.n, h)
 
@@ -548,11 +551,11 @@ class TestEnsembleAxis:
         report = compare_runs(cfg, perturbation)
 
         base = prepare_state(cfg)
-        pert = SpectralField(g, base.coeffs + sp.sanitize_band(perturbation).coeffs)
+        pert = SpectralField(g, base.band + sp.sanitize_band(perturbation).band)
         e_delta, delta_h3, rate = [], [], []
 
         def push(a, b):
-            delta = SpectralField(g, b.coeffs - a.coeffs)
+            delta = SpectralField(g, b.band - a.band)
             e_delta.append(diag.energy_first(delta))
             delta_h3.append(np.sqrt(diag.quadratic_forms(delta.band, g)[diag.H3_SQ]))
             rate.append(_grad_l4_fourth(a.band, g))
@@ -576,9 +579,8 @@ class TestEnsembleAxis:
         calm = band_ic(cfg.grid, 40, 0.1)
         members = [calm, calm]
         members[bad] = doomed
-        h = cfg.grid.n // 2
         with pytest.raises(SimulationAbort) as info:
-            step(np.stack([r.coeffs[:, :h] for r in members]), t, cfg)
+            step(np.stack([r.band for r in members]), t, cfg)
         assert info.value.t == t + cfg.dt
         assert np.array_equal(info.value.last_good.coeffs, doomed.coeffs)
 
@@ -625,24 +627,23 @@ class TestRunConstants:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.dt = 2e-2
         assert prepare_state(cfg) is prepare_state(cfg)
-        arrays = [prepare_state(cfg).coeffs, cfg.d_block, *cfg.exp_factors, cfg.galerkin_block,
-                  *cfg.sigma_weights]
+        arrays = [prepare_state(cfg).band, prepare_state(cfg).coeffs, *cfg.exp_factors,
+                  cfg.galerkin_block, *cfg.sigma_weights]
         assert not any(arr.flags.writeable for arr in arrays)
         assert stacked_config(G32).galerkin_block is None
 
     def test_constants_match_the_grid_table(self):
         cfg = stacked_config(G24_TWO_THIRDS, galerkin_cut=20.0)
-        mt, h = multiplier_table(cfg.grid), cfg.grid.n // 2
-        e_half = np.exp(-cfg.mu * mt.h[:, :h] * (0.5 * cfg.dt))
-        assert np.array_equal(cfg.d_block, mt.d[:, :h])
+        mt = multiplier_table(cfg.grid)
+        e_half = np.exp(-cfg.mu * mt.h * (0.5 * cfg.dt))
         assert np.array_equal(cfg.exp_factors[0], e_half)
         assert np.array_equal(cfg.exp_factors[1], e_half * e_half)
-        assert np.array_equal(cfg.galerkin_block, (mt.q[:, :h] <= 20.0).astype(float))
+        assert np.array_equal(cfg.galerkin_block, (mt.q <= 20.0).astype(float))
 
     def test_sigma_weights_built_once_per_run(self):
         cfg = stacked_config(G32, sigma_list=(1.0, 2.5))
         assert cfg.sigma_weights is cfg.sigma_weights
-        q = multiplier_table(cfg.grid).q[:, :cfg.grid.n // 2]
+        q = multiplier_table(cfg.grid).q
         y = diag._weights(cfg.grid)[0][diag.Y]
         for s, w in zip(cfg.sigma_list, cfg.sigma_weights):
             assert np.array_equal(w, (1.0 + q) ** s * y)
@@ -655,34 +656,40 @@ class TestBandState:
     """A run's state stays a band block from its prepared datum to its
     outputs."""
 
-    def test_full_arrays_only_at_the_output_edge(self, monkeypatch):
+    def test_full_arrays_only_at_the_output_edge(self, monkeypatch, tmp_path):
         calls = []
 
         def counting(block):
             calls.append(block.shape)
-            return sp.complete_band(block)
+            return complete_band(block)
 
-        monkeypatch.setattr(evolution, "complete_band", counting)
+        monkeypatch.setattr(grid_module, "complete_band", counting)
         cfg = stacked_config(G32, t_end=0.12, snapshot_every=2, forcing=forcing_for(G32))
         out = simulate(cfg)
-        # the prepared datum, then 12 steps recorded every 3: 5 records,
-        # snapshots at records 0, 2 and 4, and the final state
+        # 12 steps recorded every 3: 5 records, snapshots at records 0, 2 and 4
         assert [t for t, _ in out.snapshots] == [0.0, 6 * cfg.dt, 12 * cfg.dt]
-        assert calls == [(32, 16)] * 5
-        calls.clear()
+        assert calls == []
         compare_runs(cfg, band_ic(G32, 43, 1e-4))
         assert calls == []
+        # one completion per file written
+        for k, (t, field) in enumerate(out.snapshots + [(cfg.t_end, out.final)]):
+            write_snapshot(tmp_path / f"snap_{k}.qgk", field, t)
+        assert calls == [(32, 16)] * 4
 
     @pytest.mark.parametrize("kind", ["separable", "tabulated"])
     def test_every_state_is_its_band_block(self, kind, tmp_path):
-        # a datum the snapshot reader accepts: Hermitian only to 1e-13 of its
-        # largest coefficient, the asymmetry in a column outside the band block
+        # a datum file the snapshot reader accepts: Hermitian only to 1e-13 of
+        # its largest coefficient, the asymmetry in a column outside the band
+        # block, which the reader drops
         g = GridSpec(16, 2 * np.pi)
-        w0 = band_ic(g, 44, hi=4)
-        w0.coeffs[2, -1] += 1e-13 * np.max(np.abs(w0.coeffs))
-        write_snapshot(tmp_path / "w0.qgk", w0, 0.0)
-        w0, _ = read_snapshot(tmp_path / "w0.qgk")
-        assert hermitian_defect(w0) > 0.0
+        full = band_ic(g, 44, hi=4).coeffs.copy()
+        full[2, -1] += 1e-13 * np.max(np.abs(full))
+        assert hermitian_defect(full) > 0.0
+        path = tmp_path / "w0.qgk"
+        path.write_bytes(struct.pack("<4sIIdd", b"QGK1", 1, g.n, g.box_length, 0.0)
+                         + np.fft.fftshift(full).astype("<c16").tobytes())
+        w0, _ = read_snapshot(path)
+        assert np.array_equal(w0.band, full[:, :g.n // 2])
         forcing = forcing_for(g) if kind == "separable" else tabulated_forcing(g)
         cfg = RunConfig(grid=g, mu=1.0, t_end=0.04, dt=1e-2, initial_condition=w0,
                         forcing=forcing, diagnostics_every=2, snapshot_every=1)
@@ -690,7 +697,7 @@ class TestBandState:
         snaps = simulate(cfg).snapshots
         assert [t for t, _ in snaps] == [0.0, 0.02, 0.04]
         for _, field in states + snaps + linear_series(cfg, [0.0, 0.5, 1.0])[0]:
-            assert np.array_equal(field.coeffs, sp.complete_band(field.band))
+            assert np.array_equal(field.coeffs, complete_band(field.band))
         assert np.array_equal(snaps[0][1].coeffs, prepare_state(cfg).coeffs)
 
 

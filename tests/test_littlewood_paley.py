@@ -34,7 +34,7 @@ class TestPartition:
         assert np.all(np.diff(fine) <= 1e-15)
 
     def test_partition_of_unity(self, g, partition):
-        total = np.zeros(g.shape)
+        total = np.zeros(g.band_shape)
         for j in partition.block_range():
             total += partition.weights[j + 1]
         keep = multiplier_table(g).keep.astype(bool)
@@ -68,10 +68,10 @@ class TestPartition:
 class TestBlocks:
     def test_reconstruction(self, g, partition):
         u = rand(g, 2)
-        total = np.zeros(g.shape, complex)
+        total = np.zeros(g.band_shape, complex)
         for j in partition.block_range():
-            total += lp.dyadic_block(partition, u, j).coeffs
-        err = sp.l2_norm(SpectralField(g, total - u.coeffs)) / sp.l2_norm(u)
+            total += lp.dyadic_block(partition, u, j).band
+        err = sp.l2_norm(SpectralField(g, total - u.band)) / sp.l2_norm(u)
         assert err <= 1e-12
 
     def test_almost_orthogonality(self, g, partition):
@@ -97,15 +97,15 @@ class TestBlocks:
         u = rand(g, 4)
         for j in range(0, 4):
             s = lp.low_cut(partition, u, j)
-            acc = np.zeros(g.shape, complex)
+            acc = np.zeros(g.band_shape, complex)
             for k in range(-1, j):
-                acc += lp.dyadic_block(partition, u, k).coeffs
-            assert np.max(np.abs(s.coeffs - acc)) <= 1e-14
+                acc += lp.dyadic_block(partition, u, k).band
+            assert np.max(np.abs(s.band - acc)) <= 1e-14
 
 
 class TestBesov:
     def test_zero_field(self, g, partition):
-        zero = SpectralField(g, np.zeros(g.shape, complex))
+        zero = SpectralField(g, np.zeros(g.band_shape, complex))
         assert lp.besov_norm(partition, zero, 1.5) == 0.0
 
     @pytest.mark.parametrize("s", [0.0, 1.0, 2.0, 3.0])
@@ -127,27 +127,27 @@ class TestBesov:
 class TestBony:
     def test_reconstruction_random(self, g, partition):
         u, v = rand(g, 9, hi=20), rand(g, 10, hi=20)
-        total = (lp.paraproduct(partition, u, v).coeffs
-                 + lp.paraproduct(partition, v, u).coeffs
-                 + lp.remainder(partition, u, v).coeffs)
+        total = (lp.paraproduct(partition, u, v).band
+                 + lp.paraproduct(partition, v, u).band
+                 + lp.remainder(partition, u, v).band)
         ref = sp.dealiased_product(u, v)
-        err = sp.l2_norm(SpectralField(g, total - ref.coeffs)) / sp.l2_norm(ref)
+        err = sp.l2_norm(SpectralField(g, total - ref.band)) / sp.l2_norm(ref)
         assert err <= 1e-12
 
     def test_constant_first_factor(self, g, partition):
-        const = SpectralField(g, np.zeros(g.shape, complex))
-        const.coeffs[0, 0] = 3.0
+        const = SpectralField(g, np.zeros(g.band_shape, complex))
+        const.band[0, 0] = 3.0
         v = rand(g, 11)
         tv = lp.paraproduct(partition, const, v)
         # T_const v = const * (blocks j >= 1 of v)
-        high = np.zeros(g.shape, complex)
+        high = np.zeros(g.band_shape, complex)
         for j in range(1, partition.j_max + 1):
-            high += lp.dyadic_block(partition, v, j).coeffs
-        assert np.max(np.abs(tv.coeffs - 3.0 * high)) <= 1e-12 * np.max(np.abs(high))
+            high += lp.dyadic_block(partition, v, j).band
+        assert np.max(np.abs(tv.band - 3.0 * high)) <= 1e-12 * np.max(np.abs(high))
         # reconstruction still exact
-        total = (tv.coeffs + lp.paraproduct(partition, v, const).coeffs
-                 + lp.remainder(partition, const, v).coeffs)
-        ref = 3.0 * v.coeffs
+        total = (tv.band + lp.paraproduct(partition, v, const).band
+                 + lp.remainder(partition, const, v).band)
+        ref = 3.0 * v.band
         assert np.max(np.abs(total - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_low_mode_second_factor_gives_zero(self, g, partition):
@@ -166,8 +166,8 @@ class TestBony:
             dv = lp.dyadic_block(partition, v, j)
             term = sp.dealiased_product(su, dv)
             outside = rho > 2.5 * 2.0 ** j
-            scale = np.max(np.abs(term.coeffs))
-            assert np.max(np.abs(term.coeffs[outside])) <= 1e-14 * scale
+            scale = np.max(np.abs(term.band))
+            assert np.max(np.abs(term.band[outside])) <= 1e-14 * scale
 
 
 class TestBernstein:
@@ -190,7 +190,7 @@ class TestBernstein:
                 assert lo <= r <= hi
 
     def test_zero_block_signals_nan(self, g, partition):
-        zero = SpectralField(g, np.zeros(g.shape, complex))
+        zero = SpectralField(g, np.zeros(g.band_shape, complex))
         assert np.isnan(lp.bernstein_ratio(partition, zero, 2, 1))
 
 

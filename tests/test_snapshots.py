@@ -77,16 +77,18 @@ def test_bad_version_rejected(tmp_path):
 
 def test_hermitian_violation_rejected(tmp_path):
     u = field(seed=4)
-    u.coeffs[1, 2] += 0.5  # break the symmetry on purpose
+    coeffs = u.coeffs.copy()
+    coeffs[1, 2] += 0.5  # break the symmetry on purpose
     path = tmp_path / "state.qgk"
-    write_snapshot(path, u, 0.0)
+    path.write_bytes(struct.pack("<4sIIdd", MAGIC, 1, u.grid.n, u.grid.box_length, 0.0)
+                     + np.fft.fftshift(coeffs).astype("<c16").tobytes())
     with pytest.raises(SnapshotError, match="Hermitian"):
         read_snapshot(path)
 
 
 def test_nonfinite_rejected(tmp_path):
     u = field(seed=5)
-    u.coeffs[2, 2] = np.nan
+    u.band[2, 2] = np.nan
     path = tmp_path / "state.qgk"
     write_snapshot(path, u, 0.0)
     with pytest.raises(SnapshotError, match="finite"):
@@ -167,3 +169,13 @@ def test_read_on_grid_keeps_the_grid_and_checks_n_and_l(tmp_path):
     for other in (GridSpec(32, 2.5), GridSpec(16, 2.0)):
         with pytest.raises(SnapshotError, match="does not match the config grid"):
             read_on_grid(path, other)
+
+
+def test_missing_output_directory_is_named(tmp_path):
+    target = tmp_path / "nodir" / "x.csv"
+    with pytest.raises(FileNotFoundError) as info:
+        write_csv(target, ["a"], [[1.0]])
+    message = str(info.value)
+    assert str(target) in message and str(tmp_path / "nodir") in message
+    assert ".tmp" not in message
+    assert list(tmp_path.iterdir()) == []

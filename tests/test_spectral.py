@@ -9,6 +9,7 @@ from qgk.grid import (
     GridSpec,
     RealField,
     SpectralField,
+    complete_band,
     hermitian_defect,
     multiplier_table,
 )
@@ -42,6 +43,35 @@ class TestGridSpec:
         assert q[0, 0] == 0.0
 
 
+class TestSpectralField:
+    def test_rejects_a_full_array(self):
+        g = grid(16)
+        with pytest.raises(ValueError):
+            SpectralField(g, np.zeros(g.shape, complex))
+        with pytest.raises(ValueError):
+            SpectralField(g, np.zeros((2,) + g.band_shape, complex))
+
+    def test_coeffs_is_the_read_only_completion(self):
+        g = grid(16)
+        u = rand(g, 5)
+        assert np.array_equal(u.coeffs, complete_band(u.band))
+        assert hermitian_defect(u.coeffs) == 0.0
+        with pytest.raises(ValueError):
+            u.coeffs[1, 1] = 0.0
+        with pytest.raises(AttributeError):
+            u.coeffs = np.zeros(g.shape, complex)
+
+    def test_tables_are_band_blocks(self):
+        g = grid(16)
+        mt = multiplier_table(g)
+        for name in ("k1", "k2", "q", "keep", "mirror", "a", "d", "h", "ixi1", "ixi2",
+                     "bilap", "one_minus_lap", "lap", "two_thirds"):
+            assert getattr(mt, name).shape == g.band_shape, name
+        assert np.array_equal(mt.keep[g.n // 2], np.zeros(g.n // 2))
+        assert np.all(np.delete(mt.keep, g.n // 2, axis=0) == 1.0)
+        assert np.all(mt.mirror[:, 0] == 1.0) and np.all(mt.mirror[:, 1:] == 2.0)
+
+
 class TestTransforms:
     def test_constant_field_dc_mode(self):
         g = grid()
@@ -70,13 +100,32 @@ class TestTransforms:
         assert err < 1e-13
 
     def test_round_trip_with_nyquist_content(self):
-        # arbitrary sampled data (Nyquist included) must round-trip exactly
+        # sampled data with Nyquist-row content and an empty Nyquist column
+        # round-trip exactly
         g = grid(16)
+        h = g.n // 2
         rng = np.random.default_rng(7)
-        f = RealField(g, rng.standard_normal(g.shape))
+        c = np.fft.fft2(rng.standard_normal(g.shape))
+        c[:, h] = 0.0
+        assert np.max(np.abs(c[h])) > 1.0
+        f = RealField(g, np.fft.ifft2(c).real)
         back = sp.inverse_transform(sp.forward_transform(f))
         err = np.max(np.abs(back.samples - f.samples)) / np.max(np.abs(f.samples))
         assert err < 1e-13
+
+    def test_forward_transform_drops_the_nyquist_column(self):
+        g = grid(16)
+        n, h = g.n, g.n // 2
+        raw = np.random.default_rng(8).standard_normal(g.shape)
+        full = np.fft.fft2(raw) / (n * n)
+        u = sp.forward_transform(RealField(g, raw))
+        assert np.max(np.abs(u.band - full[:, :h])) <= 1e-15 * np.max(np.abs(full))
+        column = np.zeros(g.shape, complex)
+        column[:, h] = full[:, h]
+        dropped = np.fft.ifft2(column).real * (n * n)
+        assert np.max(np.abs(dropped)) > 0.1
+        back = sp.inverse_transform(u).samples
+        assert np.max(np.abs(back - (raw - dropped))) <= 1e-13 * np.max(np.abs(raw))
 
     def test_parseval(self):
         g = grid(32, L=3.0)
@@ -168,7 +217,7 @@ class TestDerivatives:
 
     def test_nyquist_zeroed(self):
         g = grid(16)
-        coeffs = np.zeros(g.shape, complex)
+        coeffs = np.zeros(g.band_shape, complex)
         coeffs[g.n // 2, 0] = 1.0  # pure Nyquist content
         u = SpectralField(g, coeffs)
         for op in (sp.gradient, sp.perp_gradient):
@@ -235,8 +284,8 @@ class TestDealiasedProduct:
     def test_product_with_constant(self):
         g = grid(16)
         u = rand(g, 13)
-        one = SpectralField(g, np.zeros(g.shape, complex))
-        one.coeffs[0, 0] = 1.0
+        one = SpectralField(g, np.zeros(g.band_shape, complex))
+        one.band[0, 0] = 1.0
         prod = sp.dealiased_product(u, one)
         assert np.max(np.abs(prod.coeffs - u.coeffs)) < 1e-14
 
@@ -255,7 +304,7 @@ class TestDealiasedProduct:
         g = grid(16)
         u = rand(g, 300, hi=7)
         v = rand(g, 301, hi=7)
-        u.coeffs += rand(g, 302, hi=7).coeffs * 1e-1
+        u.band += rand(g, 302, hi=7).band * 1e-1
         prod = sp.dealiased_product(u, v)
         ref = brute_force_convolution(u, v)
         assert np.max(np.abs(prod.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -264,9 +313,9 @@ class TestDealiasedProduct:
         g = grid(16)
         u, v, w = rand(g, 14), rand(g, 15), rand(g, 16)
         left = sp.dealiased_product(
-            SpectralField(g, 2.0 * u.coeffs + 3.0 * v.coeffs), w)
+            SpectralField(g, 2.0 * u.band + 3.0 * v.band), w)
         right = SpectralField(
-            g, 2.0 * sp.dealiased_product(u, w).coeffs + 3.0 * sp.dealiased_product(v, w).coeffs)
+            g, 2.0 * sp.dealiased_product(u, w).band + 3.0 * sp.dealiased_product(v, w).band)
         assert np.max(np.abs(left.coeffs - right.coeffs)) <= 1e-12 * np.max(np.abs(left.coeffs))
         ab = sp.dealiased_product(u, v)
         ba = sp.dealiased_product(v, u)
@@ -281,7 +330,7 @@ class TestDealiasedProduct:
     def test_hermitian_preserved(self):
         g = grid(32)
         prod = sp.dealiased_product(rand(g, 19), rand(g, 20))
-        assert hermitian_defect(prod) < 1e-15
+        assert hermitian_defect(prod.coeffs) < 1e-15
 
 
 def full_band_field(g: GridSpec, seed: int) -> SpectralField:
@@ -290,8 +339,8 @@ def full_band_field(g: GridSpec, seed: int) -> SpectralField:
     c = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     flip = (-np.arange(g.n)) % g.n
     c = 0.5 * (c + np.conj(c[np.ix_(flip, flip)]))
-    c[multiplier_table(g).nyquist] = 0.0
-    return SpectralField(g, c)
+    c[g.n // 2, :] = c[:, g.n // 2] = 0.0
+    return SpectralField(g, c[:, :g.n // 2])
 
 
 def relative_error(got: np.ndarray, ref: np.ndarray) -> float:
@@ -317,8 +366,9 @@ class TestBandKernel:
         rho, zeta = full_band_field(g, 60 + n), full_band_field(g, 70 + n)
         u1, u2 = bl.velocity(rho)
         b = sp.bilaplacian(zeta)
-        ref = sp.divergence(SpectralField(g, brute_force_convolution(u1, b)),
-                            SpectralField(g, brute_force_convolution(u2, b))).coeffs
+        h = g.n // 2
+        ref = sp.divergence(SpectralField(g, brute_force_convolution(u1, b)[:, :h]),
+                            SpectralField(g, brute_force_convolution(u2, b)[:, :h])).coeffs
         assert relative_error(bl.transport(rho, zeta).coeffs, ref) <= 1e-14
 
     @pytest.mark.parametrize("n", [8, 12, 18, 24])
@@ -327,7 +377,8 @@ class TestBandKernel:
         u, v = full_band_field(g, 80 + n), full_band_field(g, 90 + n)
         k1 = np.fft.fftfreq(n, 1.0 / n)
         cut = (np.abs(k1)[:, None] <= n // 3) & (np.abs(k1)[None, :] <= n // 3)
-        ut, vt = SpectralField(g, u.coeffs * cut), SpectralField(g, v.coeffs * cut)
+        block = cut[:, :n // 2]
+        ut, vt = SpectralField(g, u.band * block), SpectralField(g, v.band * block)
         exact = brute_force_convolution(ut, vt) * cut
         err = relative_error(sp.dealiased_product(u, v).coeffs, exact)
         if n % 3 == 0:
@@ -339,12 +390,12 @@ class TestBandKernel:
         g = grid(24)
         a, b = full_band_field(g, 1), full_band_field(g, 2)
         first = bl.transport(a, a)
-        kept = first.coeffs.copy()
+        kept = first.band.copy()
         bl.transport(b, b)
         third = bl.transport(a, a)
-        assert np.array_equal(third.coeffs, kept)
-        assert np.array_equal(first.coeffs, kept)
-        assert not np.shares_memory(first.coeffs, third.coeffs)
+        assert np.array_equal(third.band, kept)
+        assert np.array_equal(first.band, kept)
+        assert not np.shares_memory(first.band, third.band)
 
 
 def scipy_band_samples(block, m):
@@ -380,11 +431,10 @@ def scipy_band_product(g, pairs):
 
 
 def scipy_transport(rho, zeta, g):
-    h = g.n // 2
     mt = multiplier_table(g)
-    ixi1, ixi2 = mt.ixi1[:, :h], mt.ixi2[:, :h]
-    a = rho * mt.one_minus_lap[:, :h]
-    b = zeta * mt.bilap[:, :h]
+    ixi1, ixi2 = mt.ixi1, mt.ixi2
+    a = rho * mt.one_minus_lap
+    b = zeta * mt.bilap
     lam = scipy_band_product(g, ((-a * ixi2, b * ixi1), (a * ixi1, b * ixi2)))
     lam[..., 0, 0] = 0.0
     return lam
@@ -404,7 +454,7 @@ class TestNumpyRoute:
         g = grid(n, L=5.0, dealias=dealias)
         h = n // 2
         seeds = np.arange(2 * int(np.prod(stack))).reshape(2, -1) + 7 * n
-        rho, zeta = (np.stack([full_band_field(g, int(k)).coeffs[:, :h] for k in row])
+        rho, zeta = (np.stack([full_band_field(g, int(k)).band for k in row])
                      .reshape(stack + (n, h)) for row in seeds)
         for m in (n, 3 * n // 2):
             assert np.array_equal(sp.band_samples(rho, m), scipy_band_samples(rho, m))
@@ -449,17 +499,18 @@ class TestRandomFields:
         k1, k2 = multiplier_table(g).k1, multiplier_table(g).k2
         kk = np.hypot(k1, k2)
         outside = (kk < 3) | (kk > 8)
-        assert np.all(u.coeffs[outside] == 0.0)
+        assert np.all(u.band[outside] == 0.0)
 
     def test_hermitian_exact(self):
         g = grid(48)
         u = sp.random_exponential_field(g, 3, 1.0, 0.4)
-        assert hermitian_defect(u) == 0.0
+        assert hermitian_defect(u.coeffs) == 0.0
 
     def test_nyquist_free(self):
         g = grid(16)
         u = sp.random_band_field(g, 4, 1.0, 3.0, 1, 8)
-        assert np.all(u.coeffs[multiplier_table(g).nyquist] == 0.0)
+        assert np.all(u.coeffs[g.n // 2] == 0.0)
+        assert np.all(u.coeffs[:, g.n // 2] == 0.0)
 
 
 class TestOperatorAlgebra:

@@ -36,7 +36,14 @@ from .evolution import (
 )
 from .grid import SpectralField, hermitian_defect, multiplier_table
 from .quadrature import QuadratureError
-from .snapshots import SnapshotError, atomic_output, read_on_grid, read_snapshot, write_snapshot
+from .snapshots import (
+    SnapshotError,
+    atomic_output,
+    read_on_grid,
+    read_snapshot,
+    require_directory,
+    write_snapshot,
+)
 from .spectral import (
     apply_multiplier,
     cosine_field,
@@ -126,6 +133,10 @@ def dispatch(argv) -> int:
         "lp-spectrum": _cmd_lp_spectrum,
     }[args.command]
     try:
+        # --out of every command but run and linear names a file: a missing
+        # directory fails here, not after the compute
+        if args.command not in ("run", "linear") and args.out:
+            require_directory(args.out)
         return handler(args)
     except (ConfigError, SnapshotError, FileNotFoundError, ValueError) as exc:
         print(f"qgk: error: {exc}", file=sys.stderr)
@@ -383,6 +394,9 @@ def _invariant_checks(cfg: RunConfig, seed: int):
     exact = np.exp(-h * cfg1.t_end)
     err = l2_norm(SpectralField(grid, result.final.band - exact * single.band)) / l2_norm(single)
     yield ("single_mode_exactness", err, 1e-12)
+    # complete_band copies the k2 = 0 column and the mean of the band block as
+    # they are, so this measures c(-k1, 0) = conj c(k1, 0) on that column and
+    # a real mean: the only symmetry the block does not hold by construction
     yield ("hermitian_after_run", hermitian_defect(result.final.coeffs), 1e-13)
 
 

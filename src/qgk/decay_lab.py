@@ -110,25 +110,6 @@ def parse_profile(text: str) -> RadialProfile:
     raise ValueError(f"unknown radial profile {text!r}")
 
 
-def _decay_radius(mu: float, t: float, log_cut: float = 709.0) -> float:
-    """Radius where mu t h(rho) reaches log_cut (integrand underflow)."""
-    if mu * t <= 0.0:
-        return np.inf
-    from scipy.optimize import brentq
-
-    target = log_cut / (mu * t)
-    lo, hi = 0.0, 1.0
-    while h_of(hi) < target:
-        hi *= 2.0
-        if hi > 1e12:
-            return np.inf
-    return float(brentq(lambda r: h_of(r) - target, lo, hi, xtol=1e-12, rtol=1e-12))
-
-
-def _upper_limit(profile: RadialProfile, mu: float, t: float) -> float:
-    return float(min(profile.edges[-1], _decay_radius(mu, t)))
-
-
 def moment_integral(profile: RadialProfile, k: int, mu: float, t: float) -> float:
     """M_k(t) on the radial panels; agrees with adaptive quadrature to 1e-13
     relative (tests/test_decay_lab.py)."""
@@ -142,17 +123,6 @@ def moment_integral(profile: RadialProfile, k: int, mu: float, t: float) -> floa
     if not np.isfinite(out):
         raise QuadratureError("moment_integral returned a non-finite value")
     return out
-
-
-def moment_integral_simpson(profile: RadialProfile, k: int, mu: float, t: float,
-                            num: int = 40001) -> float:
-    """Fixed-step Simpson cross-oracle for the same moment."""
-    from scipy.integrate import simpson
-
-    upper = _upper_limit(profile, mu, t)
-    rho = np.linspace(0.0, upper, num)
-    y = np.exp(-mu * t * h_of(rho)) * rho ** (k + 1) * profile(rho)
-    return 2.0 * np.pi * float(simpson(y, x=rho))
 
 
 def duhamel_moment(profile_f: RadialProfile, k: int, mu: float, eta: float,

@@ -12,9 +12,7 @@ the algebraic factor on the unit scale near s = t.  Panels refine
 geometrically from both endpoints, which resolves each factor to better
 than 1e-12 relative, uniformly in lam; the evaluation is vectorized over an
 array of rates.  The radial moments of `qgk.decay_lab` use the same rule on
-their own radial panels.  A scipy adaptive reference
-(`duhamel_time_factor_quad`) backs the tests; no other code here needs
-scipy.
+their own radial panels.
 """
 
 from __future__ import annotations
@@ -78,23 +76,6 @@ def duhamel_time_factor(lam, t: float, eta: float) -> np.ndarray:
         bad = np.nonzero(~np.isfinite(out))[0]
         raise QuadratureError(f"Duhamel factor non-finite for rates at indices {bad[:5]}")
     return out
-
-
-def duhamel_time_factor_quad(lam: float, t: float, eta: float, epsrel: float = 1e-12) -> float:
-    """Adaptive scipy reference for a single rate (used as a cross-oracle)."""
-    from scipy.integrate import quad
-
-    if t == 0.0:
-        return 0.0
-
-    def integrand(s):
-        return np.exp(-lam * s) * (1.0 + t - s) ** (-1.0 - eta)
-
-    pts = [p for p in _panel_points(t, max(lam, 0.0))[1:-1]]
-    val, err = quad(integrand, 0.0, t, epsrel=epsrel, limit=400, points=pts or None)
-    if not np.isfinite(val) or err > max(abs(val), 1e-300) * 1e-6:
-        raise QuadratureError(f"adaptive Duhamel quadrature failed: value={val}, err={err}")
-    return val
 
 
 def linear_segment_factor(lam, width: float):

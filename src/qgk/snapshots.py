@@ -41,15 +41,20 @@ class SnapshotError(ValueError):
     """Malformed or inconsistent snapshot file."""
 
 
+def require_directory(path) -> None:
+    """Raise FileNotFoundError unless the directory that would hold ``path`` exists."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"cannot write {os.fspath(path)}: "
+                                f"no directory {directory}")
+
+
 @contextmanager
 def atomic_output(path, mode: str = "w", **open_kwargs):
     """Open a temporary file beside ``path`` for writing and move it onto
     ``path`` with os.replace once the block completes; if the block raises,
     the temporary file is removed and ``path`` is left as it was."""
-    directory = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(directory):
-        raise FileNotFoundError(f"cannot write {os.fspath(path)}: "
-                                f"no directory {directory}")
+    require_directory(path)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **open_kwargs) as fh:

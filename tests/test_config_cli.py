@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from qgk import cli
+from qgk import cli, decay_lab
 from qgk import diagnostics as diag
 from qgk.cli import dispatch
 from qgk.config import ConfigError, manifest_from_values, parse_config, resolve_run_config
@@ -240,13 +240,29 @@ class TestDispatch:
         summary = json.loads((tmp_path / "decay.csv.summary.json").read_text())
         assert summary["M0"]["slope"] == pytest.approx(-0.5, abs=0.05)
 
-    def test_missing_output_directory_exit_code(self, tmp_path, capsys):
+    def test_missing_output_directory_exit_code(self, tmp_path, monkeypatch, capsys):
         cfg = write_cfg(tmp_path, SMALL_RUN)
         missing = tmp_path / "nodir"
-        for argv in (["decay", "--window", "1e2,1e3", "--samples", "8"],
-                     ["invariants", "--config", cfg]):
+        run = str(tmp_path / "run")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("compute started before the output directory was checked")
+
+        # each command with the function that does its compute
+        commands = [
+            (["decay", "--window", "1e2,1e3", "--samples", "8"], decay_lab, "decay_series"),
+            (["invariants", "--config", cfg], cli, "_invariant_checks"),
+            (["stability", "--config", cfg, "--perturb", str(tmp_path / "p.qgk")],
+             cli, "compare_runs"),
+            (["compare", "--run-a", run, "--run-b", run, "--eta", "0.5"], diag, "compare_h3"),
+            (["convergence", "--config", cfg, "--dts", "2e-3,1e-3"], cli, "simulate"),
+            (["lp-spectrum", "--config", cfg], cli, "prepare_state"),
+        ]
+        for argv, module, compute in commands:
             target = missing / "x.csv"
-            assert dispatch(argv + ["--out", str(target)]) == 1
+            with monkeypatch.context() as m:
+                m.setattr(module, compute, no_work)
+                assert dispatch(argv + ["--out", str(target)]) == 1
             err = capsys.readouterr().err
             assert f"cannot write {target}: no directory {missing}" in err
             assert ".tmp" not in err
@@ -273,6 +289,24 @@ class TestDispatch:
         assert code == 0
         assert "FAIL" not in captured
         assert "pairing_first" in captured
+
+    def test_hermitian_after_run_fails_on_an_asymmetric_k2_zero_column(self, tmp_path,
+                                                                        monkeypatch, capsys):
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        simulate = cli.simulate
+
+        def asymmetric(run_cfg):
+            result = simulate(run_cfg)
+            # c(-1, 0) no longer the conjugate of c(1, 0)
+            result.final.band[1, 0] += 1e-3
+            return result
+
+        monkeypatch.setattr(cli, "simulate", asymmetric)
+        assert dispatch(["invariants", "--config", cfg]) == 1
+        rows = {line.split()[0]: line.split()[-1]
+                for line in capsys.readouterr().out.splitlines()[1:]}
+        assert rows["hermitian_after_run"] == "FAIL"
+        assert rows["pairing_first"] == "PASS"
 
     def test_convergence_subcommand(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_RUN)

@@ -6,12 +6,8 @@ from scipy.integrate import quad
 
 from qgk import decay_lab as dl
 from qgk.diagnostics import bounded_non_increasing
-from qgk.quadrature import (
-    QuadratureError,
-    duhamel_time_factor,
-    duhamel_time_factor_quad,
-    ols_loglog,
-)
+from qgk.quadrature import QuadratureError, duhamel_time_factor, ols_loglog
+from scipy_oracles import duhamel_time_factor_quad, moment_integral_simpson, upper_limit
 
 KNOTS = np.arange(0.0, 4.01, 0.5)
 
@@ -30,7 +26,7 @@ def adaptive_moment(profile, k, mu, t):
     """M_k(t) by scipy's adaptive quad up to the decay radius, with the
     concentration peak of rho^(k+1) e^{-mu t rho^4} and the profile's inner
     edges as break points: the oracle for the panel rule."""
-    upper = dl._upper_limit(profile, mu, t)
+    upper = upper_limit(profile, mu, t)
 
     def integrand(rho):
         return np.exp(-mu * t * dl.h_of(rho)) * rho ** (k + 1) * profile(rho)
@@ -108,7 +104,7 @@ class TestMomentIntegral:
         prof = dl.gaussian_profile(1.0)
         for k, t in ((0, 1.0), (1, 100.0), (3, 1e4)):
             a = dl.moment_integral(prof, k, 1.0, t)
-            b = dl.moment_integral_simpson(prof, k, 1.0, t)
+            b = moment_integral_simpson(prof, k, 1.0, t)
             assert a == pytest.approx(b, rel=1e-7)
 
     def test_compact_indicator_slope_minus_half(self):

@@ -35,6 +35,7 @@ from qgk.evolution import (
     tendency,
     _grad_l4_fourth,
 )
+from scipy_oracles import duhamel_time_factor_quad
 
 
 G64 = GridSpec(64, 2 * np.pi)
@@ -426,8 +427,6 @@ class TestLinearEvolve:
         t = 3.7
         (_, field), = linear_evolve(w0, forcing, 1.3, [t])
         mt = multiplier_table(g)
-        from qgk.quadrature import duhamel_time_factor_quad
-
         for idx in ((1, 0), (2, 3), (5, 1)):
             lam = 1.3 * mt.h[idx]
             factor = duhamel_time_factor_quad(lam, t, 0.6)

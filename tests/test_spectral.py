@@ -1,5 +1,12 @@
 """Tests for grids, transforms, multipliers, derivatives and products."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -387,15 +394,17 @@ class TestBandKernel:
             assert err <= 1e-14
 
     def test_no_state_carried_between_calls(self):
-        g = grid(24)
-        a, b = full_band_field(g, 1), full_band_field(g, 2)
-        first = bl.transport(a, a)
-        kept = first.band.copy()
-        bl.transport(b, b)
-        third = bl.transport(a, a)
-        assert np.array_equal(third.band, kept)
-        assert np.array_equal(first.band, kept)
-        assert not np.shares_memory(first.band, third.band)
+        # 256: the pair threads' held buffers carry nothing either
+        for n in (24, 256):
+            g = grid(n)
+            a, b = full_band_field(g, 1), full_band_field(g, 2)
+            first = bl.transport(a, a)
+            kept = first.band.copy()
+            bl.transport(b, b)
+            third = bl.transport(a, a)
+            assert np.array_equal(third.band, kept)
+            assert np.array_equal(first.band, kept)
+            assert not np.shares_memory(first.band, third.band)
 
 
 def scipy_band_samples(block, m):
@@ -461,6 +470,142 @@ class TestNumpyRoute:
         pairs = ((rho, zeta), (zeta, rho * 0.5))
         assert np.array_equal(sp.band_product(g, pairs), scipy_band_product(g, pairs))
         assert np.array_equal(bl.transport(rho, zeta, g), scipy_transport(rho, zeta, g))
+
+
+@pytest.fixture
+def pair_pool(monkeypatch):
+    """A fresh pair pool in place of the process's, shut down afterwards."""
+    pool = sp._PairPool()
+    monkeypatch.setattr(sp, "_PAIRS", pool)
+    yield pool
+    if pool.executor is not None:
+        pool.executor.shutdown(wait=True)
+
+
+def set_cpus(monkeypatch, count):
+    monkeypatch.setattr(sp.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def pair_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("qgk-pair")]
+
+
+def stacked_fields(g, seed, stack=()):
+    k = int(np.prod(stack))
+    return np.stack([full_band_field(g, seed + i).band for i in range(k)]).reshape(
+        stack + (g.n, g.n // 2))
+
+
+class TestPairPool:
+    """Two-pair products on large grids run their pairs on two threads; the
+    result is the serial loop's to the bit, whatever the core count."""
+
+    CASES = [(256, "three_halves_padding", ()), (256, "three_halves_padding", (2,)),
+             (258, "two_thirds_truncation", ())]
+
+    @pytest.mark.parametrize("n, dealias, stack", CASES)
+    def test_pooled_equals_serial(self, n, dealias, stack, pair_pool, monkeypatch):
+        g = grid(n, L=5.0, dealias=dealias)
+        rho, zeta = stacked_fields(g, 3 * n, stack), stacked_fields(g, 5 * n, stack)
+        pairs = ((rho, zeta), (zeta, rho * 0.5))
+        set_cpus(monkeypatch, 1)
+        product, lam = sp.band_product(g, pairs), bl.transport(rho, zeta, g)
+        assert pair_pool.executor is None
+        set_cpus(monkeypatch, 2)
+        for _ in range(20):
+            assert np.array_equal(sp.band_product(g, pairs), product)
+            assert np.array_equal(bl.transport(rho, zeta, g), lam)
+        assert pair_pool.executor is not None
+
+    def test_one_cpu_takes_the_serial_path(self, pair_pool, monkeypatch):
+        set_cpus(monkeypatch, 1)
+        g = grid(256)
+        a = full_band_field(g, 1)
+        bl.transport(a, a)
+        assert pair_pool.executor is None and pair_pool.buffers == ()
+
+    def test_pool_is_lazy_and_holds_two_threads(self, pair_pool, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        small, large = full_band_field(grid(128), 1), full_band_field(grid(256), 2)
+        bl.transport(small, small)
+        sp.dealiased_product(large, large)
+        assert pair_pool.executor is None  # below the size gate, and one pair
+        before = len(pair_threads())
+        for _ in range(20):
+            bl.transport(large, large)
+        assert pair_pool.executor._max_workers == 2
+        assert len(pair_threads()) - before <= 2
+        # importing qgk imports no thread pool
+        code = "import sys, qgk.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+                              timeout=120)
+        assert proc.stdout.split() == ["False"], proc.stderr
+
+    def test_buffers_hold_one_shape(self, pair_pool, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        for n in (256, 258, 260, 262, 264):
+            g = grid(n)
+            for stack in ((), (1,), (2,), (3,)):
+                held = [weakref.ref(buf) for bufs in pair_pool.buffers for buf in bufs]
+                a = stacked_fields(g, n, stack)
+                bl.transport(a, a, g)
+                # the previous shape's buffers are gone
+                assert all(ref() is None for ref in held)
+        m = 3 * 264 // 2
+        assert pair_pool.shape == (3, m)
+        assert [buf.shape for buf in pair_pool.buffers[0]] == [
+            (3, m, m // 2 + 1), (3, m, m), (3, sp._SCRATCH_ROWS, m)]
+        assert len(pair_pool.buffers) == 2
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_starts_its_own_pool(self, monkeypatch):
+        # the process's own pool, whose threads a forked child does not have
+        set_cpus(monkeypatch, 2)
+        g = grid(256)
+        a = full_band_field(g, 3)
+        expected = bl.transport(a, a).band
+        assert sp._PAIRS.executor is not None
+
+        def child():
+            os._exit(0 if np.array_equal(bl.transport(a, a).band, expected) else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+        assert proc.exitcode == 0
+
+    def test_concurrent_callers_keep_their_bits(self, pair_pool, monkeypatch):
+        # more callers than cores on one pool: the lock keeps each product
+        # on the buffers alone
+        g = grid(256)
+        fields = [full_band_field(g, 20 + i) for i in range(4)]
+        set_cpus(monkeypatch, 1)
+        expected = [bl.transport(f, f).band for f in fields]
+        set_cpus(monkeypatch, 2)
+        results = [[] for _ in fields]
+
+        def caller(i):
+            for _ in range(5):
+                results[i].append(bl.transport(fields[i], fields[i]).band)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(fields))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, ref in zip(results, expected):
+            assert len(got) == 5 and all(np.array_equal(r, ref) for r in got)
 
 
 class TestNormsAndInnerProducts:

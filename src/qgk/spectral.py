@@ -181,9 +181,9 @@ def sobolev_norm(u: SpectralField, s: float) -> float:
 
 # Two-pair products (a transport) on grids with n >= POOL_MIN_N compute each
 # pair's term on its own thread when the process may run on two CPUs;
-# numpy's FFT releases the GIL.  Measured per IF-RK4 step: 1.30x faster at
-# 256^2, but 0.94x at 128^2 and 0.67x at 64^2, where handing work to a
-# thread costs more than the overlap saves.
+# numpy's FFT releases the GIL.  A fresh 256^2 run is about 20% faster; a
+# 64^2 step runs at 0.7x, because handing work to a thread costs more than
+# the overlap saves, and 128^2 measured between 0.94x and 1.08x.
 POOL_MIN_N = 256
 # rows of a pair's second samples made at a time, into a small scratch array
 _SCRATCH_ROWS = 32

@@ -31,7 +31,6 @@ from .evolution import (
     TimeSeriesRecord,
     compare_runs,
     linear_series,
-    prepare_state,
     simulate,
 )
 from .grid import SpectralField, hermitian_defect, multiplier_table
@@ -274,7 +273,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_stability(args) -> int:
     _, cfg, manifest = _load(args, "stability")
-    report = compare_runs(cfg, read_on_grid(args.perturb, cfg.grid))
+    perturbation, _ = read_on_grid(args.perturb, cfg.grid)
+    report = compare_runs(cfg, perturbation)
     rows = list(zip(report.times, report.e_delta, report.delta_h3,
                     report.growth_integral, report.envelope))
     manifest.warnings = tuple(manifest.warnings) + (
@@ -319,7 +319,7 @@ def _cmd_lp_spectrum(args) -> int:
                                                         "weight": args.weight})
     else:
         _, cfg, manifest = _load(args, "lp-spectrum")
-        field = prepare_state(cfg)
+        field = cfg.initial_state
     partition = lp.dyadic_partition(field.grid)
     rows = lp.block_spectrum(partition, field, args.weight)
     write_csv(args.out, ["j", "l2_of_block", "weighted"], rows, manifest)

@@ -133,11 +133,12 @@ def _sigma_list(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad value for 'diag.sigma': {text!r}") from exc
 
 
-def build_initial_condition(values: dict, grid: GridSpec) -> SpectralField:
+def build_initial_condition(values: dict, grid: GridSpec) -> tuple[SpectralField, float]:
+    """The configured datum and the time it holds (0 unless read from a file)."""
     kind = values["ic.kind"]
     if kind == "cosine":
         return cosine_field(grid, values["ic.mode_kx"], values["ic.mode_ky"],
-                            values["ic.amplitude"])
+                            values["ic.amplitude"]), 0.0
     if kind == "file":
         if not values["ic.file"]:
             raise ConfigError("ic.kind = file needs ic.file")
@@ -145,9 +146,9 @@ def build_initial_condition(values: dict, grid: GridSpec) -> SpectralField:
     band_hi = values["ic.band_hi"] or grid.n // 6
     if kind == "random_band":
         return random_band_field(grid, values["ic.seed"], values["ic.amplitude"],
-                                 values["ic.s"], values["ic.band_lo"], band_hi)
+                                 values["ic.s"], values["ic.band_lo"], band_hi), 0.0
     return random_exponential_field(grid, values["ic.seed"], values["ic.amplitude"],
-                                    values["ic.decay"], values["ic.s"])
+                                    values["ic.decay"], values["ic.s"]), 0.0
 
 
 def build_forcing(values: dict, grid: GridSpec) -> ForcingSpec:
@@ -167,7 +168,7 @@ def resolve_run_config(values: dict) -> tuple[RunConfig, list]:
     """Turn validated key-values into a RunConfig; returns (cfg, warnings)."""
     grid = GridSpec(n=values["grid.n"], box_length=values["grid.box_length"],
                     dealias=values["grid.dealias"])
-    ic = build_initial_condition(values, grid)
+    ic, ic_time = build_initial_condition(values, grid)
     forcing = build_forcing(values, grid)
     cfg = RunConfig(
         grid=grid,
@@ -184,7 +185,12 @@ def resolve_run_config(values: dict) -> tuple[RunConfig, list]:
         sigma_list=_sigma_list(values["diag.sigma"]),
         disable_transport=bool(values["disable_transport"]),
     )
-    return cfg, start_warnings(cfg)
+    warnings = start_warnings(cfg)
+    if ic_time != 0.0 and forcing.kind != "zero":
+        # a run always starts at t = 0: nothing resumes from a snapshot's time yet
+        warnings.append(f"ic.file holds the state at t = {ic_time!r}, but the run starts "
+                        f"at t = 0 and applies the forcing f(0), not f({ic_time!r})")
+    return cfg, warnings
 
 
 @dataclass

@@ -338,8 +338,8 @@ def cfl_limit(y: np.ndarray, grid: GridSpec) -> float:
 
 
 def prepare_state(cfg: RunConfig) -> SpectralField:
-    """Sanitized (and, if configured, Galerkin-projected) initial state,
-    evaluated once per run and read-only."""
+    """cfg.initial_state, which qgk reads directly.  Kept only because the
+    benchmark's set-up (perfbench/worker.py) calls it."""
     return cfg.initial_state
 
 

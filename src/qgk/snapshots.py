@@ -101,10 +101,11 @@ def read_snapshot(path) -> tuple[SpectralField, float]:
                          coeffs[:, :n // 2]), float(time)
 
 
-def read_on_grid(path, grid: GridSpec) -> SpectralField:
-    """The snapshot's field at path, on the grid, whose n and L it must share."""
-    field, _ = read_snapshot(path)
+def read_on_grid(path, grid: GridSpec) -> tuple[SpectralField, float]:
+    """The snapshot's field at path, on the grid, whose n and L it must
+    share, and its time."""
+    field, time = read_snapshot(path)
     if (field.grid.n, field.grid.box_length) != (grid.n, grid.box_length):
         raise SnapshotError(f"{path}: snapshot grid n={field.grid.n}, L={field.grid.box_length!r} "
                             f"does not match the config grid n={grid.n}, L={grid.box_length!r}")
-    return SpectralField(grid, field.band)
+    return SpectralField(grid, field.band), time

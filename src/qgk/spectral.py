@@ -179,12 +179,15 @@ def sobolev_norm(u: SpectralField, s: float) -> float:
 # norm="forward" never rescales.
 
 
-# Two-pair products (a transport) on grids with n >= POOL_MIN_N compute each
-# pair's term on its own thread when the process may run on two CPUs;
-# numpy's FFT releases the GIL.  A fresh 256^2 run is about 20% faster; a
-# 64^2 step runs at 0.7x, because handing work to a thread costs more than
-# the overlap saves, and 128^2 measured between 0.94x and 1.08x.
-POOL_MIN_N = 256
+# Two-pair products (a transport) on grids with n >= POOL_MIN_N split their
+# work between the calling thread and one worker thread when the process may
+# run on two CPUs; numpy's FFT and ufunc loops release the GIL.  Each thread
+# computes one pair's term, then runs the add, the r2c pass and the axis -2
+# pass on half of the rows and of the band columns.  Fresh-process runs at
+# 128^2 and 256^2 are faster than the serial loop; a 64^2 step is slower,
+# because handing work to a thread costs more than the overlap saves
+# (BENCH_13.json).
+POOL_MIN_N = 128
 # rows of a pair's second samples made at a time, into a small scratch array
 _SCRATCH_ROWS = 32
 
@@ -228,6 +231,25 @@ def _pair_term(u: np.ndarray, v: np.ndarray, pad, samples, scratch) -> np.ndarra
     return samples
 
 
+def _share(pair, buffers, acc, term, forward, rows: slice, cols: slice, barrier) -> None:
+    """One thread's share of a pooled product: its pair's term into its own
+    buffers; once both terms are made, acc <- acc + term and the r2c pass
+    into forward on ``rows``; once every row is done, the axis -2 pass of
+    forward in place on ``cols``."""
+    try:
+        _pair_term(*pair, *buffers)
+        barrier.wait()
+        part = np.add(acc[..., rows, :], term[..., rows, :], out=acc[..., rows, :])
+        sfft.rfft2(part, axes=(-1,), norm="forward", out=forward[..., rows, :])
+        barrier.wait()
+        part = forward[..., cols]
+        sfft.fft2(part, axes=(-2,), norm="forward", out=part)
+    except BaseException:
+        # the other thread stops at its next wait instead of waiting for ever
+        barrier.abort()
+        raise
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask, where it has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -236,39 +258,56 @@ def _usable_cpus() -> int:
 
 
 class _PairPool:
-    """Two threads, each computing one pair's term into buffers of its own:
-    a c2r input, a samples array and the row scratch.  The buffers are held
-    for one stack shape and replaced when the shape changes.  The threads
-    start with the first pooled product, so importing qgk starts none.
-    Callers hold ``lock`` from ``terms`` until they have read the terms, so
-    one product at a time uses the buffers."""
+    """The calling thread and one worker thread computing a two-pair
+    product, each running one ``_share``.  Each side owns a c2r input, a
+    samples array and the row scratch; both write one forward buffer
+    (..., m, m/2 + 1).  The buffers are held for one stack shape and
+    replaced when the shape changes.  The worker starts with the first
+    pooled product, so importing qgk starts none.  Callers hold ``lock``
+    until they have read the forward buffer, so one product at a time uses
+    the buffers."""
 
     def __init__(self):
         self.lock = threading.Lock()
+        self.barrier = threading.Barrier(2)
         self.executor = None
         self.shape = None
         self.buffers = ()
+        self.forward = None
 
-    def terms(self, pairs, m: int) -> list[np.ndarray]:
+    def forward_pass(self, pairs, m: int, h: int) -> np.ndarray:
+        """The first h columns of the forward buffer, holding the 2-D forward
+        transform of the sum of the pairs' sample products."""
         from concurrent import futures
 
         if self.executor is None:
-            self.executor = futures.ThreadPoolExecutor(max_workers=2,
+            self.executor = futures.ThreadPoolExecutor(max_workers=1,
                                                        thread_name_prefix="qgk-pair")
         shape = pairs[0][0].shape[:-2] + (m,)
         if shape != self.shape:
-            self.buffers = ()  # free the old shape's buffers before making new ones
+            # free the old shape's buffers before making new ones
+            self.buffers, self.forward = (), None
             stack = shape[:-1]
             self.buffers = tuple(
                 (np.zeros(stack + (m, m // 2 + 1), dtype=complex), np.empty(stack + (m, m)),
                  np.empty(stack + (min(_SCRATCH_ROWS, m), m)))
                 for _ in range(2))
+            self.forward = np.empty(stack + (m, m // 2 + 1), dtype=complex)
             self.shape = shape
-        jobs = [self.executor.submit(_pair_term, u, v, *buffers)
-                for (u, v), buffers in zip(pairs, self.buffers)]
-        # both threads are done with the buffers before any error is raised
-        futures.wait(jobs)
-        return [job.result() for job in jobs]
+        mine, theirs = self.buffers
+        shared = (mine[1], theirs[1], self.forward)
+        job = self.executor.submit(_share, pairs[1], theirs, *shared, slice(m // 2, m),
+                                   slice(h // 2, h), self.barrier)
+        try:
+            _share(pairs[0], mine, *shared, slice(0, m // 2), slice(0, h // 2), self.barrier)
+        except threading.BrokenBarrierError:
+            pass  # the worker's error broke the barrier; job.result() raises it
+        finally:
+            # the worker is done with the buffers before any error is raised
+            futures.wait([job])
+            self.barrier.reset()
+        job.result()
+        return self.forward[..., :h]
 
 
 _PAIRS = _PairPool()
@@ -278,37 +317,43 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_PAIRS.__init__)
 
 
-def band_product(grid: GridSpec, pairs) -> np.ndarray:
-    """Band block of sum_i dealias(u_i * v_i) under the grid's dealias
-    policy, from the band blocks (u_i, v_i) of each pair.
-
-    Two pairs on a grid with n >= POOL_MIN_N, in a process that may run on
-    two CPUs, have their terms computed at once on two threads; the calling
-    thread adds them in pair order and runs the forward passes.  Every
-    transform and product is the serial loop's, on the same data, so the
-    result is the same to the bit on any core count."""
-    n, h = grid.n, grid.n // 2
-    mask = None if grid.dealias == THREE_HALVES else multiplier_table(grid).two_thirds
-    m = n if mask is not None else 3 * n // 2
-    pairs = [(u, v) if mask is None else (u * mask, v * mask) for u, v in pairs]
-    if len(pairs) == 2 and n >= POOL_MIN_N and _usable_cpus() >= 2:
-        with _PAIRS.lock:
-            acc, term = _PAIRS.terms(pairs, m)
-            band = sfft.rfft2(np.add(acc, term, out=acc), axes=(-1,), norm="forward")[..., :h]
-    else:
-        acc = None
-        for u, v in pairs:
-            term = band_samples(u, m)
-            term *= band_samples(v, m)
-            acc = term if acc is None else np.add(acc, term, out=acc)
-        band = sfft.rfft2(acc, axes=(-1,), norm="forward")[..., :h]
-    sfft.fft2(band, axes=(-2,), norm="forward", out=band)
+def _band_block(band: np.ndarray, n: int, mask) -> np.ndarray:
+    """The (n, n/2) block of a product from the first n/2 columns ``band`` of
+    its forward transform on the m x m grid."""
+    h, m = n // 2, band.shape[-2]
     out = np.zeros(band.shape[:-2] + (n, h), dtype=complex)
     out[..., :h, :] = band[..., :h, :]
     out[..., h + 1:, :] = band[..., m - h + 1:, :]
     if mask is not None:
         out *= mask
     return out
+
+
+def band_product(grid: GridSpec, pairs) -> np.ndarray:
+    """Band block of sum_i dealias(u_i * v_i) under the grid's dealias
+    policy, from the band blocks (u_i, v_i) of each pair.
+
+    Two pairs on a grid with n >= POOL_MIN_N, in a process that may run on
+    two CPUs, run on the calling thread and one worker thread: each
+    computes one pair's term, then adds the terms and runs the forward
+    passes on half of the rows and half of the band columns.  Every
+    transform, add and product is the serial loop's, on the same data, so
+    the result is the same to the bit on any core count."""
+    n, h = grid.n, grid.n // 2
+    mask = None if grid.dealias == THREE_HALVES else multiplier_table(grid).two_thirds
+    m = n if mask is not None else 3 * n // 2
+    pairs = [(u, v) if mask is None else (u * mask, v * mask) for u, v in pairs]
+    if len(pairs) == 2 and n >= POOL_MIN_N and _usable_cpus() >= 2:
+        with _PAIRS.lock:
+            return _band_block(_PAIRS.forward_pass(pairs, m, h), n, mask)
+    acc = None
+    for u, v in pairs:
+        term = band_samples(u, m)
+        term *= band_samples(v, m)
+        acc = term if acc is None else np.add(acc, term, out=acc)
+    band = sfft.rfft2(acc, axes=(-1,), norm="forward")[..., :h]
+    sfft.fft2(band, axes=(-2,), norm="forward", out=band)
+    return _band_block(band, n, mask)
 
 
 def product_sum(pairs: list[tuple[SpectralField, SpectralField]]) -> SpectralField:

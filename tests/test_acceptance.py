@@ -21,7 +21,6 @@ from qgk.evolution import (
     RunConfig,
     compare_runs,
     linear_evolve,
-    prepare_state,
     simulate,
 )
 
@@ -129,7 +128,7 @@ def test_criterion_05_inviscid_conservation():
         cfg = RunConfig(grid=g, mu=0.0, t_end=0.5, dt=dt, initial_condition=r0,
                         diagnostics_every=int(round(0.05 / dt)))
         out = simulate(cfg)
-        e0 = diag.energy_second(prepare_state(cfg))
+        e0 = diag.energy_second(cfg.initial_state)
         return max(abs(rec.e_second - e0) for rec in out.records) / e0
 
     d1 = drift(1e-3)
@@ -200,7 +199,7 @@ def long_time_run():
     t0 = time.perf_counter()
     out = simulate(cfg)
     times = [t for t, _ in out.snapshots]
-    lin = linear_evolve(prepare_state(cfg), forcing, cfg.mu, times)
+    lin = linear_evolve(cfg.initial_state, forcing, cfg.mu, times)
     return cfg, out, lin, time.perf_counter() - t0
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from qgk import cli, decay_lab
 from qgk import diagnostics as diag
+from qgk import littlewood_paley as lp
 from qgk.cli import dispatch
 from qgk.config import ConfigError, manifest_from_values, parse_config, resolve_run_config
 from qgk.snapshots import read_snapshot, write_snapshot
@@ -256,7 +257,7 @@ class TestDispatch:
              cli, "compare_runs"),
             (["compare", "--run-a", run, "--run-b", run, "--eta", "0.5"], diag, "compare_h3"),
             (["convergence", "--config", cfg, "--dts", "2e-3,1e-3"], cli, "simulate"),
-            (["lp-spectrum", "--config", cfg], cli, "prepare_state"),
+            (["lp-spectrum", "--config", cfg], lp, "dyadic_partition"),
         ]
         for argv, module, compute in commands:
             target = missing / "x.csv"
@@ -338,7 +339,20 @@ class TestDispatch:
                             "restart.cfg")
         run_cfg, _ = resolve_run_config(parse_config(restart))
         saved, _ = read_snapshot(final)
-        assert evolution.prepare_state(run_cfg).coeffs.tobytes() == saved.coeffs.tobytes()
+        assert run_cfg.initial_state.coeffs.tobytes() == saved.coeffs.tobytes()
+
+    @pytest.mark.parametrize("t0, warned", [(0.0, False), (2.5, True)])
+    def test_forced_run_from_a_later_snapshot_warns(self, tmp_path, capsys, t0, warned):
+        g = GridSpec(32, 6.283185307179586)
+        snap = tmp_path / "state.qgk"
+        write_snapshot(snap, sp.random_band_field(g, 7, 0.5, 3.0, 1, 5), t0)
+        cfg = write_cfg(tmp_path, SMALL_RUN + f"ic.kind = file\nic.file = {snap}\n")
+        assert dispatch(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+        warning = "holds the state at t = 2.5, but the run starts at t = 0 and applies " \
+                  "the forcing f(0), not f(2.5)"
+        assert (f"warning: ic.file {warning}" in capsys.readouterr().err) == warned
+        series = (tmp_path / "r" / "series.csv").read_text()
+        assert (f"qgk-warning ic.file {warning}" in series) == warned
 
     def test_snapshot_grid_mismatch_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_RUN)
@@ -375,7 +389,7 @@ ic.band_hi = 10
             warnings.simplefilter("ignore")
             assert dispatch(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
             run_cfg, _ = resolve_run_config(parse_config(cfg))
-            r, t = evolution.prepare_state(run_cfg), 0.0
+            r, t = run_cfg.initial_state, 0.0
             while True:   # the state just before the step that blows up
                 try:
                     r, t = evolution.step(r, t, run_cfg), t + run_cfg.dt

@@ -6,7 +6,7 @@ import pytest
 from qgk.grid import GridSpec, SpectralField
 from qgk import diagnostics as diag
 from qgk import spectral as sp
-from qgk.evolution import ForcingSpec, RunConfig, linear_evolve, prepare_state, simulate
+from qgk.evolution import ForcingSpec, RunConfig, linear_evolve, simulate
 from qgk.evolution import _attach_residuals, _record
 
 
@@ -281,7 +281,7 @@ class TestPointwiseBounds:
                         initial_condition=r0, diagnostics_every=20,
                         snapshot_every=1)
         out = simulate(cfg)
-        sup = diag.pointwise_bound_sup(out.snapshots, prepare_state(cfg))
+        sup = diag.pointwise_bound_sup(out.snapshots, cfg.initial_state)
         assert np.isfinite(sup)
         # dissipation only shrinks coefficients of single-signed... the
         # fitted constant stays order-one for a generic run
@@ -308,7 +308,7 @@ class TestPointwiseBounds:
                             initial_condition=r0, diagnostics_every=16,
                             snapshot_every=1)
             out = simulate(cfg)
-            sups.append(diag.pointwise_bound_sup(out.snapshots, prepare_state(cfg)))
+            sups.append(diag.pointwise_bound_sup(out.snapshots, cfg.initial_state))
         assert abs(sups[0] - sups[1]) <= 0.2 * max(sups)
 
     def test_single_mode_difference_is_zero(self):

@@ -29,7 +29,6 @@ from qgk.evolution import (
     linear_evolve,
     linear_series,
     max_velocity,
-    prepare_state,
     simulate,
     step,
     tendency,
@@ -113,7 +112,7 @@ class TestStep:
         g = G64
         r0 = sp.cosine_field(g, 3, 0, 2.0)
         cfg = RunConfig(grid=g, mu=1.0, t_end=1.0, dt=0.5, initial_condition=r0)
-        r = prepare_state(cfg)
+        r = cfg.initial_state
         r = step(r, 0.0, cfg)
         r = step(r, 0.5, cfg)
         q = (3 * g.frequency_unit) ** 2
@@ -138,7 +137,7 @@ class TestStep:
             cfg = RunConfig(grid=g, mu=0.0, t_end=dt * steps, dt=dt,
                             initial_condition=r0, diagnostics_every=steps)
             out = simulate(cfg)
-            return abs(diag.energy_second(out.final) - diag.energy_second(prepare_state(cfg)))
+            return abs(diag.energy_second(out.final) - diag.energy_second(cfg.initial_state))
 
         e1 = drift(2e-2, 8)
         e2 = drift(1e-2, 16)
@@ -214,8 +213,8 @@ class TestSimulate:
     def test_cfl_warning(self):
         g = G32
         r0 = band_ic(g, 13, amplitude=50.0, hi=8)
-        dt = 10.0 * 0.5 * g.dx / max_velocity(prepare_state(
-            RunConfig(grid=g, mu=1.0, t_end=1.0, dt=1.0, initial_condition=r0)).band, g)
+        first = RunConfig(grid=g, mu=1.0, t_end=1.0, dt=1.0, initial_condition=r0)
+        dt = 10.0 * 0.5 * g.dx / max_velocity(first.initial_state.band, g)
         steps = 2
         cfg = RunConfig(grid=g, mu=1.0, t_end=steps * dt, dt=dt,
                         initial_condition=r0, diagnostics_every=1)
@@ -485,7 +484,7 @@ def blowup_config(g=G32):
 
 def last_finite_state(cfg):
     """(t, state) just before the solo step that aborts."""
-    r, t = prepare_state(cfg), 0.0
+    r, t = cfg.initial_state, 0.0
     while True:
         try:
             nxt = step(r, t, cfg)
@@ -530,8 +529,8 @@ class TestEnsembleAxis:
     def test_stacked_step_equals_solo_steps(self, case):
         cfg = STACKED_CASES[case]()
         h = cfg.grid.n // 2
-        solo = [prepare_state(cfg), SpectralField(
-            cfg.grid, prepare_state(cfg).band + band_ic(cfg.grid, 36, 0.1, hi=5).band)]
+        solo = [cfg.initial_state, SpectralField(
+            cfg.grid, cfg.initial_state.band + band_ic(cfg.grid, 36, 0.1, hi=5).band)]
         pair = np.stack([r.band for r in solo])
         for i in range(cfg.n_steps):
             t = i * cfg.dt
@@ -549,7 +548,7 @@ class TestEnsembleAxis:
         perturbation = band_ic(g, 38, 1e-4)
         report = compare_runs(cfg, perturbation)
 
-        base = prepare_state(cfg)
+        base = cfg.initial_state
         pert = SpectralField(g, base.band + sp.sanitize_band(perturbation).band)
         e_delta, delta_h3, rate = [], [], []
 
@@ -625,8 +624,8 @@ class TestRunConstants:
         cfg = stacked_config(G32, galerkin_cut=20.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.dt = 2e-2
-        assert prepare_state(cfg) is prepare_state(cfg)
-        arrays = [prepare_state(cfg).band, prepare_state(cfg).coeffs, *cfg.exp_factors,
+        assert cfg.initial_state is cfg.initial_state
+        arrays = [cfg.initial_state.band, cfg.initial_state.coeffs, *cfg.exp_factors,
                   cfg.galerkin_block, *cfg.sigma_weights]
         assert not any(arr.flags.writeable for arr in arrays)
         assert stacked_config(G32).galerkin_block is None
@@ -646,7 +645,7 @@ class TestRunConstants:
         y = diag._weights(cfg.grid)[0][diag.Y]
         for s, w in zip(cfg.sigma_list, cfg.sigma_weights):
             assert np.array_equal(w, (1.0 + q) ** s * y)
-        r = prepare_state(cfg)
+        r = cfg.initial_state
         e_sigma = diag.quadratic_forms(r.band, cfg.grid, cfg.sigma_weights)[diag.D_SECOND + 1:]
         assert e_sigma.tolist() == [diag.energy_sigma(r, s) for s in cfg.sigma_list]
 
@@ -697,7 +696,7 @@ class TestBandState:
         assert [t for t, _ in snaps] == [0.0, 0.02, 0.04]
         for _, field in states + snaps + linear_series(cfg, [0.0, 0.5, 1.0])[0]:
             assert np.array_equal(field.coeffs, complete_band(field.band))
-        assert np.array_equal(snaps[0][1].coeffs, prepare_state(cfg).coeffs)
+        assert np.array_equal(snaps[0][1].coeffs, cfg.initial_state.coeffs)
 
 
 def test_every_cache_bounded_over_20_grids():

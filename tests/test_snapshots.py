@@ -164,8 +164,8 @@ def test_read_on_grid_keeps_the_grid_and_checks_n_and_l(tmp_path):
     path = tmp_path / "state.qgk"
     write_snapshot(path, u, 3.0)
     grid = GridSpec(16, 2.5, "two_thirds_truncation")
-    v = read_on_grid(path, grid)
-    assert v.grid is grid and np.array_equal(v.coeffs, u.coeffs)
+    v, t = read_on_grid(path, grid)
+    assert v.grid is grid and np.array_equal(v.coeffs, u.coeffs) and t == 3.0
     for other in (GridSpec(32, 2.5), GridSpec(16, 2.0)):
         with pytest.raises(SnapshotError, match="does not match the config grid"):
             read_on_grid(path, other)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -498,11 +499,16 @@ def stacked_fields(g, seed, stack=()):
 
 
 class TestPairPool:
-    """Two-pair products on large grids run their pairs on two threads; the
-    result is the serial loop's to the bit, whatever the core count."""
+    """Two-pair products on large grids split their work between the calling
+    thread and one worker; the result is the serial loop's to the bit,
+    whatever the core count."""
 
-    CASES = [(256, "three_halves_padding", ()), (256, "three_halves_padding", (2,)),
-             (258, "two_thirds_truncation", ())]
+    # n = 262 under 3/2 padding splits odd halves: m = 393 rows (196/197)
+    # and h = 131 band columns (65/66)
+    CASES = [(128, "three_halves_padding", ()),
+             (256, "three_halves_padding", ()), (256, "three_halves_padding", (2,)),
+             (256, "three_halves_padding", (3,)), (258, "two_thirds_truncation", ()),
+             (262, "three_halves_padding", ())]
 
     @pytest.mark.parametrize("n, dealias, stack", CASES)
     def test_pooled_equals_serial(self, n, dealias, stack, pair_pool, monkeypatch):
@@ -525,17 +531,18 @@ class TestPairPool:
         bl.transport(a, a)
         assert pair_pool.executor is None and pair_pool.buffers == ()
 
-    def test_pool_is_lazy_and_holds_two_threads(self, pair_pool, monkeypatch):
+    def test_pool_is_lazy_and_holds_one_thread(self, pair_pool, monkeypatch):
         set_cpus(monkeypatch, 2)
-        small, large = full_band_field(grid(128), 1), full_band_field(grid(256), 2)
+        small, large = full_band_field(grid(64), 1), full_band_field(grid(256), 2)
         bl.transport(small, small)
         sp.dealiased_product(large, large)
         assert pair_pool.executor is None  # below the size gate, and one pair
         before = len(pair_threads())
         for _ in range(20):
             bl.transport(large, large)
-        assert pair_pool.executor._max_workers == 2
-        assert len(pair_threads()) - before <= 2
+        # the calling thread computes the other share
+        assert pair_pool.executor._max_workers == 1
+        assert len(pair_threads()) - before <= 1
         # importing qgk imports no thread pool
         code = "import sys, qgk.cli; print('concurrent.futures' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -549,6 +556,8 @@ class TestPairPool:
             g = grid(n)
             for stack in ((), (1,), (2,), (3,)):
                 held = [weakref.ref(buf) for bufs in pair_pool.buffers for buf in bufs]
+                if pair_pool.forward is not None:
+                    held.append(weakref.ref(pair_pool.forward))
                 a = stacked_fields(g, n, stack)
                 bl.transport(a, a, g)
                 # the previous shape's buffers are gone
@@ -558,6 +567,46 @@ class TestPairPool:
         assert [buf.shape for buf in pair_pool.buffers[0]] == [
             (3, m, m // 2 + 1), (3, m, m), (3, sp._SCRATCH_ROWS, m)]
         assert len(pair_pool.buffers) == 2
+        assert pair_pool.forward.shape == (3, m, m // 2 + 1)
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_an_error_in_either_share_waits_for_the_other(self, failing, pair_pool,
+                                                          monkeypatch):
+        g = grid(256)
+        a = full_band_field(g, 4)
+        set_cpus(monkeypatch, 1)
+        expected = bl.transport(a, a).band
+        set_cpus(monkeypatch, 2)
+        bl.transport(a, a)  # the worker is started and the buffers are made
+        pair_term, finished = sp._pair_term, []
+
+        def failing_pair_term(*args):
+            if threading.current_thread().name.startswith("qgk-pair") == (failing == "worker"):
+                raise RuntimeError(f"{failing} share failed")
+            time.sleep(0.2)  # the other share ends well after the error
+            finished.append(pair_term(*args))
+            return finished[-1]
+
+        def call():
+            try:
+                bl.transport(a, a)
+            except RuntimeError as exc:
+                # the other side's job was done before the error reached the caller
+                raised.append((str(exc), len(finished)))
+
+        monkeypatch.setattr(sp, "_pair_term", failing_pair_term)
+        raised = []
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        hung = caller.is_alive()
+        if hung:
+            pair_pool.barrier.abort()  # frees the stuck share: the test fails, not hangs
+        assert not hung, "the pooled product hung after an error"
+        assert raised == [(f"{failing} share failed", 1)]
+        assert not pair_pool.lock.locked()
+        monkeypatch.setattr(sp, "_pair_term", pair_term)
+        assert np.array_equal(bl.transport(a, a).band, expected)
 
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")

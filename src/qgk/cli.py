@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: run, linear, decay, compare, stability, invariants,
-convergence, lp-spectrum.  Exit codes: 0 success, 1 validation failure,
-2 numerical abort.  All randomness flows through seeds recorded in the
-manifest, and identical manifests produce byte-identical CSV output.
+convergence, lp-spectrum.  Exit codes: 0 success, 1 validation failure
+(an unusable --out path included), 2 numerical abort.  All randomness
+flows through seeds recorded in the manifest, and identical manifests
+produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def dispatch(argv) -> int:
         if args.command not in ("run", "linear") and args.out:
             require_directory(args.out)
         return handler(args)
-    except (ConfigError, SnapshotError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, SnapshotError, OSError, ValueError) as exc:
         print(f"qgk: error: {exc}", file=sys.stderr)
         return 1
     except (SimulationAbort, QuadratureError, FloatingPointError) as exc:
@@ -208,11 +209,13 @@ def _cmd_linear(args) -> int:
     _, cfg, manifest = _load(args, "linear")
     if args.times:
         times = [float(s) for s in args.times.split(",") if s.strip()]
+        diag.uniform_cadence(times)   # an uneven list exits 1 before anything is written
     else:
-        stride = cfg.diagnostics_every * cfg.dt
-        times = [i * stride for i in range(cfg.n_steps // cfg.diagnostics_every + 1)]
-    states, records = linear_series(cfg, times)
+        # the times at which qgk run records, (k * diagnostics_every) * dt, bit for bit
+        times = [k * cfg.diagnostics_every * cfg.dt
+                 for k in range(cfg.n_steps // cfg.diagnostics_every + 1)]
     os.makedirs(args.out, exist_ok=True)
+    states, records = linear_series(cfg, times)
     _write_series(args.out, cfg, records, manifest)
     _write_snaps(args.out, states, manifest)
     print(f"linear flow evaluated at {len(times)} times -> {args.out}")
@@ -370,11 +373,8 @@ def _invariant_checks(cfg: RunConfig, seed: int):
     yield ("product_with_one", l2_norm(SpectralField(grid, prod.band - u.band)) / l2_norm(u), 1e-13)
     # Littlewood-Paley
     partition = lp.dyadic_partition(grid)
-    total = np.zeros(grid.band_shape)
-    for j in partition.block_range():
-        total += partition.weights[j + 1]
-    keep = mt.keep.astype(bool)
-    yield ("lp_partition_of_unity", float(np.max(np.abs(total[keep] - 1.0))), 1e-12)
+    unity = partition.lows[-1][mt.keep.astype(bool)]
+    yield ("lp_partition_of_unity", float(np.max(np.abs(unity - 1.0))), 1e-12)
     recon = np.zeros(grid.band_shape, complex)
     for j in partition.block_range():
         recon += lp.dyadic_block(partition, u, j).band

@@ -176,13 +176,8 @@ class DecaySeries:
     duhamel: dict            # k -> forced moment array (may be empty)
 
 
-ENVELOPE_RATES = {0: 0.25, 1: 0.5, 3: 1.0}
-
-
 def envelope_rate(k: int) -> float:
     """One-sided envelope exponent for moment k (from the linear theory)."""
-    if k in ENVELOPE_RATES:
-        return ENVELOPE_RATES[k]
     return 0.25 * (k + 1)
 
 

@@ -152,8 +152,7 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
             simpson += dx * (y[i - 2] + 4.0 * y[i - 1] + y[i]) / 3.0
             out[i] = simpson
         else:
-            if i >= 3:
-                out[i] = out[i - 3] + 3.0 * dx * (y[i - 3] + 3.0 * y[i - 2] + 3.0 * y[i - 1] + y[i]) / 8.0
+            out[i] = out[i - 3] + 3.0 * dx * (y[i - 3] + 3.0 * y[i - 2] + 3.0 * y[i - 1] + y[i]) / 8.0
     return out
 
 

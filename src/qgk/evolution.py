@@ -275,21 +275,17 @@ def tendency(r: SpectralField, t: float, cfg: RunConfig) -> SpectralField:
     return SpectralField(cfg.grid, rhs)
 
 
-def step(r: SpectralField | np.ndarray, t: float, cfg: RunConfig):
-    """One integrating-factor Runge-Kutta step from t to t + dt.
+def step(y: np.ndarray, t: float, cfg: RunConfig) -> np.ndarray:
+    """One integrating-factor Runge-Kutta step from t to t + dt of the band
+    blocks y (..., n, n/2): one state, or states stacked along any leading
+    axes.  Every mode of every member sees the same operation sequence, so a
+    stacked member steps bitwise like the member alone.  The dissipative
+    factor exp(-mu h dt) multiplies the state exactly, so a vanishing
+    nonlinearity propagates exactly for any dt.
 
-    r is a SpectralField, or the band blocks (..., n, n/2) of states stacked
-    along any leading axes; the result has the same form.  Every mode
-    of every member sees the same operation sequence, so a stacked member
-    steps bitwise like the member alone.  The dissipative factor
-    exp(-mu h dt) multiplies the state exactly, so a vanishing nonlinearity
-    propagates exactly for any dt.
-
-    A non-finite result raises SimulationAbort carrying the pre-step state
-    and t: r itself, or the first stacked member whose step is not finite.
+    A non-finite result raises SimulationAbort carrying t and the pre-step
+    state of the first member whose step is not finite.
     """
-    solo = isinstance(r, SpectralField)
-    y = r.band if solo else r
     dt = cfg.dt
     e_half, e_full = cfg.exp_factors
     nl = _nonlinear_rhs
@@ -305,12 +301,12 @@ def step(r: SpectralField | np.ndarray, t: float, cfg: RunConfig):
         out = e_full * y + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
     if not np.all(np.isfinite(out)):
         raise SimulationAbort("non-finite state after step", t + dt,
-                              r if solo else _first_nonfinite(y, out, cfg.grid), t)
-    return SpectralField(cfg.grid, out) if solo else out
+                              _first_nonfinite(y, out, cfg.grid), t)
+    return out
 
 
 def _first_nonfinite(y: np.ndarray, out: np.ndarray, grid: GridSpec) -> SpectralField:
-    """Pre-step state of the first stacked member whose step is not finite."""
+    """Pre-step state of the first member whose step is not finite."""
     members = y.reshape(-1, *y.shape[-2:])
     finite = np.isfinite(out).reshape(len(members), -1).all(axis=1)
     return SpectralField(grid, members[np.argmin(finite)])

@@ -139,8 +139,8 @@ class MultiplierTable:
 
     Every table is (n, n/2), on the band block (FFT order in k1, 0 <= k2 < n/2):
 
-    - ``k1``, ``k2``: integer wavevector indices (as floats, broadcast views)
-    - ``xi1``, ``xi2``: physical wavevector (2 pi / L) k; ``q = |xi|^2``
+    - ``k1``, ``k2``: integer wavevector indices (as floats, broadcast views);
+      ``q = |xi|^2`` of the physical wavevector xi = (2 pi / L) k
     - ``keep``: 0.0 on the Nyquist row (k1 = -n/2) and 1.0 on the symmetric
       band |k_i| <= n/2 - 1; ``mirror``: 1.0 on the k2 = 0 column and 2.0 on
       the others, each of which stands for its mirrored column -k2 in sums
@@ -148,18 +148,15 @@ class MultiplierTable:
     - ``a = 1 + |xi|^2 + |xi|^4`` and ``d = 1/a``, which invert each other
       mode-wise, and ``h = (1 + |xi|^2)|xi|^4 / a``, the dissipation rate of
       the linear flow (h(0) = 0, h ~ |xi|^2 at high frequency)
-    - ``ixi1``, ``ixi2``: gradient symbols; ``bilap = |xi|^4`` and
-      ``lap = -|xi|^2``: bilaplacian and Laplacian symbols.  These four
-      derivatives have the Nyquist row zeroed; ``one_minus_lap = 1 + |xi|^2``
-      is not a derivative and keeps it.
+    - ``ixi1``, ``ixi2``: gradient symbols, and ``bilap = |xi|^4``, the
+      bilaplacian symbol.  These three derivatives have the Nyquist row
+      zeroed; ``one_minus_lap = 1 + |xi|^2`` is not a derivative and keeps it.
     - ``two_thirds``: the 2/3 rule's mask |k_i| <= n//3.
     """
 
     grid: GridSpec
     k1: np.ndarray
     k2: np.ndarray
-    xi1: np.ndarray
-    xi2: np.ndarray
     q: np.ndarray
     keep: np.ndarray
     mirror: np.ndarray
@@ -170,7 +167,6 @@ class MultiplierTable:
     ixi2: np.ndarray
     bilap: np.ndarray
     one_minus_lap: np.ndarray
-    lap: np.ndarray
     two_thirds: np.ndarray
 
 
@@ -188,11 +184,10 @@ def multiplier_table(grid: GridSpec) -> MultiplierTable:
     a = one_minus_lap + q * q
     d = 1.0 / a
     two_thirds = ((np.abs(k1) <= n // 3) & (np.abs(k2) <= n // 3)).astype(float)
-    tables = dict(k1=k1, k2=k2, xi1=xi1, xi2=xi2, q=q, keep=keep,
+    tables = dict(k1=k1, k2=k2, q=q, keep=keep,
                   mirror=np.where(k2 == 0.0, 1.0, 2.0), a=a, d=d,
                   h=one_minus_lap * q * q * d, ixi1=1j * xi1 * keep, ixi2=1j * xi2 * keep,
-                  bilap=q * q * keep, one_minus_lap=one_minus_lap, lap=-q * keep,
-                  two_thirds=two_thirds)
+                  bilap=q * q * keep, one_minus_lap=one_minus_lap, two_thirds=two_thirds)
     for arr in tables.values():
         arr.setflags(write=False)
     return MultiplierTable(grid=grid, **tables)

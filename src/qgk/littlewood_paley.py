@@ -21,7 +21,6 @@ constants are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -58,7 +57,6 @@ class DyadicPartition:
         return range(-1, self.j_max + 1)
 
 
-@lru_cache(maxsize=8)
 def dyadic_partition(grid: GridSpec) -> DyadicPartition:
     mt = multiplier_table(grid)
     rho = np.hypot(mt.k1, mt.k2)
@@ -69,10 +67,8 @@ def dyadic_partition(grid: GridSpec) -> DyadicPartition:
     for j in range(0, j_max + 1):
         w = (chi_profile(rho / 2.0 ** j) - chi_profile(rho / 2.0 ** (j - 1))) * keep
         weights.append(w)
-    lows = np.cumsum(weights, axis=0)
-    for w in (*weights, lows):
-        w.setflags(write=False)
-    return DyadicPartition(grid=grid, j_max=j_max, weights=weights, lows=lows)
+    return DyadicPartition(grid=grid, j_max=j_max, weights=weights,
+                           lows=np.cumsum(weights, axis=0))
 
 
 def _check_j(partition: DyadicPartition, j: int) -> None:

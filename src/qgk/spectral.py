@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import threading
-from functools import lru_cache
 
 import numpy as np
 
@@ -104,10 +103,6 @@ def divergence(u1: SpectralField, u2: SpectralField) -> SpectralField:
     return SpectralField(grid, u1.band * mt.ixi1 + u2.band * mt.ixi2)
 
 
-def laplacian(u: SpectralField) -> SpectralField:
-    return SpectralField(u.grid, u.band * multiplier_table(u.grid).lap)
-
-
 def bilaplacian(u: SpectralField) -> SpectralField:
     return SpectralField(u.grid, u.band * multiplier_table(u.grid).bilap)
 
@@ -154,16 +149,9 @@ def l2_norm(u: SpectralField) -> float:
     return weighted_l2(u, 1.0)
 
 
-@lru_cache(maxsize=16)
-def _sobolev_weight(grid: GridSpec, s: float) -> np.ndarray:
-    w = (1.0 + multiplier_table(grid).q) ** s
-    w.setflags(write=False)
-    return w
-
-
 def sobolev_norm(u: SpectralField, s: float) -> float:
     """H^s norm, (sum (1+|xi|^2)^s |c|^2 L^2)^(1/2)."""
-    return weighted_l2(u, _sobolev_weight(u.grid, float(s)))
+    return weighted_l2(u, (1.0 + multiplier_table(u.grid).q) ** float(s))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from qgk import littlewood_paley as lp
 from qgk.cli import dispatch
 from qgk.config import ConfigError, manifest_from_values, parse_config, resolve_run_config
 from qgk.snapshots import read_snapshot, write_snapshot
-from qgk.grid import GridSpec, multiplier_table
+from qgk.grid import GridSpec, SpectralField, multiplier_table
 from qgk import evolution
 from qgk import spectral as sp
 from qgk.evolution import cfl_limit
@@ -186,7 +186,7 @@ class TestDispatch:
         assert not out.exists()
         # the default cadence, spelled out as a list, writes the same series
         assert dispatch(["linear", "--config", cfg, "--out", str(tmp_path / "default")]) == 0
-        times = ",".join(repr(i * 0.05) for i in range(5))
+        times = ",".join(repr(i * 5 * 0.01) for i in range(5))
         assert dispatch(["linear", "--config", cfg, "--out", str(out), "--times", times]) == 0
         assert ((out / "series.csv").read_bytes()
                 == (tmp_path / "default" / "series.csv").read_bytes())
@@ -268,6 +268,41 @@ class TestDispatch:
             assert f"cannot write {target}: no directory {missing}" in err
             assert ".tmp" not in err
         assert not missing.exists()
+
+    def test_run_out_naming_a_file_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        assert dispatch(["run", "--config", cfg, "--out", str(taken)]) == 1
+        assert f"qgk: error: [Errno 17] File exists: '{taken}'" in capsys.readouterr().err
+        assert taken.read_text() == "kept\n"
+
+    def test_linear_out_below_a_file_exits_before_any_work(self, tmp_path, monkeypatch,
+                                                           capsys):
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+
+        def no_work(*args):
+            raise AssertionError("linear_series called before the output directory was made")
+
+        monkeypatch.setattr(cli, "linear_series", no_work)
+        assert dispatch(["linear", "--config", cfg, "--out", str(taken / "sub")]) == 1
+        assert "qgk: error: [Errno 20] Not a directory" in capsys.readouterr().err
+        assert taken.read_text() == "kept\n"
+
+    def test_linear_times_are_the_run_record_times(self, tmp_path):
+        # dt = 1e-2 recorded every 5 steps: 3 * (5 * dt) is 0.15000000000000002,
+        # the run records at (3 * 5) * dt = 0.15
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        columns = []
+        for command in ("run", "linear"):
+            out = tmp_path / command
+            assert dispatch([command, "--config", cfg, "--out", str(out)]) == 0
+            rows = [ln for ln in (out / "series.csv").read_text().splitlines()
+                    if not ln.startswith("#")][1:]
+            columns.append([row.split(",")[0] for row in rows])
+        assert columns[0] == columns[1] == ["0.0", "0.05", "0.1", "0.15", "0.2"]
 
     def test_stability_subcommand(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_RUN)
@@ -389,7 +424,7 @@ ic.band_hi = 10
             warnings.simplefilter("ignore")
             assert dispatch(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
             run_cfg, _ = resolve_run_config(parse_config(cfg))
-            r, t = run_cfg.initial_state, 0.0
+            r, t = run_cfg.initial_state.band, 0.0
             while True:   # the state just before the step that blows up
                 try:
                     r, t = evolution.step(r, t, run_cfg), t + run_cfg.dt
@@ -397,7 +432,7 @@ ic.band_hi = 10
                     break
         saved, t_saved = read_snapshot(tmp_path / "x" / "abort.qgk")
         assert t_saved == t > 0.0
-        assert np.array_equal(saved.coeffs, r.coeffs)
+        assert np.array_equal(saved.coeffs, SpectralField(run_cfg.grid, r).coeffs)
         reason = (tmp_path / "x" / "abort.txt").read_text().splitlines()
         assert reason == [f"non-finite state after step at t = {t + run_cfg.dt!r}; "
                           f"last good state at t = {t!r} in abort.qgk"]

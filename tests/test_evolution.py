@@ -17,7 +17,6 @@ from qgk.grid import (
 from qgk import diagnostics as diag
 from qgk import evolution
 from qgk import grid as grid_module
-from qgk import littlewood_paley as lp
 from qgk import spectral as sp
 from qgk.quadrature import duhamel_time_factor, linear_segment_factor
 from qgk.snapshots import read_snapshot, write_snapshot
@@ -112,9 +111,8 @@ class TestStep:
         g = G64
         r0 = sp.cosine_field(g, 3, 0, 2.0)
         cfg = RunConfig(grid=g, mu=1.0, t_end=1.0, dt=0.5, initial_condition=r0)
-        r = cfg.initial_state
-        r = step(r, 0.0, cfg)
-        r = step(r, 0.5, cfg)
+        y = step(cfg.initial_state.band, 0.0, cfg)
+        r = SpectralField(g, step(y, 0.5, cfg))
         q = (3 * g.frequency_unit) ** 2
         h = (1 + q) * q * q / (1 + q + q * q)
         expected = np.exp(-h) * r0.coeffs
@@ -484,13 +482,13 @@ def blowup_config(g=G32):
 
 def last_finite_state(cfg):
     """(t, state) just before the solo step that aborts."""
-    r, t = cfg.initial_state, 0.0
+    y, t = cfg.initial_state.band, 0.0
     while True:
         try:
-            nxt = step(r, t, cfg)
+            nxt = step(y, t, cfg)
         except SimulationAbort:
-            return t, r
-        r, t = nxt, t + cfg.dt
+            return t, SpectralField(cfg.grid, y)
+        y, t = nxt, t + cfg.dt
 
 
 def stacked_config(g, **overrides):
@@ -535,7 +533,7 @@ class TestEnsembleAxis:
         for i in range(cfg.n_steps):
             t = i * cfg.dt
             pair = step(pair, t, cfg)
-            solo = [step(r, t, cfg) for r in solo]
+            solo = [SpectralField(cfg.grid, step(r.band, t, cfg)) for r in solo]
             for member, r in zip(complete_band(pair), solo):
                 assert np.array_equal(member, r.coeffs)
         assert pair.shape == (2, cfg.grid.n, h)
@@ -560,8 +558,8 @@ class TestEnsembleAxis:
 
         push(base, pert)
         for i in range(cfg.n_steps):
-            base = step(base, i * cfg.dt, cfg)
-            pert = step(pert, i * cfg.dt, cfg)
+            base = SpectralField(g, step(base.band, i * cfg.dt, cfg))
+            pert = SpectralField(g, step(pert.band, i * cfg.dt, cfg))
             if (i + 1) % cfg.diagnostics_every == 0:
                 push(base, pert)
         growth = diag.cumulative_simpson(np.asarray(rate), cfg.dt * cfg.diagnostics_every)
@@ -612,12 +610,12 @@ class TestRunConstants:
     def test_dt_sweep_grows_no_cache(self):
         g = GridSpec(16, 2 * np.pi)
         r0 = band_ic(g, 42, hi=3)
-        step(r0, 0.0, RunConfig(grid=g, mu=1.0, t_end=1e-3, dt=1e-3, initial_condition=r0))
+        step(r0.band, 0.0, RunConfig(grid=g, mu=1.0, t_end=1e-3, dt=1e-3, initial_condition=r0))
         caches = qgk_caches()
         sizes = {name: cache.cache_info().currsize for name, cache in caches.items()}
         for k in range(40):
             dt = 1e-3 * (1.0 + k / 40.0)
-            step(r0, 0.0, RunConfig(grid=g, mu=1.0, t_end=dt, dt=dt, initial_condition=r0))
+            step(r0.band, 0.0, RunConfig(grid=g, mu=1.0, t_end=dt, dt=dt, initial_condition=r0))
         assert {name: cache.cache_info().currsize for name, cache in caches.items()} == sizes
 
     def test_frozen_and_read_only(self):
@@ -701,14 +699,11 @@ class TestBandState:
 
 def test_every_cache_bounded_over_20_grids():
     caches = qgk_caches()
-    assert sorted(caches) == ["diagnostics._weights", "grid.multiplier_table",
-                              "littlewood_paley.dyadic_partition", "spectral._sobolev_weight"]
+    assert sorted(caches) == ["diagnostics._weights", "grid.multiplier_table"]
     for n in range(8, 48, 2):
         g = GridSpec(n, 2 * np.pi)
         multiplier_table(g)
         diag._weights(g)
-        lp.dyadic_partition(g)
-        sp._sobolev_weight(g, 3.0)
         for cache in caches.values():
             info = cache.cache_info()
             assert info.maxsize is not None and info.currsize <= info.maxsize

@@ -73,7 +73,7 @@ class TestSpectralField:
         g = grid(16)
         mt = multiplier_table(g)
         for name in ("k1", "k2", "q", "keep", "mirror", "a", "d", "h", "ixi1", "ixi2",
-                     "bilap", "one_minus_lap", "lap", "two_thirds"):
+                     "bilap", "one_minus_lap", "two_thirds"):
             assert getattr(mt, name).shape == g.band_shape, name
         assert np.array_equal(mt.keep[g.n // 2], np.zeros(g.n // 2))
         assert np.all(np.delete(mt.keep, g.n // 2, axis=0) == 1.0)
@@ -196,13 +196,6 @@ class TestMultipliers:
 
 
 class TestDerivatives:
-    def test_laplacian_of_cosine(self):
-        g = grid(32, L=5.0)
-        u = sp.cosine_field(g, 1, 0, 1.0)
-        lap = sp.laplacian(u)
-        expected = -((2 * np.pi / 5.0) ** 2)
-        assert np.allclose(lap.coeffs, expected * u.coeffs, atol=1e-15)
-
     def test_perp_gradient_divergence_free(self):
         g = grid(64)
         u = rand(g, 7)
@@ -231,7 +224,6 @@ class TestDerivatives:
         for op in (sp.gradient, sp.perp_gradient):
             for comp in op(u):
                 assert np.all(comp.coeffs == 0.0)
-        assert np.all(sp.laplacian(u).coeffs == 0.0)
         assert np.all(sp.bilaplacian(u).coeffs == 0.0)
 
 

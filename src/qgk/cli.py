@@ -270,7 +270,9 @@ def _cmd_compare(args) -> int:
                                                 "eta": args.eta})
     rows = list(zip(series.times, series.z_h3, series.envelope_ratio))
     write_csv(args.out, ["t", "z_h3", "envelope_ratio"], rows, manifest)
-    print(f"sup envelope ratio (t >= 1): {series.sup_ratio(1.0):.6e}")
+    last = series.times[-1]
+    sup = f"{series.sup_ratio(1.0):.6e}" if last >= 1.0 else f"no samples (last t = {last:g})"
+    print(f"sup envelope ratio (t >= 1): {sup}")
     return 0
 
 

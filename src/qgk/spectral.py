@@ -171,13 +171,10 @@ def sobolev_norm(u: SpectralField, s: float) -> float:
 # work between the calling thread and one worker thread when the process may
 # run on two CPUs; numpy's FFT and ufunc loops release the GIL.  Each thread
 # computes one pair's term, then runs the add, the r2c pass and the axis -2
-# pass on half of the rows and of the band columns.  Fresh-process runs at
-# 128^2 and 256^2 are faster than the serial loop; a 64^2 step is slower,
-# because handing work to a thread costs more than the overlap saves
-# (BENCH_13.json).
+# pass on half of the rows and of the band columns.  With the worker, fresh
+# 128^2 and 256^2 runs were faster and a warm 64^2 step slower, because
+# handing work to a thread costs more than the overlap saves (BENCH_13.json).
 POOL_MIN_N = 128
-# rows of a pair's second samples made at a time, into a small scratch array
-_SCRATCH_ROWS = 32
 
 
 def _c2r_input(block: np.ndarray, pad: np.ndarray) -> np.ndarray:
@@ -202,20 +199,16 @@ def band_samples(block: np.ndarray, m: int) -> np.ndarray:
 
 def _pair_term(u: np.ndarray, v: np.ndarray, pad, samples, scratch) -> np.ndarray:
     """samples <- band_samples(u, m) * band_samples(v, m), bit for bit, with
-    pad as both c2r inputs and v's samples made scratch rows at a time: each
-    row is its own 1-D transform, whatever the batch.  (irfftn, since
+    pad as both c2r inputs and v's samples made in scratch.  (irfftn, since
     numpy's irfft2 ignores out= as well.)"""
-    m, rows, h = samples.shape[-1], scratch.shape[-2], u.shape[-1]
+    m, h = samples.shape[-1], u.shape[-1]
     # each column pass fills the rows between the band's, which the next
     # c2r input needs zero
     pad[..., h:m - h + 1, :h] = 0.0
     sfft.irfftn(_c2r_input(u, pad), s=(m,), axes=(-1,), norm="forward", out=samples)
     pad[..., h:m - h + 1, :h] = 0.0
-    _c2r_input(v, pad)
-    for r in range(0, m, rows):
-        part = scratch[..., :min(rows, m - r), :]
-        sfft.irfftn(pad[..., r:r + rows, :], s=(m,), axes=(-1,), norm="forward", out=part)
-        samples[..., r:r + rows, :] *= part
+    sfft.irfftn(_c2r_input(v, pad), s=(m,), axes=(-1,), norm="forward", out=scratch)
+    samples *= scratch
     return samples
 
 
@@ -246,43 +239,51 @@ def _usable_cpus() -> int:
 
 
 class _PairPool:
-    """The calling thread and one worker thread computing a two-pair
-    product, each running one ``_share``.  Each side owns a c2r input, a
-    samples array and the row scratch; both write one forward buffer
-    (..., m, m/2 + 1).  The buffers are held for one stack shape and
-    replaced when the shape changes.  The worker starts with the first
-    pooled product, so importing qgk starts none.  Callers hold ``lock``
-    until they have read the forward buffer, so one product at a time uses
-    the buffers."""
+    """The band kernel's held buffers, and the worker thread that takes half
+    of a pooled product.  Each of two sides owns a c2r input, a samples
+    array and a scratch; both write one forward buffer (..., m, m/2 + 1).
+    The buffers are held for one stack shape, m and band width h (the c2r
+    input must be zero past column h) and replaced when any changes.  The
+    worker starts with the first pooled product, so importing qgk starts
+    none.  Callers hold ``lock`` until they have read the forward buffer."""
 
     def __init__(self):
         self.lock = threading.Lock()
         self.barrier = threading.Barrier(2)
         self.executor = None
-        self.shape = None
+        self.key = None
         self.buffers = ()
         self.forward = None
 
-    def forward_pass(self, pairs, m: int, h: int) -> np.ndarray:
+    def forward_pass(self, pairs, m: int, h: int, pooled: bool) -> np.ndarray:
         """The first h columns of the forward buffer, holding the 2-D forward
-        transform of the sum of the pairs' sample products."""
+        transform of the sum of the pairs' sample products.  Unpooled, later
+        pairs' terms are made in side 1's samples and added in pair order."""
+        key = pairs[0][0].shape[:-2] + (m, h)
+        if key != self.key:
+            # free the old key's buffers before making new ones
+            self.buffers, self.forward = (), None
+            stack = key[:-2]
+            self.buffers = tuple(
+                (np.zeros(stack + (m, m // 2 + 1), dtype=complex), np.empty(stack + (m, m)),
+                 np.empty(stack + (m, m)))
+                for _ in range(2))
+            self.forward = np.empty(stack + (m, m // 2 + 1), dtype=complex)
+            self.key = key
+        mine, theirs = self.buffers
+        if not pooled:
+            acc = _pair_term(*pairs[0], *mine)
+            for u, v in pairs[1:]:
+                np.add(acc, _pair_term(u, v, mine[0], theirs[1], mine[2]), out=acc)
+            sfft.rfft2(acc, axes=(-1,), norm="forward", out=self.forward)
+            band = self.forward[..., :h]
+            sfft.fft2(band, axes=(-2,), norm="forward", out=band)
+            return band
         from concurrent import futures
 
         if self.executor is None:
             self.executor = futures.ThreadPoolExecutor(max_workers=1,
                                                        thread_name_prefix="qgk-pair")
-        shape = pairs[0][0].shape[:-2] + (m,)
-        if shape != self.shape:
-            # free the old shape's buffers before making new ones
-            self.buffers, self.forward = (), None
-            stack = shape[:-1]
-            self.buffers = tuple(
-                (np.zeros(stack + (m, m // 2 + 1), dtype=complex), np.empty(stack + (m, m)),
-                 np.empty(stack + (min(_SCRATCH_ROWS, m), m)))
-                for _ in range(2))
-            self.forward = np.empty(stack + (m, m // 2 + 1), dtype=complex)
-            self.shape = shape
-        mine, theirs = self.buffers
         shared = (mine[1], theirs[1], self.forward)
         job = self.executor.submit(_share, pairs[1], theirs, *shared, slice(m // 2, m),
                                    slice(h // 2, h), self.barrier)
@@ -321,27 +322,19 @@ def band_product(grid: GridSpec, pairs) -> np.ndarray:
     """Band block of sum_i dealias(u_i * v_i) under the grid's dealias
     policy, from the band blocks (u_i, v_i) of each pair.
 
-    Two pairs on a grid with n >= POOL_MIN_N, in a process that may run on
-    two CPUs, run on the calling thread and one worker thread: each
-    computes one pair's term, then adds the terms and runs the forward
-    passes on half of the rows and half of the band columns.  Every
-    transform, add and product is the serial loop's, on the same data, so
-    the result is the same to the bit on any core count."""
+    Every product runs on the kernel's held buffers.  Two pairs on a grid
+    with n >= POOL_MIN_N, in a process that may run on two CPUs, split
+    between the calling thread and one worker thread, each computing one
+    pair's term and half of each forward pass.  Every transform, add and
+    product is the same on the same data either way, so the result is the
+    same to the bit on any core count."""
     n, h = grid.n, grid.n // 2
     mask = None if grid.dealias == THREE_HALVES else multiplier_table(grid).two_thirds
     m = n if mask is not None else 3 * n // 2
     pairs = [(u, v) if mask is None else (u * mask, v * mask) for u, v in pairs]
-    if len(pairs) == 2 and n >= POOL_MIN_N and _usable_cpus() >= 2:
-        with _PAIRS.lock:
-            return _band_block(_PAIRS.forward_pass(pairs, m, h), n, mask)
-    acc = None
-    for u, v in pairs:
-        term = band_samples(u, m)
-        term *= band_samples(v, m)
-        acc = term if acc is None else np.add(acc, term, out=acc)
-    band = sfft.rfft2(acc, axes=(-1,), norm="forward")[..., :h]
-    sfft.fft2(band, axes=(-2,), norm="forward", out=band)
-    return _band_block(band, n, mask)
+    pooled = len(pairs) == 2 and n >= POOL_MIN_N and _usable_cpus() >= 2
+    with _PAIRS.lock:
+        return _band_block(_PAIRS.forward_pass(pairs, m, h, pooled), n, mask)
 
 
 def product_sum(pairs: list[tuple[SpectralField, SpectralField]]) -> SpectralField:

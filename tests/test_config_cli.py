@@ -170,6 +170,21 @@ class TestDispatch:
         assert lines[0] == "t,z_h3,envelope_ratio"
         assert len(lines) > 3
 
+    def test_compare_before_t1_says_no_samples(self, tmp_path, capsys):
+        # the runs end at t = 0.2: no envelope ratio is sampled at t >= 1
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        run_dir, lin_dir = tmp_path / "nl", tmp_path / "lin"
+        assert dispatch(["run", "--config", cfg, "--out", str(run_dir)]) == 0
+        assert dispatch(["linear", "--config", cfg, "--out", str(lin_dir)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "compare.csv"
+        assert dispatch(["compare", "--run-a", str(run_dir), "--run-b", str(lin_dir),
+                         "--eta", "0.75", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "sup envelope ratio (t >= 1): no samples (last t = 0.2)\n")
+        rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert len(rows) == 6 and "nan" not in rows[-1]
+
     def test_linear_rejects_uneven_times_before_any_work(self, tmp_path, monkeypatch, capsys):
         cfg = write_cfg(tmp_path, SMALL_RUN)
         out = tmp_path / "lin"

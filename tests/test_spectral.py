@@ -464,6 +464,25 @@ class TestNumpyRoute:
         assert np.array_equal(sp.band_product(g, pairs), scipy_band_product(g, pairs))
         assert np.array_equal(bl.transport(rho, zeta, g), scipy_transport(rho, zeta, g))
 
+    # one pair is a dealiased product; five are a paraproduct's or a remainder's
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("n, dealias, stack", [(24, "two_thirds_truncation", ()),
+                                                   (64, "three_halves_padding", (2,)),
+                                                   (128, "three_halves_padding", ())])
+    def test_any_pair_count(self, n, dealias, stack, count):
+        g = grid(n, L=5.0, dealias=dealias)
+        fields = [stacked_fields(g, 11 * n + 3 * k, stack) for k in range(count + 1)]
+        pairs = list(zip(fields[:-1], fields[1:]))
+        assert np.array_equal(sp.band_product(g, pairs), scipy_band_product(g, pairs))
+
+    def test_stack_shapes_in_turn_on_one_pool(self, pair_pool):
+        g = grid(64, L=5.0)
+        for stack in ((), (2,), ()):
+            rho, zeta = stacked_fields(g, 1, stack), stacked_fields(g, 9, stack)
+            pairs = ((rho, zeta), (zeta, rho * 0.5))
+            assert np.array_equal(sp.band_product(g, pairs), scipy_band_product(g, pairs))
+            assert pair_pool.key == stack + (96, 32)
+
 
 @pytest.fixture
 def pair_pool(monkeypatch):
@@ -492,8 +511,8 @@ def stacked_fields(g, seed, stack=()):
 
 class TestPairPool:
     """Two-pair products on large grids split their work between the calling
-    thread and one worker; the result is the serial loop's to the bit,
-    whatever the core count."""
+    thread and one worker; the result is the calling thread's alone to the
+    bit, whatever the core count, and the scipy kernel's."""
 
     # n = 262 under 3/2 padding splits odd halves: m = 393 rows (196/197)
     # and h = 131 band columns (65/66)
@@ -510,6 +529,8 @@ class TestPairPool:
         set_cpus(monkeypatch, 1)
         product, lam = sp.band_product(g, pairs), bl.transport(rho, zeta, g)
         assert pair_pool.executor is None
+        assert np.array_equal(product, scipy_band_product(g, pairs))
+        assert np.array_equal(lam, scipy_transport(rho, zeta, g))
         set_cpus(monkeypatch, 2)
         for _ in range(20):
             assert np.array_equal(sp.band_product(g, pairs), product)
@@ -520,8 +541,24 @@ class TestPairPool:
         set_cpus(monkeypatch, 1)
         g = grid(256)
         a = full_band_field(g, 1)
+        before = len(pair_threads())
         bl.transport(a, a)
-        assert pair_pool.executor is None and pair_pool.buffers == ()
+        # the same kernel without its worker: no thread, buffers held
+        assert pair_pool.executor is None and len(pair_threads()) == before
+        assert pair_pool.key == (384, 128)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_buffers_are_keyed_by_band_width(self, cpus, pair_pool, monkeypatch):
+        # n = 128 under 3/2 padding and n = 192 under 2/3 truncation share
+        # m = 192 with h = 64 and 96: the wider product's columns 64-95 of
+        # the c2r input must not reach the narrower one
+        set_cpus(monkeypatch, cpus)
+        narrow, wide = grid(128, L=5.0), grid(192, L=5.0, dealias="two_thirds_truncation")
+        a, b = full_band_field(narrow, 1).band, full_band_field(wide, 2).band
+        first = bl.transport(a, a, narrow)
+        bl.transport(b, b, wide)
+        assert np.array_equal(bl.transport(a, a, narrow), first)
+        assert np.array_equal(first, scipy_transport(a, a, narrow))
 
     def test_pool_is_lazy_and_holds_one_thread(self, pair_pool, monkeypatch):
         set_cpus(monkeypatch, 2)
@@ -554,10 +591,10 @@ class TestPairPool:
                 bl.transport(a, a, g)
                 # the previous shape's buffers are gone
                 assert all(ref() is None for ref in held)
-        m = 3 * 264 // 2
-        assert pair_pool.shape == (3, m)
+        m, h = 3 * 264 // 2, 264 // 2
+        assert pair_pool.key == (3, m, h)
         assert [buf.shape for buf in pair_pool.buffers[0]] == [
-            (3, m, m // 2 + 1), (3, m, m), (3, sp._SCRATCH_ROWS, m)]
+            (3, m, m // 2 + 1), (3, m, m), (3, m, m)]
         assert len(pair_pool.buffers) == 2
         assert pair_pool.forward.shape == (3, m, m // 2 + 1)
 

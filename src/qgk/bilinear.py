@@ -48,7 +48,8 @@ def transport(rho, zeta, grid: GridSpec | None = None):
     rho and zeta are SpectralFields, or band blocks (..., n, n/2) of fields
     on ``grid`` with any leading (stack) axes; the result has the same form.
     The symbols of velocity, bilaplacian and gradient are applied in the
-    same order either way.  The mean
+    same order either way; the band kernel multiplies in the gradient
+    symbols as it fills its held buffers.  The mean
     coefficient is set to exactly zero: the operator is a divergence, and
     the dot-product route only misses that by round-off.
     """
@@ -59,7 +60,9 @@ def transport(rho, zeta, grid: GridSpec | None = None):
     mt = multiplier_table(grid)
     a = rho * mt.one_minus_lap
     b = zeta * mt.bilap
-    lam = band_product(grid, ((-a * mt.ixi2, b * mt.ixi1), (a * mt.ixi1, b * mt.ixi2)))
+    # -a, as a sign flip of each float: numpy's complex negative has no SIMD loop
+    minus_a = np.negative(a.view(float)).view(complex)
+    lam = band_product(grid, (((minus_a, mt.ixi2), (b, mt.ixi1)), ((a, mt.ixi1), (b, mt.ixi2))))
     lam[..., 0, 0] = 0.0
     return SpectralField(grid, lam) if solo else lam
 

@@ -99,32 +99,9 @@ def forcing_work(f: np.ndarray, y: np.ndarray, grid: GridSpec) -> tuple[float, f
     return tuple(L2 * float(np.real(np.sum(fu * w))) for w in pairings)
 
 
-def _form(u: SpectralField, weight: np.ndarray) -> float:
-    return float(_contract(u.band, u.grid, [weight])[0])
-
-
-def energy_first(u: SpectralField) -> float:
-    return _form(u, _weights(u.grid)[0][E_FIRST])
-
-
-def energy_second(u: SpectralField) -> float:
-    return _form(u, _weights(u.grid)[0][E_SECOND])
-
-
-def energy_sigma(u: SpectralField, sigma: float) -> float:
-    return _form(u, sigma_weight(u.grid, sigma))
-
-
 def energy_tilde_s(u: SpectralField, s: float) -> float:
-    return _form(u, _power_row(u.grid, s, X))
-
-
-def x_of(u: SpectralField) -> float:
-    return _form(u, _weights(u.grid)[0][X])
-
-
-def y_of(u: SpectralField) -> float:
-    return _form(u, _weights(u.grid)[0][Y])
+    """E_tilde_s(u), the weight (1 + q)^s X contracted over u's band block."""
+    return float(_contract(u.band, u.grid, [_power_row(u.grid, s, X)])[0])
 
 
 # ---------------------------------------------------------------------------

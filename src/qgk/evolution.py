@@ -173,11 +173,14 @@ class RunConfig:
         return cfl_limit(self.initial_state.band, self.grid)
 
     @cached_property
-    def exp_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """exp(-mu h dt/2) and exp(-mu h dt) on the band block."""
+    def exp_factors(self) -> tuple[np.ndarray, ...]:
+        """e_half = exp(-mu h dt/2), exp(-mu h dt), dt * e_half and
+        2 * e_half on the band block: the step's dt * e_half * c is
+        (dt * e_half) * c, so holding the products keeps its bits."""
         h = multiplier_table(self.grid).h
         e_half = np.exp(-self.mu * h * (0.5 * self.dt))
-        return _read_only(e_half), _read_only(e_half * e_half)
+        return tuple(_read_only(f) for f in (e_half, e_half * e_half, self.dt * e_half,
+                                             2.0 * e_half))
 
     @cached_property
     def sigma_weights(self) -> tuple[np.ndarray, ...]:
@@ -287,18 +290,19 @@ def step(y: np.ndarray, t: float, cfg: RunConfig) -> np.ndarray:
     state of the first member whose step is not finite.
     """
     dt = cfg.dt
-    e_half, e_full = cfg.exp_factors
+    e_half, e_full, dt_e_half, two_e_half = cfg.exp_factors
     nl = _nonlinear_rhs
     if cfg.stepper == IF_RK2:
         k1 = nl(y, t, cfg)
         k2 = nl(e_half * (y + 0.5 * dt * k1), t + 0.5 * dt, cfg)
-        out = e_full * y + dt * e_half * k2
+        out = e_full * y + dt_e_half * k2
     else:
+        e_full_y = e_full * y
         a = nl(y, t, cfg)
         b = nl(e_half * (y + 0.5 * dt * a), t + 0.5 * dt, cfg)
         c = nl(e_half * y + 0.5 * dt * b, t + 0.5 * dt, cfg)
-        d = nl(e_full * y + dt * e_half * c, t + dt, cfg)
-        out = e_full * y + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
+        d = nl(e_full_y + dt_e_half * c, t + dt, cfg)
+        out = e_full_y + (dt / 6.0) * (e_full * a + two_e_half * (b + c) + d)
     if not np.all(np.isfinite(out)):
         raise SimulationAbort("non-finite state after step", t + dt,
                               _first_nonfinite(y, out, cfg.grid), t)

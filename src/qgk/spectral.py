@@ -29,7 +29,7 @@ from .grid import (
 )
 
 # every FFT is looked up on this attribute, which perfbench/tracing.py
-# replaces to time the 2-D calls
+# replaces to time the 2-D calls (the band kernel makes only 1-D calls)
 sfft = np.fft
 
 
@@ -157,58 +157,80 @@ def sobolev_norm(u: SpectralField, s: float) -> float:
 # ---------------------------------------------------------------------------
 # dealiased products
 
-# Products read band blocks whose Nyquist row is zero.  Any leading axes
-# are a stack of fields, transformed slice by slice.  Products embed the
-# blocks in an m x m grid, multiply pointwise and truncate back: under the
-# 3/2 rule m = 3n/2, so aliases of any product mode |s| <= n - 2 miss the
-# band and the result is the exact convolution; under 2/3 truncation m = n,
-# inputs and output cut to |k_i| <= n//3.  Transforms run one axis at a
-# time, the axis -2 passes only over the n/2 band columns, and
+# Products read fields as band blocks whose Nyquist row is zero, each with an
+# optional symbol table: a field is a block or a (block, symbol) pair.  The
+# kernel multiplies the symbol, then the 2/3-rule mask, into the held buffer
+# that the field's samples fill next, and copies the band rows from there
+# into the held c2r input, so no product allocates a temporary.  Any leading
+# axes are a stack of fields, transformed slice by slice.  Products embed the
+# blocks in an m x m grid, multiply pointwise and truncate back: under the 3/2
+# rule m = 3n/2, so aliases of any product mode |s| <= n - 2 miss the band and
+# the result is the exact convolution; under 2/3 truncation m = n, inputs and
+# output cut to |k_i| <= n//3.  Every pass is one 1-D numpy.fft call over one
+# axis, the axis -2 passes cover only the n/2 band columns, and
 # norm="forward" never rescales.
 
 
 # Two-pair products (a transport) on grids with n >= POOL_MIN_N split their
 # work between the calling thread and one worker thread when the process may
 # run on two CPUs; numpy's FFT and ufunc loops release the GIL.  Each thread
-# computes one pair's term, then runs the add, the r2c pass and the axis -2
-# pass on half of the rows and of the band columns.  With the worker, fresh
-# 128^2 and 256^2 runs were faster and a warm 64^2 step slower, because
-# handing work to a thread costs more than the overlap saves (BENCH_13.json).
+# fills its own pair's c2r inputs, symbols included, and computes that pair's
+# term, then runs the add, the r2c pass and the axis -2 pass on half of the
+# rows and of the band columns.  With the worker, fresh 128^2 and 256^2 runs
+# were faster and a warm 64^2 step slower, because handing work to a thread
+# costs more than the overlap saves (BENCH_13.json).
 POOL_MIN_N = 128
 
 
-def _c2r_input(block: np.ndarray, pad: np.ndarray) -> np.ndarray:
-    """Fill pad (..., m, m/2 + 1) with the c2r input of the fields with band
-    blocks ``block``; pad must be zero outside the band's rows and columns."""
-    m, h = pad.shape[-2], block.shape[-1]
-    # the axis -2 pass runs in place on the n/2 band columns only (ifftn,
-    # since numpy's ifft2 ignores out=)
+def _field(field, mask) -> tuple:
+    """A block or a pair (block, symbol) as (block, (symbol, mask)), less
+    the tables that are None."""
+    block, symbol = field if isinstance(field, tuple) else (field, None)
+    return block, tuple(table for table in (symbol, mask) if table is not None)
+
+
+def _samples(field, pad: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out (..., m, m) <- the samples of ``field`` (as _field makes it) on
+    the m x m grid, through the c2r input pad (..., m, m/2 + 1), which must
+    be zero outside the band's rows and columns.  The block times its
+    tables lands first in the contiguous out: numpy's complex multiply into
+    pad's strided rows takes longer than into out and a copy."""
+    block, tables = field
+    m, h = out.shape[-1], block.shape[-1]
+    if tables:
+        landing = out.reshape(-1)[:2 * block.size].view(complex).reshape(block.shape)
+        block = np.multiply(block, tables[0], out=landing)
+        for table in tables[1:]:
+            np.multiply(landing, table, out=landing)
     cols = pad[..., :h]
     cols[..., :h, :] = block[..., :h, :]
     cols[..., m - h + 1:, :] = block[..., h + 1:, :]
-    sfft.ifftn(cols, axes=(-2,), norm="forward", out=cols)
-    return pad
+    # the axis -2 pass runs in place on the n/2 band columns only; the c2r
+    # input has all m/2 + 1 columns, so the c2r pass pads nothing
+    sfft.ifft(cols, axis=-2, norm="forward", out=cols)
+    return sfft.irfft(pad, n=m, axis=-1, norm="forward", out=out)
 
 
-def band_samples(block: np.ndarray, m: int) -> np.ndarray:
-    """Samples on the m x m grid (m >= n) of the fields with band blocks ``block``."""
-    # the c2r input has all m/2 + 1 columns, so irfft2 pads nothing
-    pad = np.zeros(block.shape[:-2] + (m, m // 2 + 1), dtype=complex)
-    return sfft.irfft2(_c2r_input(block, pad), s=(m,), axes=(-1,), norm="forward")
+def band_samples(field, m: int) -> np.ndarray:
+    """Samples on the m x m grid (m >= n) of the fields with band blocks
+    ``field``, or of block * symbol for a pair (block, symbol)."""
+    field = _field(field, None)
+    stack = field[0].shape[:-2]
+    pad = np.zeros(stack + (m, m // 2 + 1), dtype=complex)
+    return _samples(field, pad, np.empty(stack + (m, m)))
 
 
-def _pair_term(u: np.ndarray, v: np.ndarray, pad, samples, scratch) -> np.ndarray:
-    """samples <- band_samples(u, m) * band_samples(v, m), bit for bit, with
-    pad as both c2r inputs and v's samples made in scratch.  (irfftn, since
-    numpy's irfft2 ignores out= as well.)"""
-    m, h = samples.shape[-1], u.shape[-1]
+def _pair_term(u, v, pad, samples, scratch) -> np.ndarray:
+    """samples <- band_samples(u, m) * band_samples(v, m), bit for bit, for
+    fields u, v as _field makes them, with pad as both c2r inputs and v's
+    samples made in scratch."""
+    m, h = samples.shape[-1], u[0].shape[-1]
     # each column pass fills the rows between the band's, which the next
     # c2r input needs zero
     pad[..., h:m - h + 1, :h] = 0.0
-    sfft.irfftn(_c2r_input(u, pad), s=(m,), axes=(-1,), norm="forward", out=samples)
+    _samples(u, pad, samples)
     pad[..., h:m - h + 1, :h] = 0.0
-    sfft.irfftn(_c2r_input(v, pad), s=(m,), axes=(-1,), norm="forward", out=scratch)
-    samples *= scratch
+    samples *= _samples(v, pad, scratch)
     return samples
 
 
@@ -221,10 +243,10 @@ def _share(pair, buffers, acc, term, forward, rows: slice, cols: slice, barrier)
         _pair_term(*pair, *buffers)
         barrier.wait()
         part = np.add(acc[..., rows, :], term[..., rows, :], out=acc[..., rows, :])
-        sfft.rfft2(part, axes=(-1,), norm="forward", out=forward[..., rows, :])
+        sfft.rfft(part, axis=-1, norm="forward", out=forward[..., rows, :])
         barrier.wait()
         part = forward[..., cols]
-        sfft.fft2(part, axes=(-2,), norm="forward", out=part)
+        sfft.fft(part, axis=-2, norm="forward", out=part)
     except BaseException:
         # the other thread stops at its next wait instead of waiting for ever
         barrier.abort()
@@ -241,7 +263,9 @@ def _usable_cpus() -> int:
 class _PairPool:
     """The band kernel's held buffers, and the worker thread that takes half
     of a pooled product.  Each of two sides owns a c2r input, a samples
-    array and a scratch; both write one forward buffer (..., m, m/2 + 1).
+    array and a scratch, and the fill of a field's symbols lands in the
+    samples array or scratch that its c2r pass writes next, so a side needs
+    no fourth buffer; both sides write one forward buffer (..., m, m/2 + 1).
     The buffers are held for one stack shape, m and band width h (the c2r
     input must be zero past column h) and replaced when any changes.  The
     worker starts with the first pooled product, so importing qgk starts
@@ -259,7 +283,7 @@ class _PairPool:
         """The first h columns of the forward buffer, holding the 2-D forward
         transform of the sum of the pairs' sample products.  Unpooled, later
         pairs' terms are made in side 1's samples and added in pair order."""
-        key = pairs[0][0].shape[:-2] + (m, h)
+        key = pairs[0][0][0].shape[:-2] + (m, h)
         if key != self.key:
             # free the old key's buffers before making new ones
             self.buffers, self.forward = (), None
@@ -275,9 +299,9 @@ class _PairPool:
             acc = _pair_term(*pairs[0], *mine)
             for u, v in pairs[1:]:
                 np.add(acc, _pair_term(u, v, mine[0], theirs[1], mine[2]), out=acc)
-            sfft.rfft2(acc, axes=(-1,), norm="forward", out=self.forward)
+            sfft.rfft(acc, axis=-1, norm="forward", out=self.forward)
             band = self.forward[..., :h]
-            sfft.fft2(band, axes=(-2,), norm="forward", out=band)
+            sfft.fft(band, axis=-2, norm="forward", out=band)
             return band
         from concurrent import futures
 
@@ -310,8 +334,9 @@ def _band_block(band: np.ndarray, n: int, mask) -> np.ndarray:
     """The (n, n/2) block of a product from the first n/2 columns ``band`` of
     its forward transform on the m x m grid."""
     h, m = n // 2, band.shape[-2]
-    out = np.zeros(band.shape[:-2] + (n, h), dtype=complex)
+    out = np.empty(band.shape[:-2] + (n, h), dtype=complex)
     out[..., :h, :] = band[..., :h, :]
+    out[..., h, :] = 0.0
     out[..., h + 1:, :] = band[..., m - h + 1:, :]
     if mask is not None:
         out *= mask
@@ -320,7 +345,8 @@ def _band_block(band: np.ndarray, n: int, mask) -> np.ndarray:
 
 def band_product(grid: GridSpec, pairs) -> np.ndarray:
     """Band block of sum_i dealias(u_i * v_i) under the grid's dealias
-    policy, from the band blocks (u_i, v_i) of each pair.
+    policy, from each pair's fields (u_i, v_i): band blocks, or pairs
+    (block, symbol) whose symbol table the kernel multiplies into the block.
 
     Every product runs on the kernel's held buffers.  Two pairs on a grid
     with n >= POOL_MIN_N, in a process that may run on two CPUs, split
@@ -331,7 +357,7 @@ def band_product(grid: GridSpec, pairs) -> np.ndarray:
     n, h = grid.n, grid.n // 2
     mask = None if grid.dealias == THREE_HALVES else multiplier_table(grid).two_thirds
     m = n if mask is not None else 3 * n // 2
-    pairs = [(u, v) if mask is None else (u * mask, v * mask) for u, v in pairs]
+    pairs = [(_field(u, mask), _field(v, mask)) for u, v in pairs]
     pooled = len(pairs) == 2 and n >= POOL_MIN_N and _usable_cpus() >= 2
     with _PAIRS.lock:
         return _band_block(_PAIRS.forward_pass(pairs, m, h, pooled), n, mask)

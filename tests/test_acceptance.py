@@ -128,7 +128,7 @@ def test_criterion_05_inviscid_conservation():
         cfg = RunConfig(grid=g, mu=0.0, t_end=0.5, dt=dt, initial_condition=r0,
                         diagnostics_every=int(round(0.05 / dt)))
         out = simulate(cfg)
-        e0 = diag.energy_second(cfg.initial_state)
+        e0 = diag.quadratic_forms(cfg.initial_state.band, g, rows=[diag.E_SECOND])[0]
         return max(abs(rec.e_second - e0) for rec in out.records) / e0
 
     d1 = drift(1e-3)

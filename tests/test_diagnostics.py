@@ -17,45 +17,51 @@ def rand(g, seed, amplitude=1.0):
     return sp.random_band_field(g, seed, amplitude, 3.0, 1, g.n // 6)
 
 
+def forms(u, *rows, sigmas=()):
+    """quadratic_forms rows of u, then E_sigma for each of sigmas."""
+    weights = [diag.sigma_weight(u.grid, s) for s in sigmas]
+    return diag.quadratic_forms(u.band, u.grid, weights, rows=list(rows))
+
+
 class TestEnergies:
     def test_cosine_first_energy(self):
         # E[cos x] on L = 2 pi: (1 + 2 + 2 + 1)/2 * 2 pi^2 = 6 pi^2
         u = sp.cosine_field(G, 1, 0, 1.0)
-        assert diag.energy_first(u) == pytest.approx(6.0 * np.pi**2, rel=1e-13)
+        assert forms(u, diag.E_FIRST)[0] == pytest.approx(6.0 * np.pi**2, rel=1e-13)
 
     def test_cosine_second_energy(self):
         # weights (1 + 2 + 3 + 2 + 1)/2 = 4.5 at q = 1
         u = sp.cosine_field(G, 1, 0, 1.0)
-        assert diag.energy_second(u) == pytest.approx(9.0 * np.pi**2, rel=1e-13)
+        assert forms(u, diag.E_SECOND)[0] == pytest.approx(9.0 * np.pi**2, rel=1e-13)
 
     def test_zero_field(self):
         zero = SpectralField(G, np.zeros(G.band_shape, complex))
-        assert diag.energy_first(zero) == diag.energy_second(zero) == 0.0
-        assert diag.x_of(zero) == diag.y_of(zero) == 0.0
-        assert diag.energy_sigma(zero, 1.0) == diag.energy_sigma(zero, 2.0) == 0.0
+        assert forms(zero, diag.E_FIRST, diag.E_SECOND, diag.X, diag.Y,
+                     sigmas=(1.0, 2.0)).tolist() == [0.0] * 6
         assert diag.energy_tilde_s(zero, 0.5) == 0.0
 
     def test_homogeneity(self):
         u = rand(G, 1)
         double = SpectralField(G, 2.0 * u.band)
-        assert diag.energy_first(double) == pytest.approx(4.0 * diag.energy_first(u), rel=1e-14)
+        assert forms(double, diag.E_FIRST)[0] == pytest.approx(4.0 * forms(u, diag.E_FIRST)[0],
+                                                               rel=1e-14)
 
     def test_second_minus_first_is_half_y(self):
         # printed definitions differ by (|Delta phi|^2 + |grad Delta phi|^2
         # + |Delta^2 phi|^2) / 2, which is Y/2
         u = rand(G, 2)
-        gap = diag.energy_second(u) - diag.energy_first(u)
-        assert gap == pytest.approx(0.5 * diag.y_of(u), rel=1e-12)
+        e_first, e_second, y = forms(u, diag.E_FIRST, diag.E_SECOND, diag.Y)
+        assert e_second - e_first == pytest.approx(0.5 * y, rel=1e-12)
 
     def test_x_dominated_by_twice_first_energy(self):
         u = rand(G, 3)
-        assert diag.x_of(u) <= 2.0 * diag.energy_first(u) * (1 + 1e-14)
+        x, e_first = forms(u, diag.X, diag.E_FIRST)
+        assert x <= 2.0 * e_first * (1 + 1e-14)
 
     def test_nonnegative_forms(self):
         u = rand(G, 4)
-        for val in (diag.energy_first(u), diag.energy_second(u),
-                    diag.energy_sigma(u, 1.0), diag.energy_tilde_s(u, 0.5),
-                    diag.x_of(u), diag.y_of(u)):
+        rows = forms(u, diag.E_FIRST, diag.E_SECOND, diag.X, diag.Y, sigmas=(1.0,))
+        for val in (*rows, diag.energy_tilde_s(u, 0.5)):
             assert val >= 0.0
 
 
@@ -110,10 +116,8 @@ class TestBandContraction:
         weights = [diag.sigma_weight(g, s) for s in self.SIGMAS]
         np.testing.assert_allclose(diag.quadratic_forms(u.band, g, weights), ref[:10],
                                    rtol=1e-15, atol=0.0)
-        public = [diag.x_of(u), diag.y_of(u), diag.energy_first(u), diag.energy_second(u),
-                  *(diag.energy_sigma(u, s) for s in self.SIGMAS),
-                  diag.energy_tilde_s(u, 0.5), diag.energy_tilde_s(u, 2.0)]
-        np.testing.assert_allclose(public, ref[[0, 1, 2, 3, 8, 9, 10, 11]], rtol=1e-15, atol=0.0)
+        tildes = [diag.energy_tilde_s(u, 0.5), diag.energy_tilde_s(u, 2.0)]
+        np.testing.assert_allclose(tildes, ref[[10, 11]], rtol=1e-15, atol=0.0)
         f = sp.random_exponential_field(g, n + 2, 1.0, decay=0.1)
         assert_work_matches_full_grid(diag.forcing_work(f.band, u.band, g), f.coeffs, u.coeffs, g)
 
@@ -143,7 +147,6 @@ class TestBandContraction:
         u = SpectralField(g, np.zeros(g.band_shape, complex))
         u.band[8, 3] = 1.0     # the Nyquist row; coeffs[8, 13] is its mirror
         assert u.coeffs[8, 13] == 1.0
-        assert diag.energy_first(u) == diag.x_of(u) == 0.0
         assert not np.any(diag.quadratic_forms(u.band, g))
 
 

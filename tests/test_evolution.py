@@ -135,7 +135,9 @@ class TestStep:
             cfg = RunConfig(grid=g, mu=0.0, t_end=dt * steps, dt=dt,
                             initial_condition=r0, diagnostics_every=steps)
             out = simulate(cfg)
-            return abs(diag.energy_second(out.final) - diag.energy_second(cfg.initial_state))
+            e_final, e_0 = (diag.quadratic_forms(r.band, g, rows=[diag.E_SECOND])[0]
+                            for r in (out.final, cfg.initial_state))
+            return abs(e_final - e_0)
 
         e1 = drift(2e-2, 8)
         e2 = drift(1e-2, 16)
@@ -552,7 +554,7 @@ class TestEnsembleAxis:
 
         def push(a, b):
             delta = SpectralField(g, b.band - a.band)
-            e_delta.append(diag.energy_first(delta))
+            e_delta.append(diag.quadratic_forms(delta.band, g, rows=[diag.E_FIRST])[0])
             delta_h3.append(np.sqrt(diag.quadratic_forms(delta.band, g)[diag.H3_SQ]))
             rate.append(_grad_l4_fourth(a.band, g))
 
@@ -634,7 +636,29 @@ class TestRunConstants:
         e_half = np.exp(-cfg.mu * mt.h * (0.5 * cfg.dt))
         assert np.array_equal(cfg.exp_factors[0], e_half)
         assert np.array_equal(cfg.exp_factors[1], e_half * e_half)
+        assert np.array_equal(cfg.exp_factors[2], cfg.dt * e_half)
+        assert np.array_equal(cfg.exp_factors[3], 2.0 * e_half)
         assert np.array_equal(cfg.galerkin_block, (mt.q <= 20.0).astype(float))
+
+    @pytest.mark.parametrize("stepper", ["if_rk4", "if_rk2"])
+    def test_step_keeps_the_bits_of_the_written_out_scheme(self, stepper):
+        # the held products dt * e_half and 2 * e_half, and e_full * y formed
+        # once, give the scheme as written term by term, bit for bit
+        cfg = stacked_config(G32, stepper=stepper, forcing=tabulated_forcing(G32))
+        y, t, dt = cfg.initial_state.band, 0.01, cfg.dt
+        e_half, e_full = cfg.exp_factors[:2]
+        nl = evolution._nonlinear_rhs
+        if stepper == "if_rk2":
+            k1 = nl(y, t, cfg)
+            k2 = nl(e_half * (y + 0.5 * dt * k1), t + 0.5 * dt, cfg)
+            expected = e_full * y + dt * e_half * k2
+        else:
+            a = nl(y, t, cfg)
+            b = nl(e_half * (y + 0.5 * dt * a), t + 0.5 * dt, cfg)
+            c = nl(e_half * y + 0.5 * dt * b, t + 0.5 * dt, cfg)
+            d = nl(e_full * y + dt * e_half * c, t + dt, cfg)
+            expected = e_full * y + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
+        assert step(y, t, cfg).tobytes() == expected.tobytes()
 
     def test_sigma_weights_built_once_per_run(self):
         cfg = stacked_config(G32, sigma_list=(1.0, 2.5))
@@ -645,7 +669,8 @@ class TestRunConstants:
             assert np.array_equal(w, (1.0 + q) ** s * y)
         r = cfg.initial_state
         e_sigma = diag.quadratic_forms(r.band, cfg.grid, cfg.sigma_weights)[diag.D_SECOND + 1:]
-        assert e_sigma.tolist() == [diag.energy_sigma(r, s) for s in cfg.sigma_list]
+        solo = [diag.sigma_weight(cfg.grid, s) for s in cfg.sigma_list]
+        assert e_sigma.tolist() == diag.quadratic_forms(r.band, cfg.grid, solo, rows=[]).tolist()
 
 
 class TestBandState:

@@ -686,6 +686,102 @@ class TestPairPool:
             assert len(got) == 5 and all(np.array_equal(r, ref) for r in got)
 
 
+def sweep_grids(seed=16, count=16):
+    """Seeded even n in [8, 96], half of them multiples of 6 (3 | n), each
+    with a box length in [1, 10)."""
+    rng = np.random.default_rng(seed)
+    ns = np.concatenate([2 * rng.integers(4, 49, count - count // 2),
+                         6 * rng.integers(2, 17, count // 2)])
+    return [(int(n), float(rng.uniform(1.0, 10.0))) for n in ns]
+
+
+class TestKernelSweep:
+    """Seeded sweeps of the band kernel against the scipy kernel, bit for
+    bit: random grids, both dealias policies, stacks of fields, one, two and
+    five pairs, the transport, and samples of a block and of a block with
+    its symbol."""
+
+    @pytest.mark.parametrize("stack", [(), (2,), (3,)])
+    @pytest.mark.parametrize("dealias", ["three_halves_padding", "two_thirds_truncation"])
+    def test_seeded_grids(self, dealias, stack):
+        assert any(n % 3 == 0 for n, _ in sweep_grids())
+        for n, length in sweep_grids():
+            g = grid(n, L=length, dealias=dealias)
+            fields = [stacked_fields(g, 13 * n + 7 * k, stack) for k in range(6)]
+            for count in (1, 2, 5):
+                pairs = list(zip(fields[:count], fields[1:count + 1]))
+                assert np.array_equal(sp.band_product(g, pairs), scipy_band_product(g, pairs)), \
+                    (n, count)
+            assert np.array_equal(bl.transport(fields[0], fields[1], g),
+                                  scipy_transport(fields[0], fields[1], g)), n
+            m = 3 * n // 2
+            assert np.array_equal(sp.band_samples(fields[2], m), scipy_band_samples(fields[2], m))
+            ixi1 = multiplier_table(g).ixi1
+            assert np.array_equal(sp.band_samples((fields[3], ixi1), m),
+                                  scipy_band_samples(fields[3] * ixi1, m))
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["one_cpu", "two_cpus"])
+    @pytest.mark.parametrize("n", [128, 262])
+    def test_pool_sizes(self, n, cpus, pair_pool, monkeypatch):
+        set_cpus(monkeypatch, cpus)
+        g = grid(n, L=5.0)
+        fields = [stacked_fields(g, 17 * n + k) for k in range(6)]
+        for count in (1, 2, 5):
+            pairs = list(zip(fields[:count], fields[1:count + 1]))
+            assert np.array_equal(sp.band_product(g, pairs), scipy_band_product(g, pairs)), count
+        assert np.array_equal(bl.transport(fields[0], fields[1], g),
+                              scipy_transport(fields[0], fields[1], g))
+        assert (pair_pool.executor is not None) == (cpus == 2)
+
+
+class RecordingFFT:
+    """Stands in for numpy.fft: records each name looked up and each call."""
+
+    def __init__(self):
+        self.looked_up, self.calls = [], []
+
+    def __getattr__(self, name):
+        self.looked_up.append(name)
+        fn = getattr(np.fft, name)
+
+        def call(*args, **kwargs):
+            self.calls.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+
+class TestKernelCalls:
+    """Every pass of the band kernel is one 1-D numpy.fft call; a pass that
+    slips back to an n-D wrapper shows up here."""
+
+    ONE_D = {"fft", "ifft", "rfft", "irfft"}
+
+    def test_transport_and_samples_make_1d_calls(self, pair_pool, monkeypatch):
+        g = grid(64)
+        a = full_band_field(g, 1)
+        proxy = RecordingFFT()
+        monkeypatch.setattr(sp, "sfft", proxy)
+        bl.transport(a, a)
+        # each of the four fields: a column pass and a c2r pass; then the
+        # r2c pass and the column pass of the sum
+        assert proxy.calls == ["ifft", "irfft"] * 4 + ["rfft", "fft"]
+        sp.band_samples(a.band, 96)
+        assert proxy.calls[10:] == ["ifft", "irfft"]
+        assert set(proxy.looked_up) <= self.ONE_D
+
+    def test_pooled_transport_makes_1d_calls(self, pair_pool, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        g = grid(128)
+        a = full_band_field(g, 2)
+        proxy = RecordingFFT()
+        monkeypatch.setattr(sp, "sfft", proxy)
+        bl.transport(a, a)
+        # each thread makes its pair's four calls and half of each forward pass
+        assert sorted(proxy.calls) == sorted(["ifft", "irfft"] * 4 + ["rfft", "fft"] * 2)
+        assert set(proxy.looked_up) <= self.ONE_D
+
+
 class TestNormsAndInnerProducts:
     def test_cosine_l2_norm(self):
         g = grid(32, L=3.5)

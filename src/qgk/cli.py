@@ -69,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     lin = sub.add_parser("linear", help="exact linear flow with the config's datum and forcing")
     lin.add_argument("--config", required=True)
     lin.add_argument("--out", required=True)
-    lin.add_argument("--times", default="", help="comma list of evenly spaced times "
-                     "(uneven lists are rejected); default: diagnostics cadence")
+    lin.add_argument("--times", default="", help="comma list of evenly spaced finite times >= 0 "
+                     "(other lists are rejected); default: diagnostics cadence")
 
     dec = sub.add_parser("decay", help="radial-quadrature decay moments")
     dec.add_argument("--profile", default="gaussian:1.0")
@@ -209,7 +209,10 @@ def _cmd_linear(args) -> int:
     _, cfg, manifest = _load(args, "linear")
     if args.times:
         times = [float(s) for s in args.times.split(",") if s.strip()]
-        diag.uniform_cadence(times)   # an uneven list exits 1 before anything is written
+        # a negative, non-finite or uneven list exits 1 before anything is written
+        if not all(0.0 <= t < np.inf for t in times):
+            raise ValueError("--times must be finite and nonnegative")
+        diag.uniform_cadence(times)
     else:
         # the times at which qgk run records, (k * diagnostics_every) * dt, bit for bit
         times = [k * cfg.diagnostics_every * cfg.dt

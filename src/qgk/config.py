@@ -40,6 +40,23 @@ class ConfigError(ValueError):
     """Config parse or validation failure, naming the key and line."""
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
+def _finite_list(text: str) -> str:
+    """A comma list of finite floats, kept as written for the manifest."""
+    _sigma_list(text)
+    return text
+
+
+def _sigma_list(text: str) -> tuple[float, ...]:
+    return tuple(_finite(part) for part in text.split(",") if part.strip())
+
+
 def _positive(x):
     return x > 0
 
@@ -48,36 +65,36 @@ def _nonneg(x):
     return x >= 0
 
 
-# key -> (parser, validator or None, default or REQUIRED, description)
+# key -> (parser, validator or None, default or REQUIRED, description); floats must be finite
 _REQUIRED = object()
 
 _KEYS = {
     "grid.n": (int, lambda v: v >= 8 and v % 2 == 0, _REQUIRED, "points per dimension (even, >= 8)"),
-    "grid.box_length": (float, _positive, _REQUIRED, "torus side length L"),
+    "grid.box_length": (_finite, _positive, _REQUIRED, "torus side length L"),
     "grid.dealias": (str, lambda v: v in DEALIAS_POLICIES, "three_halves_padding", "dealias policy"),
-    "mu": (float, _nonneg, _REQUIRED, "viscosity coefficient (>= 0; 0 = inviscid)"),
-    "dt": (float, _positive, _REQUIRED, "time step"),
-    "t_end": (float, _positive, _REQUIRED, "final time"),
+    "mu": (_finite, _nonneg, _REQUIRED, "viscosity coefficient (>= 0; 0 = inviscid)"),
+    "dt": (_finite, _positive, _REQUIRED, "time step"),
+    "t_end": (_finite, _positive, _REQUIRED, "final time"),
     "stepper": (str, lambda v: v in STEPPERS, "if_rk4", "time integrator"),
-    "galerkin_cut": (float, _nonneg, 0.0, "sharp cutoff |xi|^2 <= n_cut; 0 disables"),
+    "galerkin_cut": (_finite, _nonneg, 0.0, "sharp cutoff |xi|^2 <= n_cut; 0 disables"),
     "diagnostics_every": (int, lambda v: v >= 1, 10, "steps between diagnostics rows"),
     "snapshot_every": (int, _nonneg, 0, "records between snapshots; 0 = none"),
     "seed": (int, _nonneg, 0, "master seed recorded in the manifest"),
     "disable_transport": (int, lambda v: v in (0, 1), 0, "1 = drop the nonlinear term (diagnostic)"),
-    "diag.sigma": (str, None, "1", "comma list of sigma values for E_sigma columns"),
+    "diag.sigma": (_finite_list, None, "1", "comma list of sigma values for E_sigma columns"),
     "forcing.kind": (str, lambda v: v in FORCING_KINDS, "zero", "forcing law"),
-    "forcing.k": (float, _positive, 1.0, "forcing amplitude K"),
-    "forcing.eta": (float, lambda v: 0 < v < 1, 0.75, "forcing decay exponent"),
+    "forcing.k": (_finite, _positive, 1.0, "forcing amplitude K"),
+    "forcing.eta": (_finite, lambda v: 0 < v < 1, 0.75, "forcing decay exponent"),
     "forcing.seed": (int, _nonneg, 1, "seed of the forcing profile"),
     "forcing.band_lo": (int, lambda v: v >= 1, 1, "lowest index shell of the profile"),
     "forcing.band_hi": (int, _nonneg, 0, "highest index shell; 0 = n//6"),
     "ic.kind": (str, lambda v: v in IC_KINDS, "random_band", "initial condition family"),
     "ic.seed": (int, _nonneg, 0, "seed of the initial condition (default: seed)"),
-    "ic.amplitude": (float, _positive, 1.0, "H^s amplitude of the initial condition"),
-    "ic.s": (float, None, 3.0, "Sobolev index used for the amplitude"),
+    "ic.amplitude": (_finite, _positive, 1.0, "H^s amplitude of the initial condition"),
+    "ic.s": (_finite, None, 3.0, "Sobolev index used for the amplitude"),
     "ic.band_lo": (int, lambda v: v >= 1, 1, "lowest index shell"),
     "ic.band_hi": (int, _nonneg, 0, "highest index shell; 0 = n//6"),
-    "ic.decay": (float, _positive, 0.5, "spectral decay rate of random_exponential"),
+    "ic.decay": (_finite, _positive, 0.5, "spectral decay rate of random_exponential"),
     "ic.mode_kx": (int, None, 1, "cosine mode index (x)"),
     "ic.mode_ky": (int, None, 0, "cosine mode index (y)"),
     "ic.file": (str, None, "", "snapshot path for ic.kind = file"),
@@ -124,13 +141,6 @@ def parse_config(path) -> dict:
     if values["ic.seed"] == 0 and "ic.seed" not in lines_seen:
         values["ic.seed"] = values["seed"]
     return values
-
-
-def _sigma_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad value for 'diag.sigma': {text!r}") from exc
 
 
 def build_initial_condition(values: dict, grid: GridSpec) -> tuple[SpectralField, float]:

@@ -16,8 +16,8 @@ is projected, and all cancellations survive because the cutoff is
 self-adjoint and idempotent.
 
 Every state a run or the linear flow prepares, evolves or returns is a band
-block coeffs[..., :n/2] (see qgk.grid), bare in the step loop and wrapped as
-a SpectralField where it leaves this module; no full array is built here.
+block coeffs[..., :n/2] (see qgk.grid), bare in the step loop and from
+LinearFlow.at, a SpectralField in results; no full array is built here.
 One step loop (_advance) serves simulate and compare_runs, and leading axes
 of the blocks stack runs stepped together.
 """
@@ -121,8 +121,8 @@ class RunConfig:
 
     Frozen, so the per-run constants below, each built on first use and
     read-only, cannot go stale: the prepared initial state and its CFL
-    bound, the stepper's symbols on the band block and the E_sigma weights
-    of the records.
+    bound, the stepper's symbols on the band block, the E_sigma weights
+    of the records and the exact linear flow.
     """
 
     grid: GridSpec
@@ -194,6 +194,11 @@ class RunConfig:
             return None
         q = multiplier_table(self.grid).q
         return _read_only((q <= float(self.galerkin_cut)).astype(float))
+
+    @cached_property
+    def linear_flow(self) -> LinearFlow:
+        """The exact linear flow from the prepared datum, cut like the run."""
+        return LinearFlow(self.initial_state, self.forcing, self.mu, self.galerkin_block)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -429,91 +434,74 @@ def simulate(cfg: RunConfig) -> SimulationResult:
 # exact linear flow
 
 
-def linear_evolve(w0: SpectralField, forcing: ForcingSpec, mu: float,
-                  times) -> list[tuple[float, SpectralField]]:
-    """Exact mode-wise solution of the linear equation from w0 at the given
-    times.
+class LinearFlow:
+    """Exact mode-wise solution of the linear equation from the datum w0,
+    built once and evaluated by at(t) at any t >= 0, in any order.
 
-    The free part is the diagonal propagator exp(-mu h t); the Duhamel
-    integral is evaluated per mode, with the separable-decaying amplitude
-    integrated by panel quadrature (grouped over the distinct rates of the
-    forcing's support, so modes the profile leaves at zero keep the free
-    flow exactly) and tabulated forcing integrated in closed form, carried
-    from knot to knot.
+    The free part is the diagonal propagator exp(-mu h t).  The Duhamel
+    integral of separable-decaying forcing is a panel quadrature over the
+    distinct rates of the forcing's support only, so modes the profile
+    leaves at zero keep the free flow exactly.  Tabulated forcing is
+    integrated in closed form: the integral is carried from knot to knot
+    once, here, and at(t) carries it from the last knot at or below t.  A
+    segment is integrated from its upper end so that only decaying
+    exponentials appear, keeping the evaluation stable for stiff modes.
+    With a cut, the Galerkin mask on the band block, every state is cut like
+    the projected system's.
     """
-    grid = w0.grid
-    mt = multiplier_table(grid)
-    y0, h = w0.band * mt.keep, mt.h
-    times = list(times)
-    if any(t < 0.0 for t in times):
-        raise ValueError("times must be nonnegative")
-    if forcing.kind == "separable_decaying":
-        f0 = forcing.amplitude * mt.d * forcing.profile.band
-        support = f0 != 0.0
-        f0 = f0[support]
-        q, inverse = np.unique(mt.q[support], return_inverse=True)
-        lam = mu * (1.0 + q) * q * q / (1.0 + q + q * q)
-    elif forcing.kind == "tabulated":
-        tabulated = _tabulated_duhamel(forcing, mu, times, grid)
-    out = []
-    for i, t in enumerate(times):
-        y = np.exp(-mu * h * t) * y0
+
+    def __init__(self, w0: SpectralField, forcing: ForcingSpec, mu: float,
+                 cut: np.ndarray | None = None):
+        mt = multiplier_table(w0.grid)
+        self.forcing, self.mu, self.cut = forcing, mu, cut
+        self._h, self._y0 = mt.h, w0.band * mt.keep
         if forcing.kind == "separable_decaying":
-            y[support] += f0 * duhamel_time_factor(lam, t, forcing.eta)[inverse]
+            f0 = forcing.amplitude * mt.d * forcing.profile.band
+            self._support = f0 != 0.0
+            self._f0 = f0[self._support]
+            q, self._inverse = np.unique(mt.q[self._support], return_inverse=True)
+            self._lam = mu * (1.0 + q) * q * q / (1.0 + q + q * q)
         elif forcing.kind == "tabulated":
-            y = y + tabulated[i]
-        out.append((float(t), SpectralField(grid, y)))
-    return out
+            self._lam = mu * mt.h
+            widths = np.diff(forcing.knot_times)
+            a = [mt.d * f.band for _, f in forcing.table]
+            self._segments = [(a[k], (a[k + 1] - a[k]) / w) for k, w in enumerate(widths)]
+            self._knot_integrals = [np.zeros(self._lam.shape, dtype=complex)]
+            for k, width in enumerate(widths):
+                self._knot_integrals.append(self._carry(k, width))
 
-
-def _tabulated_duhamel(forcing: ForcingSpec, mu: float, times: list,
-                       grid: GridSpec) -> list[np.ndarray]:
-    """Band blocks of the closed-form Duhamel integrals of the piecewise-linear
-    interpolant at each of the times, which may come in any order.
-
-    Taking the times in increasing order, the integral is carried from knot
-    to knot and from the last knot at or below t, so each segment is
-    integrated once.  A segment is integrated from its upper end so that
-    only decaying exponentials appear, keeping the evaluation stable for
-    stiff modes.
-    """
-    mt = multiplier_table(grid)
-    lam = mu * mt.h
-    knots = forcing.knot_times
-    a = [mt.d * f.band for _, f in forcing.table]
-
-    def carry(acc, k, width):
-        # e^{-lam width} acc + int_{t_k}^{t_k + width} e^{-lam (t_k + width - tau)} f(tau) dtau
-        acc = np.exp(-lam * width) * acc
-        if k + 1 == len(knots):
+    def _carry(self, k: int, width: float) -> np.ndarray:
+        # e^{-lam width} acc_k + int_{t_k}^{t_k + width} e^{-lam (t_k + width - tau)} f(tau) dtau
+        acc = np.exp(-self._lam * width) * self._knot_integrals[k]
+        if k == len(self._segments):
             return acc
-        slope = (a[k + 1] - a[k]) / (knots[k + 1] - knots[k])
-        j0, j1 = linear_segment_factor(lam, width)
-        return acc + ((a[k] + slope * width) * j0 - slope * j1)
+        a, slope = self._segments[k]
+        j0, j1 = linear_segment_factor(self._lam, width)
+        return acc + ((a + slope * width) * j0 - slope * j1)
 
-    zero = np.zeros(lam.shape, dtype=complex)
-    out, acc, k = [zero] * len(times), zero, 0      # acc: the integral up to knots[k]
-    for i in np.argsort(times, kind="stable"):
-        while k + 1 < len(knots) and knots[k + 1] <= times[i]:
-            acc, k = carry(acc, k, knots[k + 1] - knots[k]), k + 1
-        if times[i] > knots[0]:
-            out[i] = carry(acc, k, times[i] - knots[k])
-    return out
+    def at(self, t: float) -> np.ndarray:
+        """The band block of the flow at time t."""
+        if not t >= 0.0:
+            raise ValueError("linear flow times must be nonnegative")
+        y = np.exp(-self.mu * self._h * t) * self._y0
+        if self.forcing.kind == "separable_decaying":
+            y[self._support] += self._f0 * duhamel_time_factor(
+                self._lam, t, self.forcing.eta)[self._inverse]
+        elif self.forcing.kind == "tabulated":
+            knots = self.forcing.knot_times
+            k = int(np.searchsorted(knots, t, side="right")) - 1
+            # at or before the first knot the integral is zero; adding it turns -0.0 into +0.0
+            y = y + (self._carry(k, t - knots[k]) if t > knots[0] else self._knot_integrals[0])
+        return y if self.cut is None else y * self.cut
 
 
 def linear_series(cfg: RunConfig, times) -> tuple[list, list]:
-    """Exact linear flow from the configured datum at the given times,
-    cut like the run when it has a Galerkin cut.
-
-    Returns the (t, state) pairs and one diagnostics record per state, with
-    the balance residuals attached.  Uneven times are rejected up front.
-    """
+    """cfg.linear_flow at the given times: the (t, state) pairs and one
+    diagnostics record per state, with the balance residuals attached.
+    Uneven times are rejected up front."""
     times = list(times)
     diag.uniform_cadence(times)
-    states = linear_evolve(cfg.initial_state, cfg.forcing, cfg.mu, times)
-    if cfg.galerkin_block is not None:
-        # the projected system: the Duhamel term is cut like the stepped forcing
-        states = [(t, SpectralField(cfg.grid, w.band * cfg.galerkin_block)) for t, w in states]
+    states = [(float(t), SpectralField(cfg.grid, cfg.linear_flow.at(t))) for t in times]
     records = [_record(w.band, t, cfg) for t, w in states]
     _attach_residuals(records, cfg.mu)
     return states, records

@@ -20,7 +20,6 @@ from qgk.evolution import (
     ForcingSpec,
     RunConfig,
     compare_runs,
-    linear_evolve,
     simulate,
 )
 
@@ -199,7 +198,7 @@ def long_time_run():
     t0 = time.perf_counter()
     out = simulate(cfg)
     times = [t for t, _ in out.snapshots]
-    lin = linear_evolve(cfg.initial_state, forcing, cfg.mu, times)
+    lin = [(t, SpectralField(g, cfg.linear_flow.at(t))) for t in times]
     return cfg, out, lin, time.perf_counter() - t0
 
 

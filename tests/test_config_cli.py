@@ -190,10 +190,10 @@ class TestDispatch:
         out = tmp_path / "lin"
 
         def no_work(*args):
-            raise AssertionError("linear_evolve called")
+            raise AssertionError("LinearFlow.at called")
 
         with monkeypatch.context() as m:
-            m.setattr(evolution, "linear_evolve", no_work)
+            m.setattr(evolution.LinearFlow, "at", no_work)
             code = dispatch(["linear", "--config", cfg, "--out", str(out),
                              "--times", "0,0.1,0.5"])
         assert code == 1
@@ -205,6 +205,31 @@ class TestDispatch:
         assert dispatch(["linear", "--config", cfg, "--out", str(out), "--times", times]) == 0
         assert ((out / "series.csv").read_bytes()
                 == (tmp_path / "default" / "series.csv").read_bytes())
+
+    @pytest.mark.parametrize("times", ["-0.1,0,0.1", "0,inf", "0,nan"])
+    def test_linear_rejects_negative_or_non_finite_times_before_any_work(self, tmp_path,
+                                                                         capsys, times):
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        out = tmp_path / "lin"
+        assert dispatch(["linear", "--config", cfg, "--out", str(out), f"--times={times}"]) == 1
+        assert "qgk: error: --times must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, text", [
+        ("t_end", "inf"), ("ic.decay", "inf"), ("mu", "inf"), ("ic.amplitude", "inf"),
+        ("forcing.k", "inf"), ("ic.s", "nan"), ("diag.sigma", "nan"), ("diag.sigma", "1,inf"),
+        ("galerkin_cut", "inf"), ("dt", "1e400"),
+    ])
+    def test_non_finite_value_exits_1_naming_key_and_line(self, tmp_path, capsys, key, text):
+        lines = [ln for ln in (SMALL_RUN + "ic.kind = random_exponential\n").splitlines()
+                 if ln.partition("=")[0].strip() != key] + [f"{key} = {text}"]
+        cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        assert dispatch(["run", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"qgk: error: bad value for '{key}' (line {len(lines)}): " in err
+        assert "not a finite number" in err
+        assert not out.exists()
 
     def test_linear_galerkin_states_vanish_outside_cut(self, tmp_path):
         # the forcing band (|k| <= 5) reaches past the cut |xi|^2 <= 12

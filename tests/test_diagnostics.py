@@ -6,7 +6,7 @@ import pytest
 from qgk.grid import GridSpec, SpectralField
 from qgk import diagnostics as diag
 from qgk import spectral as sp
-from qgk.evolution import ForcingSpec, RunConfig, linear_evolve, simulate
+from qgk.evolution import ForcingSpec, LinearFlow, RunConfig, simulate
 from qgk.evolution import _attach_residuals, _record
 
 
@@ -184,11 +184,11 @@ class TestBalanceResiduals:
         mu = 0.02
         w0 = sp.random_band_field(G, 5, 1.0, 3.0, 1, 4)
         times = [0.005 * i for i in range(101)]
-        states = linear_evolve(w0, ForcingSpec(kind="zero"), mu, times)
+        flow = LinearFlow(w0, ForcingSpec(kind="zero"), mu)
         cfg = RunConfig(grid=G, mu=mu, t_end=0.5, dt=0.005,
                         initial_condition=w0, disable_transport=True,
                         diagnostics_every=1)
-        records = [_record(f.band, t, cfg) for t, f in states]
+        records = [_record(flow.at(t), t, cfg) for t in times]
         _attach_residuals(records, mu)
         assert records[-1].res_first <= 1e-10
         assert records[-1].res_second <= 1e-10
@@ -229,7 +229,8 @@ class TestCompareH3:
                         initial_condition=w0, disable_transport=True,
                         diagnostics_every=5, snapshot_every=1)
         out = simulate(cfg)
-        lin = linear_evolve(w0, cfg.forcing, 1.0, [t for t, _ in out.snapshots])
+        flow = LinearFlow(w0, cfg.forcing, 1.0)
+        lin = [(t, SpectralField(G, flow.at(t))) for t, _ in out.snapshots]
         series = diag.compare_h3(out.snapshots, lin, eta=0.8)
         scale = sp.sobolev_norm(w0, 3.0)
         assert np.all(series.z_h3 <= 1e-10 * scale)
@@ -246,8 +247,7 @@ class TestCompareH3:
                             initial_condition=zero, forcing=forcing,
                             diagnostics_every=8)
             out = simulate(cfg)
-            (_, lin), = linear_evolve(zero, forcing, 1.0, [t])
-            z = SpectralField(G, out.final.band - lin.band)
+            z = SpectralField(G, out.final.band - LinearFlow(zero, forcing, 1.0).at(t))
             return sp.sobolev_norm(z, 3.0)
 
         ratio = z_at(0.02) / z_at(0.01)
@@ -320,9 +320,8 @@ class TestPointwiseBounds:
                         initial_condition=r0, diagnostics_every=10,
                         snapshot_every=1)
         out = simulate(cfg)
-        lin = linear_evolve(r0, cfg.forcing, 1.0, [t for t, _ in out.snapshots])
-        z_snaps = [(t, SpectralField(G, a.band - b.band))
-                   for (t, a), (_, b) in zip(out.snapshots, lin)]
+        flow = LinearFlow(r0, cfg.forcing, 1.0)
+        z_snaps = [(t, SpectralField(G, a.band - flow.at(t))) for t, a in out.snapshots]
         sup = diag.pointwise_z_bound_sup(z_snaps, r0)
         assert sup <= 1e-10
 

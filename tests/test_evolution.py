@@ -22,10 +22,10 @@ from qgk.quadrature import duhamel_time_factor, linear_segment_factor
 from qgk.snapshots import read_snapshot, write_snapshot
 from qgk.evolution import (
     ForcingSpec,
+    LinearFlow,
     RunConfig,
     SimulationAbort,
     compare_runs,
-    linear_evolve,
     linear_series,
     max_velocity,
     simulate,
@@ -318,7 +318,7 @@ def resummed_tabulated_duhamel(forcing, mu, t, g):
     return acc
 
 
-class TestLinearEvolve:
+class TestLinearFlow:
     @pytest.mark.parametrize("mu", [0.0, 1.3])
     def test_tabulated_carry_matches_resummation(self, mu):
         g = G32
@@ -329,15 +329,14 @@ class TestLinearEvolve:
         # unsorted, repeated, before the first knot, on knots, inside
         # segments and past the last knot
         times = [2.7, 0.2, 1.6, 6.0, 0.5, 0.65, 4.0, 3.9, 1.6, 0.0, 2.0, 40.0]
-        zero = SpectralField(g, np.zeros(g.band_shape, complex))
-        states = linear_evolve(zero, forcing, mu, times)
-        assert [t for t, _ in states] == times
-        for t, field in states:
+        flow = LinearFlow(SpectralField(g, np.zeros(g.band_shape, complex)), forcing, mu)
+        for t in times:
+            band = flow.at(t)
             ref = resummed_tabulated_duhamel(forcing, mu, t, g)
             if t <= knots[0]:
-                assert np.array_equal(field.band, ref)
+                assert np.array_equal(band, ref)
             else:
-                assert np.max(np.abs(field.band - ref)) <= 1e-14 * np.max(np.abs(ref))
+                assert np.max(np.abs(band - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [24, 32, 48])
     @pytest.mark.parametrize("mu", [0.0, 1.3])
@@ -350,11 +349,13 @@ class TestLinearEvolve:
         assert 0 < support.sum() < support.size
         mt = multiplier_table(g)
         times = [0.0, 0.5, 3.7, 25.0, 1000.0]
-        for t, field in linear_evolve(w0, forcing, mu, times):
+        flow = LinearFlow(w0, forcing, mu)
+        for t in times:
+            band = flow.at(t)
             ref = full_grid_duhamel(w0, forcing, mu, t)
-            assert np.max(np.abs(field.band - ref)) <= 1e-15 * np.max(np.abs(ref))
+            assert np.max(np.abs(band - ref)) <= 1e-15 * np.max(np.abs(ref))
             free = np.exp(-mu * mt.h * t) * w0.band
-            assert np.array_equal(field.band[~support], free[~support])
+            assert np.array_equal(band[~support], free[~support])
 
     def test_quadrature_sees_distinct_support_rates_once_per_time(self, monkeypatch):
         g = G32
@@ -367,7 +368,9 @@ class TestLinearEvolve:
             return duhamel_time_factor(lam, t, eta)
 
         monkeypatch.setattr(evolution, "duhamel_time_factor", recording)
-        linear_evolve(band_ic(g, 27), forcing, mu, times)
+        flow = LinearFlow(band_ic(g, 27), forcing, mu)
+        for t in times:
+            flow.at(t)
         q = np.unique(multiplier_table(g).q[forcing_support(forcing, g)])
         expected = mu * (1.0 + q) * q * q / (1.0 + q + q * q)
         assert [t for _, t in calls] == times
@@ -384,8 +387,9 @@ class TestLinearEvolve:
         assert duhamel_time_factor(np.array([]), 2.0, 0.75).shape == (0,)
         w0 = band_ic(g, 28)
         mt = multiplier_table(g)
-        for t, field in linear_evolve(w0, forcing, 1.0, [0.0, 1.5, 40.0]):
-            assert np.array_equal(field.band, np.exp(-mt.h * t) * w0.band)
+        flow = LinearFlow(w0, forcing, 1.0)
+        for t in (0.0, 1.5, 40.0):
+            assert np.array_equal(flow.at(t), np.exp(-mt.h * t) * w0.band)
 
     def test_linear_series_vanishes_outside_galerkin_cut(self):
         g = G32
@@ -399,13 +403,60 @@ class TestLinearEvolve:
             assert np.all(field.band[outside] == 0.0)
             assert np.any(field.band[~outside] != 0.0)
 
+    @pytest.mark.parametrize("kind", ["zero", "separable", "tabulated"])
+    @pytest.mark.parametrize("mu", [0.0, 1.3])
+    @pytest.mark.parametrize("cut", [None, 12.0])
+    def test_at_in_any_order_is_bitwise_sorted_evaluation(self, kind, mu, cut):
+        g = G32
+        forcing = {
+            "zero": ForcingSpec(kind="zero"),
+            "separable": forcing_for(g, K=0.6),
+            "tabulated": ForcingSpec(kind="tabulated", table=[
+                (t, band_ic(g, 70 + i, 0.4)) for i, t in enumerate([0.5, 0.8, 1.6, 2.0, 3.5])]),
+        }[kind]
+        mask = None if cut is None else (multiplier_table(g).q <= cut).astype(float)
+        w0 = band_ic(g, 31)
+        # before, on, between and past the knots, in increasing order
+        times = [0.0, 0.2, 0.5, 0.65, 0.8, 1.6, 2.0, 2.7, 3.5, 6.0, 40.0]
+        sorted_flow = LinearFlow(w0, forcing, mu, mask)
+        expected = {t: sorted_flow.at(t).tobytes() for t in times}
+        shuffled = [times[i] for i in np.random.default_rng(5).permutation(len(times))]
+        flow = LinearFlow(w0, forcing, mu, mask)
+        # shuffled, then decreasing, then repeated: the bits (signed zeros
+        # included) never depend on the order or on earlier calls
+        for t in shuffled + times[::-1] + [2.7, 2.7, 0.5, 0.5, 0.0]:
+            assert flow.at(t).tobytes() == expected[t]
+
+    def test_run_config_builds_one_flow(self, monkeypatch):
+        built = []
+
+        class CountingFlow(LinearFlow):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(evolution, "LinearFlow", CountingFlow)
+        g = G32
+        cfg = RunConfig(grid=g, mu=0.8, t_end=1.0, dt=1e-2, initial_condition=band_ic(g, 29),
+                        galerkin_cut=12.0, forcing=forcing_for(g, K=0.6))
+        states, _ = linear_series(cfg, [0.0, 0.5, 1.0])
+        linear_series(cfg, [1.0, 0.5])
+        assert cfg.linear_flow is cfg.linear_flow
+        assert len(built) == 1 and built[0][0] is cfg.initial_state
+        assert cfg.linear_flow.cut is cfg.galerkin_block
+        for t, field in states:
+            assert field.band.tobytes() == cfg.linear_flow.at(t).tobytes()
+        with pytest.raises(ValueError, match="nonnegative"):
+            cfg.linear_flow.at(-0.1)
+
     def test_free_flow_matches_closed_form(self):
         g = G32
         w0 = band_ic(g, 18)
         mt = multiplier_table(g)
-        for t, field in linear_evolve(w0, ForcingSpec(kind="zero"), 0.8, [0.0, 0.7, 2.0]):
+        flow = LinearFlow(w0, ForcingSpec(kind="zero"), 0.8)
+        for t in (0.0, 0.7, 2.0):
             expected = np.exp(-0.8 * mt.h * t) * w0.band
-            assert np.max(np.abs(field.band - expected)) <= 1e-14 * np.max(np.abs(w0.coeffs))
+            assert np.max(np.abs(flow.at(t) - expected)) <= 1e-14 * np.max(np.abs(w0.coeffs))
 
     def test_constant_forcing_saturates(self):
         # constant-in-time forcing: mode tends to f0_hat / (mu h)
@@ -413,18 +464,18 @@ class TestLinearEvolve:
         prof = band_ic(g, 19)
         forcing = ForcingSpec(kind="tabulated", table=[(0.0, prof), (1e4, prof)])
         mt = multiplier_table(g)
-        (t, field), = linear_evolve(SpectralField(g, np.zeros(g.band_shape, complex)),
-                                    forcing, 1.0, [2e3])
+        band = LinearFlow(SpectralField(g, np.zeros(g.band_shape, complex)),
+                          forcing, 1.0).at(2e3)
         nz = np.abs(prof.band) > 0
         expected = (mt.d * prof.band)[nz] / mt.h[nz]
-        assert np.allclose(field.band[nz], expected, rtol=1e-10)
+        assert np.allclose(band[nz], expected, rtol=1e-10)
 
     def test_separable_forcing_against_adaptive_quadrature(self):
         g = G32
         forcing = forcing_for(g, K=0.9, eta=0.6)
         w0 = band_ic(g, 20)
         t = 3.7
-        (_, field), = linear_evolve(w0, forcing, 1.3, [t])
+        field = SpectralField(g, LinearFlow(w0, forcing, 1.3).at(t))
         mt = multiplier_table(g)
         for idx in ((1, 0), (2, 3), (5, 1)):
             lam = 1.3 * mt.h[idx]
@@ -441,7 +492,7 @@ class TestLinearEvolve:
                         initial_condition=w0, forcing=forcing,
                         disable_transport=True, diagnostics_every=100)
         out = simulate(cfg)
-        (_, lin), = linear_evolve(w0, forcing, 1.0, [1.0])
+        lin = SpectralField(g, LinearFlow(w0, forcing, 1.0).at(1.0))
         err = sp.l2_norm(SpectralField(g, out.final.band - lin.band)) / sp.l2_norm(lin)
         assert err <= 1e-10
 
@@ -714,7 +765,8 @@ class TestBandState:
         forcing = forcing_for(g) if kind == "separable" else tabulated_forcing(g)
         cfg = RunConfig(grid=g, mu=1.0, t_end=0.04, dt=1e-2, initial_condition=w0,
                         forcing=forcing, diagnostics_every=2, snapshot_every=1)
-        states = linear_evolve(w0, forcing, cfg.mu, [0.0, 0.5, 2.0])
+        flow = LinearFlow(w0, forcing, cfg.mu)
+        states = [(t, SpectralField(g, flow.at(t))) for t in (0.0, 0.5, 2.0)]
         snaps = simulate(cfg).snapshots
         assert [t for t, _ in snaps] == [0.0, 0.02, 0.04]
         for _, field in states + snaps + linear_series(cfg, [0.0, 0.5, 1.0])[0]:

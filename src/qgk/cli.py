@@ -22,6 +22,7 @@ from .config import (
     ConfigError,
     manifest_from_values,
     parse_config,
+    parse_value,
     resolve_run_config,
     write_csv,
     write_manifest_sidecar,
@@ -29,10 +30,10 @@ from .config import (
 from .evolution import (
     RunConfig,
     SimulationAbort,
-    TimeSeriesRecord,
     compare_runs,
     linear_series,
     simulate,
+    whole_steps,
 )
 from .grid import SpectralField, hermitian_defect, multiplier_table
 from .quadrature import QuadratureError
@@ -161,10 +162,9 @@ def _load(args, command: str):
     return values, cfg, manifest
 
 
-def _write_series(out_dir: str, cfg: RunConfig, records, manifest) -> None:
-    cols = TimeSeriesRecord.columns(cfg.sigma_list)
-    write_csv(os.path.join(out_dir, "series.csv"), cols,
-              [rec.row() for rec in records], manifest)
+def _write_series(out_dir: str, records: np.ndarray, manifest) -> None:
+    write_csv(os.path.join(out_dir, "series.csv"), records.dtype.names, records.tolist(),
+              manifest)
 
 
 def _write_snaps(out_dir: str, snaps, manifest) -> None:
@@ -186,6 +186,7 @@ def _write_abort(out_dir: str, exc: SimulationAbort, manifest) -> None:
 
 def _cmd_run(args) -> int:
     _, cfg, manifest = _load(args, "run")
+    cfg.n_steps  # a step count that overflows or leaves a remainder exits 1 before any output
     os.makedirs(args.out, exist_ok=True)
     try:
         result = simulate(cfg)
@@ -194,7 +195,7 @@ def _cmd_run(args) -> int:
         raise
     # simulate repeats the t = 0 warnings that resolve_run_config already gave
     manifest.warnings = tuple(dict.fromkeys((*manifest.warnings, *result.warnings)))
-    _write_series(args.out, cfg, result.records, manifest)
+    _write_series(args.out, result.records, manifest)
     final_path = os.path.join(args.out, "final.qgk")
     write_snapshot(final_path, result.final, cfg.t_end)
     write_manifest_sidecar(final_path, manifest)
@@ -219,7 +220,7 @@ def _cmd_linear(args) -> int:
                  for k in range(cfg.n_steps // cfg.diagnostics_every + 1)]
     os.makedirs(args.out, exist_ok=True)
     states, records = linear_series(cfg, times)
-    _write_series(args.out, cfg, records, manifest)
+    _write_series(args.out, records, manifest)
     _write_snaps(args.out, states, manifest)
     print(f"linear flow evaluated at {len(times)} times -> {args.out}")
     return 0
@@ -297,18 +298,16 @@ def _cmd_stability(args) -> int:
 
 def _cmd_convergence(args) -> int:
     values = parse_config(args.config)
-    dts = [float(s) for s in args.dts.split(",") if s.strip()]
+    dts = [parse_value("dt", s.strip(), "--dts") for s in args.dts.split(",") if s.strip()]
     if len(dts) < 2:
         raise ConfigError("convergence needs at least two dt values")
+    # every dt is checked before the first run: t_end is rounded to whole steps of it
+    trials = [dict(values, dt=dt, t_end=whole_steps(values["t_end"], dt) * dt) for dt in dts]
     rows = []
-    for dt in dts:
-        trial = dict(values)
-        trial["dt"] = dt
-        steps = round(trial["t_end"] / dt)
-        trial["t_end"] = steps * dt
+    for trial in trials:
         cfg, _ = resolve_run_config(trial)
-        result = simulate(cfg)
-        rows.append([dt, result.records[-1].res_first, result.records[-1].res_second])
+        last = simulate(cfg).records[-1]
+        rows.append([cfg.dt, last["first_balance_residual"], last["second_balance_residual"]])
     res = np.array([r[1] for r in rows])
     dts_arr = np.array(dts)
     order = np.polyfit(np.log(dts_arr), np.log(np.maximum(res, 1e-300)), 1)[0]

@@ -101,6 +101,19 @@ _KEYS = {
 }
 
 
+def parse_value(key: str, text: str, where: str):
+    """The value of one config key from its text; errors name the key and
+    where the text came from."""
+    parser, validator, _, _ = _KEYS[key]
+    try:
+        value = parser(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for '{key}' ({where}): {exc}") from exc
+    if validator is not None and not validator(value):
+        raise ConfigError(f"out-of-range value for '{key}' ({where}): {text}")
+    return value
+
+
 def parse_config(path) -> dict:
     """Read and validate a flat key-value config file."""
     values: dict = {}
@@ -123,14 +136,7 @@ def parse_config(path) -> dict:
             raise ConfigError(f"unknown key '{key}' (line {lineno})")
         if key in values:
             raise ConfigError(f"duplicate key '{key}' (line {lineno}, first at line {lines_seen[key]})")
-        parser, validator, _, _ = _KEYS[key]
-        try:
-            value = parser(text)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for '{key}' (line {lineno}): {exc}") from exc
-        if validator is not None and not validator(value):
-            raise ConfigError(f"out-of-range value for '{key}' (line {lineno}): {text}")
-        values[key] = value
+        values[key] = parse_value(key, text, f"line {lineno}")
         lines_seen[key] = lineno
     missing = [k for k, (_, _, default, _) in _KEYS.items()
                if default is _REQUIRED and k not in values]

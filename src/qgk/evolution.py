@@ -152,10 +152,15 @@ class RunConfig:
             raise ValueError("diagnostics_every must be at least 1")
         if self.initial_condition.grid != self.grid:
             raise ValueError("initial condition grid does not match run grid")
+        labels = record_columns(self.sigma_list)
+        twice = [c for c in labels if labels.count(c) > 1]
+        if twice:
+            raise ValueError(f"diag.sigma = {', '.join(map(repr, self.sigma_list))} names "
+                             f"the column {twice[0]} more than once")
 
     @property
     def n_steps(self) -> int:
-        steps = int(round(self.t_end / self.dt))
+        steps = whole_steps(self.t_end, self.dt)
         if abs(steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ValueError("t_end must be an integer number of steps")
         return steps
@@ -201,6 +206,14 @@ class RunConfig:
         return LinearFlow(self.initial_state, self.forcing, self.mu, self.galerkin_block)
 
 
+def whole_steps(t_end: float, dt: float) -> int:
+    """t_end / dt rounded to an integer; a ratio that overflows is an error."""
+    ratio = t_end / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_end / dt = {t_end!r} / {dt!r} overflows: no finite step count")
+    return int(round(ratio))
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -212,44 +225,17 @@ def _restrict(cfg: RunConfig, y: np.ndarray) -> np.ndarray:
     return y if cfg.galerkin_block is None else y * cfg.galerkin_block
 
 
-@dataclass
-class TimeSeriesRecord:
-    """One diagnostics row; columns in fixed CSV order."""
-
-    t: float
-    x: float
-    y: float
-    e_first: float
-    e_second: float
-    e_sigma: tuple
-    h3: float
-    h4: float
-    diss_first: float
-    diss_second: float
-    work_first: float
-    work_second: float
-    res_first: float = 0.0
-    res_second: float = 0.0
-
-    @staticmethod
-    def columns(sigma_list) -> list[str]:
-        cols = ["t", "X", "Y", "E_first", "E_second"]
-        cols += [f"E_sigma_{s:g}" for s in sigma_list]
-        cols += ["H3", "H4", "diss_first", "diss_second", "work_first",
-                 "work_second", "first_balance_residual", "second_balance_residual"]
-        return cols
-
-    def row(self) -> list[float]:
-        return [self.t, self.x, self.y, self.e_first, self.e_second,
-                *self.e_sigma, self.h3, self.h4, self.diss_first,
-                self.diss_second, self.work_first, self.work_second,
-                self.res_first, self.res_second]
+def record_columns(sigma_list) -> list[str]:
+    """The series layout: one float column per name, in CSV order."""
+    return ["t", "X", "Y", "E_first", "E_second", *(f"E_sigma_{s:g}" for s in sigma_list),
+            "H3", "H4", "diss_first", "diss_second", "work_first", "work_second",
+            "first_balance_residual", "second_balance_residual"]
 
 
 @dataclass
 class SimulationResult:
     final: SpectralField
-    records: list
+    records: np.ndarray           # one float field per record_columns name
     snapshots: list               # (t, SpectralField) pairs
     warnings: list
 
@@ -348,34 +334,28 @@ def prepare_state(cfg: RunConfig) -> SpectralField:
     return cfg.initial_state
 
 
-def _record(state: np.ndarray, t: float, cfg: RunConfig) -> TimeSeriesRecord:
+def _record(state: np.ndarray, t: float, cfg: RunConfig) -> tuple:
+    """One series row in record_columns order, its balance residuals 0."""
     x, y, e_first, e_second, h3_sq, h4_sq, diss_first, diss_second, *e_sigma = (
         diag.quadratic_forms(state, cfg.grid, cfg.sigma_weights).tolist())
     f = cfg.forcing.coefficients(t)
     # no Galerkin mask on f: stepped states and the exact linear flow of
     # linear_series both vanish outside the cut
-    work_first, work_second = (0.0, 0.0) if f is None else diag.forcing_work(f, state, cfg.grid)
-    return TimeSeriesRecord(
-        t=t, x=x, y=y, e_first=e_first, e_second=e_second, e_sigma=tuple(e_sigma),
-        h3=math.sqrt(h3_sq), h4=math.sqrt(h4_sq),
-        diss_first=diss_first, diss_second=diss_second,
-        work_first=work_first, work_second=work_second,
-    )
+    work = (0.0, 0.0) if f is None else diag.forcing_work(f, state, cfg.grid)
+    return (t, x, y, e_first, e_second, *e_sigma, math.sqrt(h3_sq), math.sqrt(h4_sq),
+            diss_first, diss_second, *work, 0.0, 0.0)
 
 
-def _attach_residuals(records: list, mu: float) -> None:
-    times = [rec.t for rec in records]
-    if len(times) < 3:
-        return
-    r1 = diag.balance_residuals(
-        times, [r.e_first for r in records], [r.diss_first for r in records],
-        [r.work_first for r in records], mu)
-    r2 = diag.balance_residuals(
-        times, [r.e_second for r in records], [r.diss_second for r in records],
-        [r.work_second for r in records], mu)
-    for rec, a, b in zip(records, r1, r2):
-        rec.res_first = float(a)
-        rec.res_second = float(b)
+def _table(rows: list, cfg: RunConfig) -> np.ndarray:
+    """The rows as one structured array, both balance residuals filled in
+    once there are three rows."""
+    table = np.array(rows, dtype=[(c, float) for c in record_columns(cfg.sigma_list)])
+    if len(table) >= 3:
+        for law in ("first", "second"):
+            table[f"{law}_balance_residual"] = diag.balance_residuals(
+                table["t"], table[f"E_{law}"], table[f"diss_{law}"], table[f"work_{law}"],
+                cfg.mu)
+    return table
 
 
 def start_warnings(cfg: RunConfig) -> list[str]:
@@ -425,8 +405,7 @@ def simulate(cfg: RunConfig) -> SimulationResult:
                     f"dt = {cfg.dt:g} exceeds the advective CFL bound {limit:g} at t = {t:g}")
 
     y = _advance(cfg, cfg.initial_state.band, record)
-    _attach_residuals(records, cfg.mu)
-    return SimulationResult(final=SpectralField(cfg.grid, y), records=records,
+    return SimulationResult(final=SpectralField(cfg.grid, y), records=_table(records, cfg),
                             snapshots=snapshots, warnings=warnings)
 
 
@@ -495,16 +474,13 @@ class LinearFlow:
         return y if self.cut is None else y * self.cut
 
 
-def linear_series(cfg: RunConfig, times) -> tuple[list, list]:
-    """cfg.linear_flow at the given times: the (t, state) pairs and one
-    diagnostics record per state, with the balance residuals attached.
-    Uneven times are rejected up front."""
+def linear_series(cfg: RunConfig, times) -> tuple[list, np.ndarray]:
+    """cfg.linear_flow at the given times: the (t, state) pairs and their
+    records, as simulate's.  Uneven times are rejected up front."""
     times = list(times)
     diag.uniform_cadence(times)
     states = [(float(t), SpectralField(cfg.grid, cfg.linear_flow.at(t))) for t in times]
-    records = [_record(w.band, t, cfg) for t, w in states]
-    _attach_residuals(records, cfg.mu)
-    return states, records
+    return states, _table([_record(w.band, t, cfg) for t, w in states], cfg)
 
 
 # ---------------------------------------------------------------------------

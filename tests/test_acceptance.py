@@ -100,7 +100,8 @@ def balance_runs():
 
 def test_criterion_03_first_energy_balance(balance_runs):
     records, elapsed = balance_runs
-    res, res_half = records[1e-3].res_first, records[5e-4].res_first
+    res, res_half = (records[1e-3]["first_balance_residual"],
+                     records[5e-4]["first_balance_residual"])
     ratio = res / res_half
     ok = res < 1e-6 and ratio >= 12.0 and elapsed < 30.0
     report(3, ok, f"first balance residual {res:.2e} (< 1e-6), halving ratio {ratio:.1f} "
@@ -109,7 +110,8 @@ def test_criterion_03_first_energy_balance(balance_runs):
 
 def test_criterion_04_second_energy_balance(balance_runs):
     records, elapsed = balance_runs
-    res, res_half = records[1e-3].res_second, records[5e-4].res_second
+    res, res_half = (records[1e-3]["second_balance_residual"],
+                     records[5e-4]["second_balance_residual"])
     ratio = res / res_half
     ok = res < 1e-6 and ratio >= 12.0
     report(4, ok, f"second balance residual {res:.2e} (< 1e-6), halving ratio {ratio:.1f} (>= 12)")
@@ -128,7 +130,7 @@ def test_criterion_05_inviscid_conservation():
                         diagnostics_every=int(round(0.05 / dt)))
         out = simulate(cfg)
         e0 = diag.quadratic_forms(cfg.initial_state.band, g, rows=[diag.E_SECOND])[0]
-        return max(abs(rec.e_second - e0) for rec in out.records) / e0
+        return max(abs(e - e0) for e in out.records["E_second"].tolist()) / e0
 
     d1 = drift(1e-3)
     d2 = drift(5e-4)
@@ -221,9 +223,7 @@ def test_criterion_08_long_time_convergence(long_time_run):
 def test_criterion_09_nonlinear_sobolev_decay(long_time_run):
     cfg, out, _, _ = long_time_run
     eta = cfg.forcing.eta
-    times = np.array([rec.t for rec in out.records])
-    h3 = np.array([rec.h3 for rec in out.records])
-    h4 = np.array([rec.h4 for rec in out.records])
+    times, h3, h4 = (out.records[c] for c in ("t", "H3", "H4"))
     env3 = diag.envelope_series(times, h3, eta / 2.0)
     env4 = diag.envelope_series(times, h4, eta / 2.0)
     ok3 = diag.bounded_non_increasing(times, env3, t_min=10.0, slack=0.02)

@@ -231,6 +231,74 @@ class TestDispatch:
         assert "not a finite number" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "linear"])
+    def test_colliding_sigma_labels_exit_1_before_any_work(self, tmp_path, capsys, command):
+        # 1 and 1.0000001 both print as E_sigma_1
+        cfg = write_cfg(tmp_path, SMALL_RUN + "diag.sigma = 1,1.0000001\n")
+        out = tmp_path / command
+        assert dispatch([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "qgk: error: diag.sigma = 1.0, 1.0000001 names the column E_sigma_1 " \
+               "more than once" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "linear"])
+    def test_overflowing_step_count_exits_1_before_any_work(self, tmp_path, capsys, command):
+        text = SMALL_RUN.replace("dt = 1e-2", "dt = 1e-10").replace("t_end = 0.2", "t_end = 1e300")
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / command
+        assert dispatch([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "qgk: error: t_end / dt = 1e+300 / 1e-10 overflows" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "linear"])
+    def test_uneven_step_count_exits_1_before_any_work(self, tmp_path, capsys, command):
+        text = SMALL_RUN.replace("dt = 1e-2", "dt = 0.3").replace("t_end = 0.2", "t_end = 1.0")
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / command
+        assert dispatch([command, "--config", cfg, "--out", str(out)]) == 1
+        assert "qgk: error: t_end must be an integer number of steps" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_commands_that_never_step_take_an_overflowing_step_count(self, tmp_path):
+        text = SMALL_RUN.replace("dt = 1e-2", "dt = 1e-10").replace("t_end = 0.2", "t_end = 1e300")
+        cfg = write_cfg(tmp_path, text)
+        assert dispatch(["invariants", "--config", cfg]) == 0
+        assert dispatch(["lp-spectrum", "--config", cfg, "--out", str(tmp_path / "lp.csv")]) == 0
+
+    @pytest.mark.parametrize("dts, message", [
+        ("0,0.1", "out-of-range value for 'dt' (--dts): 0"),
+        ("1e-320,0.1", "t_end / dt = 0.2 / 1e-320 overflows"),
+        ("0.1,inf", "bad value for 'dt' (--dts): 'inf' is not a finite number"),
+    ])
+    def test_convergence_rejects_each_bad_dt_before_any_run(self, tmp_path, monkeypatch,
+                                                            capsys, dts, message):
+        def no_run(*args):
+            raise AssertionError("simulate called")
+
+        monkeypatch.setattr(cli, "simulate", no_run)
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        out = tmp_path / "conv.csv"
+        assert dispatch(["convergence", "--config", cfg, "--dts", dts, "--out", str(out)]) == 1
+        assert f"qgk: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_series_csv_reads_back_bitwise_as_the_records(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, SMALL_RUN + "diag.sigma = 0.5,1,2.5\n")
+        run_cfg, _ = resolve_run_config(parse_config(cfg_path))
+        run_records = evolution.simulate(run_cfg).records
+        _, linear_records = evolution.linear_series(run_cfg, run_records["t"].tolist())
+        for command, records in (("run", run_records), ("linear", linear_records)):
+            out = tmp_path / command
+            assert dispatch([command, "--config", cfg_path, "--out", str(out)]) == 0
+            lines = [ln for ln in (out / "series.csv").read_text().splitlines()
+                     if not ln.startswith("#")]
+            assert tuple(lines[0].split(",")) == records.dtype.names
+            assert "E_sigma_0.5" in records.dtype.names
+            rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+            assert np.array(rows).tobytes() == np.array(records.tolist()).tobytes()
+
     def test_linear_galerkin_states_vanish_outside_cut(self, tmp_path):
         # the forcing band (|k| <= 5) reaches past the cut |xi|^2 <= 12
         cfg = write_cfg(tmp_path, SMALL_RUN + "galerkin_cut = 12.0\n")

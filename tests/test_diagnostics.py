@@ -6,8 +6,7 @@ import pytest
 from qgk.grid import GridSpec, SpectralField
 from qgk import diagnostics as diag
 from qgk import spectral as sp
-from qgk.evolution import ForcingSpec, LinearFlow, RunConfig, simulate
-from qgk.evolution import _attach_residuals, _record
+from qgk.evolution import ForcingSpec, LinearFlow, RunConfig, linear_series, simulate
 
 
 G = GridSpec(64, 2 * np.pi)
@@ -133,14 +132,16 @@ class TestBandContraction:
         out = simulate(cfg)
         assert len(out.records) == len(out.snapshots) == 4
         for rec, (t, state) in zip(out.records, out.snapshots):
-            assert rec.t == t
+            assert rec["t"] == t
             ref = full_grid_forms(state.coeffs, g, self.SIGMAS)
-            got = [rec.x, rec.y, rec.e_first, rec.e_second, rec.diss_first, rec.diss_second,
-                   *rec.e_sigma]
+            got = [rec[c] for c in ("X", "Y", "E_first", "E_second", "diss_first", "diss_second",
+                                    "E_sigma_1", "E_sigma_2.5")]
             np.testing.assert_allclose(got, np.delete(ref, [4, 5]), rtol=1e-15, atol=0.0)
-            np.testing.assert_allclose([rec.h3, rec.h4], np.sqrt(ref[[4, 5]]), rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose([rec["H3"], rec["H4"]], np.sqrt(ref[[4, 5]]),
+                                       rtol=1e-15, atol=0.0)
             f = forcing.amplitude * (1 + t) ** (-1 - forcing.eta) * forcing.profile.coeffs
-            assert_work_matches_full_grid((rec.work_first, rec.work_second), f, state.coeffs, g)
+            assert_work_matches_full_grid((rec["work_first"], rec["work_second"]), f,
+                                          state.coeffs, g)
 
     def test_nyquist_cells_carry_no_energy(self):
         g = GridSpec(16, 2 * np.pi)
@@ -175,8 +176,8 @@ class TestBalanceResiduals:
         cfg = RunConfig(grid=G, mu=1.0, t_end=0.2, dt=1e-2,
                         initial_condition=zero, diagnostics_every=4)
         out = simulate(cfg)
-        assert all(rec.res_first == 0.0 for rec in out.records)
-        assert all(rec.res_second == 0.0 for rec in out.records)
+        assert all(res == 0.0 for res in out.records["first_balance_residual"])
+        assert all(res == 0.0 for res in out.records["second_balance_residual"])
 
     def test_linear_flow_unforced_residual_tiny(self):
         # exact propagator; the Simpson error is negligible once the fastest
@@ -184,14 +185,12 @@ class TestBalanceResiduals:
         mu = 0.02
         w0 = sp.random_band_field(G, 5, 1.0, 3.0, 1, 4)
         times = [0.005 * i for i in range(101)]
-        flow = LinearFlow(w0, ForcingSpec(kind="zero"), mu)
         cfg = RunConfig(grid=G, mu=mu, t_end=0.5, dt=0.005,
                         initial_condition=w0, disable_transport=True,
                         diagnostics_every=1)
-        records = [_record(flow.at(t), t, cfg) for t in times]
-        _attach_residuals(records, mu)
-        assert records[-1].res_first <= 1e-10
-        assert records[-1].res_second <= 1e-10
+        _, records = linear_series(cfg, times)
+        assert records[-1]["first_balance_residual"] <= 1e-10
+        assert records[-1]["second_balance_residual"] <= 1e-10
 
     def test_nonlinear_residual_fourth_order(self):
         # cadence is tied to dt (fixed diagnostics_every), so stepper and
@@ -206,7 +205,8 @@ class TestBalanceResiduals:
                             initial_condition=r0, forcing=forcing,
                             diagnostics_every=5)
             out = simulate(cfg)
-            return out.records[-1].res_first, out.records[-1].res_second
+            return (out.records[-1]["first_balance_residual"],
+                    out.records[-1]["second_balance_residual"])
 
         a1, b1 = residuals(2e-3)
         a2, b2 = residuals(1e-3)

@@ -174,10 +174,31 @@ class TestSimulate:
         cfg = RunConfig(grid=g, mu=1.0, t_end=0.5, dt=5e-3,
                         initial_condition=band_ic(g, 8, 1.5), diagnostics_every=10)
         out = simulate(cfg)
-        e1 = [rec.e_first for rec in out.records]
-        e2 = [rec.e_second for rec in out.records]
+        e1 = out.records["E_first"].tolist()
+        e2 = out.records["E_second"].tolist()
         assert all(b <= a * (1 + 1e-12) for a, b in zip(e1, e1[1:]))
         assert all(b <= a * (1 + 1e-12) for a, b in zip(e2, e2[1:]))
+
+    def test_records_are_one_table_named_by_record_columns(self):
+        g = G32
+        cfg = RunConfig(grid=g, mu=1.0, t_end=0.1, dt=1e-2, initial_condition=band_ic(g, 8),
+                        forcing=forcing_for(g), diagnostics_every=2, sigma_list=(0.5, 2.0))
+        records = simulate(cfg).records
+        assert records.dtype.names == tuple(evolution.record_columns(cfg.sigma_list))
+        assert records.dtype.names[5:7] == ("E_sigma_0.5", "E_sigma_2")
+        assert all(records.dtype[c] == np.float64 for c in records.dtype.names)
+        assert records["t"].tolist() == [0.0, 0.02, 0.04, 0.06, 0.08, 0.1]
+        assert np.all(records["first_balance_residual"][1:] > 0.0)
+
+    def test_colliding_sigma_labels_rejected(self):
+        with pytest.raises(ValueError, match="diag.sigma .* names the column E_sigma_1 "):
+            RunConfig(grid=G32, mu=1.0, t_end=0.1, dt=1e-2, initial_condition=band_ic(G32),
+                      sigma_list=(1.0, 1.0000001))
+
+    def test_overflowing_step_count_names_t_end_and_dt(self):
+        cfg = RunConfig(grid=G32, mu=1.0, t_end=1e300, dt=1e-10, initial_condition=band_ic(G32))
+        with pytest.raises(ValueError, match=r"t_end / dt = 1e\+300 / 1e-10 overflows"):
+            cfg.n_steps
 
     def test_mean_conserved_exactly(self):
         g = G32

@@ -167,11 +167,20 @@ def _write_series(out_dir: str, records: np.ndarray, manifest) -> None:
               manifest)
 
 
-def _write_snaps(out_dir: str, snaps, manifest) -> None:
-    for idx, (t, field) in enumerate(snaps):
-        path = os.path.join(out_dir, f"snap_{idx:06d}.qgk")
+class _SnapshotWriter:
+    """Sink for simulate and linear_series: writes each (t, field) it is
+    handed to snap_<k>.qgk and its manifest sidecar at once, so no state
+    waits in memory and an aborted run keeps the snapshots it made."""
+
+    def __init__(self, out_dir: str, manifest):
+        self.out_dir, self.manifest, self.paths = out_dir, manifest, []
+
+    def __call__(self, pair) -> None:
+        t, field = pair
+        path = os.path.join(self.out_dir, f"snap_{len(self.paths):06d}.qgk")
         write_snapshot(path, field, t)
-        write_manifest_sidecar(path, manifest)
+        write_manifest_sidecar(path, self.manifest)
+        self.paths.append(path)
 
 
 def _write_abort(out_dir: str, exc: SimulationAbort, manifest) -> None:
@@ -188,18 +197,24 @@ def _cmd_run(args) -> int:
     _, cfg, manifest = _load(args, "run")
     cfg.n_steps  # a step count that overflows or leaves a remainder exits 1 before any output
     os.makedirs(args.out, exist_ok=True)
+    snaps = _SnapshotWriter(args.out, manifest)
     try:
-        result = simulate(cfg)
+        result = simulate(cfg, snaps)
     except SimulationAbort as exc:
         _write_abort(args.out, exc, manifest)
         raise
     # simulate repeats the t = 0 warnings that resolve_run_config already gave
-    manifest.warnings = tuple(dict.fromkeys((*manifest.warnings, *result.warnings)))
+    warnings = tuple(dict.fromkeys((*manifest.warnings, *result.warnings)))
+    if warnings != manifest.warnings:
+        # the run warned after its first snapshots were written: every sidecar
+        # of a finished run carries the run's whole manifest
+        manifest.warnings = warnings
+        for path in snaps.paths:
+            write_manifest_sidecar(path, manifest)
     _write_series(args.out, result.records, manifest)
     final_path = os.path.join(args.out, "final.qgk")
     write_snapshot(final_path, result.final, cfg.t_end)
     write_manifest_sidecar(final_path, manifest)
-    _write_snaps(args.out, result.snapshots, manifest)
     for w in manifest.warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"run complete: t_end={cfg.t_end:g}, {len(result.records)} records -> {args.out}")
@@ -219,9 +234,9 @@ def _cmd_linear(args) -> int:
         times = [k * cfg.diagnostics_every * cfg.dt
                  for k in range(cfg.n_steps // cfg.diagnostics_every + 1)]
     os.makedirs(args.out, exist_ok=True)
-    states, records = linear_series(cfg, times)
+    # each state is written before the next is made; series.csv needs every row
+    _, records = linear_series(cfg, times, _SnapshotWriter(args.out, manifest))
     _write_series(args.out, records, manifest)
-    _write_snaps(args.out, states, manifest)
     print(f"linear flow evaluated at {len(times)} times -> {args.out}")
     return 0
 
@@ -302,7 +317,13 @@ def _cmd_convergence(args) -> int:
     if len(dts) < 2:
         raise ConfigError("convergence needs at least two dt values")
     # every dt is checked before the first run: t_end is rounded to whole steps of it
-    trials = [dict(values, dt=dt, t_end=whole_steps(values["t_end"], dt) * dt) for dt in dts]
+    trials = []
+    for dt in dts:
+        steps = whole_steps(values["t_end"], dt)
+        if steps == 0:
+            raise ConfigError(f"out-of-range value for 'dt' (--dts): {dt!r} leaves no whole "
+                              f"step in t_end = {values['t_end']!r}")
+        trials.append(dict(values, dt=dt, t_end=steps * dt))
     rows = []
     for trial in trials:
         cfg, _ = resolve_run_config(trial)

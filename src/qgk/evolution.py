@@ -24,6 +24,7 @@ of the blocks stack runs stepped together.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -346,10 +347,15 @@ def _record(state: np.ndarray, t: float, cfg: RunConfig) -> tuple:
             diss_first, diss_second, *work, 0.0, 0.0)
 
 
-def _table(rows: list, cfg: RunConfig) -> np.ndarray:
-    """The rows as one structured array, both balance residuals filled in
-    once there are three rows."""
-    table = np.array(rows, dtype=[(c, float) for c in record_columns(cfg.sigma_list)])
+def _table(count: int, cfg: RunConfig) -> np.ndarray:
+    """A series of count zero rows, one structured array that takes each
+    row as it is recorded."""
+    return np.zeros(count, dtype=[(c, float) for c in record_columns(cfg.sigma_list)])
+
+
+def _with_residuals(table: np.ndarray, cfg: RunConfig) -> np.ndarray:
+    """The recorded table, both balance residuals filled in once there are
+    three rows."""
     if len(table) >= 3:
         for law in ("first", "second"):
             table[f"{law}_balance_residual"] = diag.balance_residuals(
@@ -381,8 +387,12 @@ def _advance(cfg: RunConfig, y: np.ndarray, record) -> np.ndarray:
     return y
 
 
-def simulate(cfg: RunConfig) -> SimulationResult:
+def simulate(cfg: RunConfig, sink=None) -> SimulationResult:
     """Advance the configured run to t_end, collecting diagnostics.
+
+    Each snapshot is handed to sink((t, SpectralField)) as soon as it is
+    recorded; the default sink is the result's snapshots list, which any
+    other sink leaves empty.
 
     Deterministic given (cfg, seed): all randomness is consumed when the
     initial condition and forcing profile are built.
@@ -391,13 +401,15 @@ def simulate(cfg: RunConfig) -> SimulationResult:
     if cfg.n_steps % cfg.diagnostics_every != 0:
         warnings.append("step count is not a multiple of diagnostics_every; "
                         "the final partial window is not recorded")
-    records, snapshots = [], []
+    records = _table(cfg.n_steps // cfg.diagnostics_every + 1, cfg)
+    recorded, snapshots = itertools.count(), []
+    sink = snapshots.append if sink is None else sink
 
     def record(t, y):
-        k = len(records)
-        records.append(_record(y, t, cfg))
+        k = next(recorded)
+        records[k] = _record(y, t, cfg)
         if cfg.snapshot_every > 0 and k % cfg.snapshot_every == 0:
-            snapshots.append((t, SpectralField(cfg.grid, y)))
+            sink((t, SpectralField(cfg.grid, y)))
         if k > 0 and len(warnings) < 8:
             limit = cfl_limit(y, cfg.grid)
             if cfg.dt > limit:
@@ -405,8 +417,9 @@ def simulate(cfg: RunConfig) -> SimulationResult:
                     f"dt = {cfg.dt:g} exceeds the advective CFL bound {limit:g} at t = {t:g}")
 
     y = _advance(cfg, cfg.initial_state.band, record)
-    return SimulationResult(final=SpectralField(cfg.grid, y), records=_table(records, cfg),
-                            snapshots=snapshots, warnings=warnings)
+    return SimulationResult(final=SpectralField(cfg.grid, y),
+                            records=_with_residuals(records, cfg), snapshots=snapshots,
+                            warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +487,20 @@ class LinearFlow:
         return y if self.cut is None else y * self.cut
 
 
-def linear_series(cfg: RunConfig, times) -> tuple[list, np.ndarray]:
+def linear_series(cfg: RunConfig, times, sink=None) -> tuple[list, np.ndarray]:
     """cfg.linear_flow at the given times: the (t, state) pairs and their
-    records, as simulate's.  Uneven times are rejected up front."""
+    records, as simulate's.  Each pair goes to sink as soon as it is made,
+    the default sink being the returned list, so only one state is held at
+    a time otherwise.  Uneven times are rejected before the first state."""
     times = list(times)
     diag.uniform_cadence(times)
-    states = [(float(t), SpectralField(cfg.grid, cfg.linear_flow.at(t))) for t in times]
-    return states, _table([_record(w.band, t, cfg) for t, w in states], cfg)
+    states, records = [], _table(len(times), cfg)
+    sink = states.append if sink is None else sink
+    for k, t in enumerate(times):
+        w = SpectralField(cfg.grid, cfg.linear_flow.at(t))
+        records[k] = _record(w.band, float(t), cfg)
+        sink((float(t), w))
+    return states, _with_residuals(records, cfg)
 
 
 # ---------------------------------------------------------------------------

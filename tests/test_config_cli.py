@@ -1,9 +1,12 @@
 """Config parsing, manifests, and the command-line surface."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +274,8 @@ class TestDispatch:
         ("0,0.1", "out-of-range value for 'dt' (--dts): 0"),
         ("1e-320,0.1", "t_end / dt = 0.2 / 1e-320 overflows"),
         ("0.1,inf", "bad value for 'dt' (--dts): 'inf' is not a finite number"),
+        ("1,0.1", "out-of-range value for 'dt' (--dts): 1.0 leaves no whole step in "
+                  "t_end = 0.2"),
     ])
     def test_convergence_rejects_each_bad_dt_before_any_run(self, tmp_path, monkeypatch,
                                                             capsys, dts, message):
@@ -526,8 +531,6 @@ ic.amplitude = 200.0
 ic.band_hi = 10
 """
         cfg = write_cfg(tmp_path, text)
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert dispatch(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -546,6 +549,95 @@ ic.band_hi = 10
                           f"last good state at t = {t!r} in abort.qgk"]
         assert sorted(p.name for p in (tmp_path / "x").iterdir()) == [
             "abort.qgk", "abort.qgk.manifest.txt", "abort.txt"]
+
+
+class TestStreamedOutputs:
+    """qgk run and qgk linear write each state as soon as it is made and
+    hold none of them."""
+
+    @staticmethod
+    def traced_peak(argv) -> int:
+        """Peak traced memory of dispatch(argv), with the cyclic collector
+        off: a full collection empties the interpreter's free lists, whose
+        refilling would otherwise show as growth whenever one runs."""
+        gc.disable()
+        tracemalloc.start()
+        try:
+            assert dispatch(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+
+    @pytest.mark.parametrize("command", ["run", "linear"])
+    def test_peak_memory_does_not_grow_with_the_state_count(self, tmp_path, command):
+        # every step recorded and snapshotted: 9 states against 81
+        text = SMALL_RUN.replace("grid.n = 32", "grid.n = 64").replace(
+            "diagnostics_every = 5", "diagnostics_every = 1")
+        configs = {count: write_cfg(tmp_path, text.replace(
+            "t_end = 0.2", f"t_end = {(count - 1) * 1e-2!r}"), f"states{count}.cfg")
+            for count in (9, 81)}
+        # an untraced first run builds the grid's tables and caches and fills the
+        # interpreter's free lists as far as the longer run does
+        assert dispatch([command, "--config", configs[81], "--out", str(tmp_path / "warm")]) == 0
+        peaks = {}
+        for count, cfg in configs.items():
+            out = tmp_path / f"out{count}"
+            peaks[count] = self.traced_peak([command, "--config", cfg, "--out", str(out)])
+            assert len(list(out.glob("snap_*.qgk"))) == count
+        band_block = 64 * 32 * 16
+        assert peaks[81] - peaks[9] < 4 * band_block
+
+    def test_abort_keeps_the_snapshots_already_written(self, tmp_path):
+        text = """\
+grid.n = 32
+grid.box_length = 6.283185307179586
+mu = 0.0
+dt = 0.5
+t_end = 50.0
+ic.amplitude = 200.0
+ic.band_hi = 10
+diagnostics_every = 1
+snapshot_every = 1
+"""
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert dispatch(["run", "--config", cfg, "--out", str(out)]) == 2
+            run_cfg, _ = resolve_run_config(parse_config(cfg))
+            states = [run_cfg.initial_state.band]
+            while True:   # every state before the step that blows up
+                try:
+                    states.append(evolution.step(states[-1], (len(states) - 1) * run_cfg.dt,
+                                                 run_cfg))
+                except evolution.SimulationAbort:
+                    break
+        assert len(states) > 1
+        snaps = [f"snap_{k:06d}.qgk" for k in range(len(states))]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["abort.qgk", "abort.qgk.manifest.txt", "abort.txt",
+             *snaps, *(f"{name}.manifest.txt" for name in snaps)])
+        for k, (name, state) in enumerate(zip(snaps, states)):
+            saved, t = read_snapshot(out / name)
+            assert t == k * run_cfg.dt
+            assert saved.coeffs.tobytes() == SpectralField(run_cfg.grid, state).coeffs.tobytes()
+
+    def test_snapshot_files_read_back_bitwise_as_the_states(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, SMALL_RUN + "galerkin_cut = 12.0\n")
+        run_cfg, _ = resolve_run_config(parse_config(cfg_path))
+        run_states = evolution.simulate(run_cfg).snapshots
+        linear_states, _ = evolution.linear_series(run_cfg, [t for t, _ in run_states])
+        for command, states in (("run", run_states), ("linear", linear_states)):
+            out = tmp_path / command
+            assert dispatch([command, "--config", cfg_path, "--out", str(out)]) == 0
+            paths = sorted(out.glob("snap_*.qgk"))
+            assert len(paths) == len(states) == 5
+            for path, (t, state) in zip(paths, states):
+                assert os.path.exists(f"{path}.manifest.txt")
+                saved, t_saved = read_snapshot(path)
+                assert t_saved == t
+                assert saved.coeffs.tobytes() == state.coeffs.tobytes()
 
 
 IMPORT_HYGIENE = """\

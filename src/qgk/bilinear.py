@@ -33,7 +33,6 @@ from .spectral import (
     one_minus_laplacian,
     perp_gradient,
     product_sum,
-    sanitize_band,
 )
 
 
@@ -79,16 +78,12 @@ def transport_divergence_route(rho: SpectralField, zeta: SpectralField) -> Spect
 
 def pairing_first(rho: SpectralField, zeta: SpectralField) -> float:
     """< transport(rho, zeta), (Id - Delta) rho >; zero under exact dealiasing."""
-    rho = sanitize_band(rho)
-    zeta = sanitize_band(zeta)
     lam = transport(rho, zeta)
     return inner_product(lam, one_minus_laplacian(rho))
 
 
 def pairing_second(rho: SpectralField, zeta: SpectralField) -> float:
     """< transport(rho, zeta), bilaplacian(zeta) >; zero under exact dealiasing."""
-    rho = sanitize_band(rho)
-    zeta = sanitize_band(zeta)
     lam = transport(rho, zeta)
     return inner_product(lam, bilaplacian(zeta))
 
@@ -107,15 +102,13 @@ def antisymmetry_residual(rho: SpectralField, phi: SpectralField) -> float:
     refined grid so the triple-product quadrature is exact.
     """
     require_same_grid(rho, phi)
-    rho = sanitize_band(rho)
-    phi = sanitize_band(phi)
     lhs = inner_product(transport(rho, rho), phi)
 
     u1, u2 = velocity(rho)
     g1, g2 = gradient(phi)
-    arho = SpectralField(rho.grid, rho.band * multiplier_table(rho.grid).a)
     m = 2 * rho.grid.n
-    u1p, u2p, g1p, g2p, ap = (band_samples(f.band, m) for f in (u1, u2, g1, g2, arho))
+    u1p, u2p, g1p, g2p = (band_samples(f.band, m) for f in (u1, u2, g1, g2))
+    ap = band_samples((rho.band, multiplier_table(rho.grid).a), m)
     cell = (rho.grid.box_length / m) ** 2
     udotg = u1p * g1p + u2p * g2p
     rhs = -cell * float(np.sum(udotg * ap))

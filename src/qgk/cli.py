@@ -10,6 +10,7 @@ produce byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -193,6 +194,20 @@ def _write_abort(out_dir: str, exc: SimulationAbort, manifest) -> None:
                  "in abort.qgk\n")
 
 
+def _add_run_warnings(manifest, found, snaps: _SnapshotWriter) -> None:
+    """Merge the warnings a run found into its manifest and print them all.
+    simulate repeats the t = 0 warnings that resolve_run_config already
+    gave; when the run warned after its first snapshots were written, their
+    sidecars are rewritten, so each carries the run's whole manifest."""
+    warnings = tuple(dict.fromkeys((*manifest.warnings, *found)))
+    if warnings != manifest.warnings:
+        manifest.warnings = warnings
+        for path in snaps.paths:
+            write_manifest_sidecar(path, manifest)
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+
+
 def _cmd_run(args) -> int:
     _, cfg, manifest = _load(args, "run")
     cfg.n_steps  # a step count that overflows or leaves a remainder exits 1 before any output
@@ -201,22 +216,14 @@ def _cmd_run(args) -> int:
     try:
         result = simulate(cfg, snaps)
     except SimulationAbort as exc:
+        _add_run_warnings(manifest, exc.warnings, snaps)
         _write_abort(args.out, exc, manifest)
         raise
-    # simulate repeats the t = 0 warnings that resolve_run_config already gave
-    warnings = tuple(dict.fromkeys((*manifest.warnings, *result.warnings)))
-    if warnings != manifest.warnings:
-        # the run warned after its first snapshots were written: every sidecar
-        # of a finished run carries the run's whole manifest
-        manifest.warnings = warnings
-        for path in snaps.paths:
-            write_manifest_sidecar(path, manifest)
+    _add_run_warnings(manifest, result.warnings, snaps)
     _write_series(args.out, result.records, manifest)
     final_path = os.path.join(args.out, "final.qgk")
     write_snapshot(final_path, result.final, cfg.t_end)
     write_manifest_sidecar(final_path, manifest)
-    for w in manifest.warnings:
-        print(f"warning: {w}", file=sys.stderr)
     print(f"run complete: t_end={cfg.t_end:g}, {len(result.records)} records -> {args.out}")
     return 0
 
@@ -316,17 +323,25 @@ def _cmd_convergence(args) -> int:
     dts = [parse_value("dt", s.strip(), "--dts") for s in args.dts.split(",") if s.strip()]
     if len(dts) < 2:
         raise ConfigError("convergence needs at least two dt values")
-    # every dt is checked before the first run: t_end is rounded to whole steps of it
-    trials = []
+    # every dt is checked before the first run: t_end is rounded to whole steps
+    # of it, and the balance residual needs three records
+    t_end, every = values["t_end"], values["diagnostics_every"]
+    steps = []
     for dt in dts:
-        steps = whole_steps(values["t_end"], dt)
-        if steps == 0:
+        n = whole_steps(t_end, dt)
+        if n == 0:
             raise ConfigError(f"out-of-range value for 'dt' (--dts): {dt!r} leaves no whole "
-                              f"step in t_end = {values['t_end']!r}")
-        trials.append(dict(values, dt=dt, t_end=steps * dt))
+                              f"step in t_end = {t_end!r}")
+        if n // every < 2:
+            raise ConfigError(f"out-of-range value for 'dt' (--dts): {dt!r} gives only "
+                              f"{n // every + 1} of the 3 records the balance residual "
+                              f"needs in t_end = {t_end!r} at diagnostics_every = {every}")
+        steps.append(n)
+    # the datum and forcing are built once; no trial keeps a snapshot
+    base, _ = resolve_run_config(values)
     rows = []
-    for trial in trials:
-        cfg, _ = resolve_run_config(trial)
+    for dt, n in zip(dts, steps):
+        cfg = dataclasses.replace(base, dt=dt, t_end=n * dt, snapshot_every=0)
         last = simulate(cfg).records[-1]
         rows.append([cfg.dt, last["first_balance_residual"], last["second_balance_residual"]])
     res = np.array([r[1] for r in rows])

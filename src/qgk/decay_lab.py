@@ -184,8 +184,7 @@ def envelope_rate(k: int) -> float:
 def decay_series(profile: RadialProfile, moments=(0, 1, 3), mu: float = 1.0,
                  window=(1e2, 1e6), num: int = 32,
                  duhamel_eta: float | None = None,
-                 duhamel_amplitude: float = 1.0,
-                 fit_window=None) -> DecaySeries:
+                 duhamel_amplitude: float = 1.0) -> DecaySeries:
     """Moment table on a log-spaced grid with envelope and slope fits."""
     lo, hi = window
     if not (0 < lo < hi):
@@ -197,8 +196,7 @@ def decay_series(profile: RadialProfile, moments=(0, 1, 3), mu: float = 1.0,
         mom[k] = vals
         rates[k] = envelope_rate(k)
         env[k] = (1.0 + times) ** rates[k] * vals
-        fw = fit_window or window
-        fits[k] = fit_exponent(times, vals, fw)
+        fits[k] = fit_exponent(times, vals, window)
         if duhamel_eta is not None:
             duh[k] = np.array([
                 duhamel_moment(profile, k, mu, duhamel_eta, duhamel_amplitude, t)

@@ -46,13 +46,14 @@ FORCING_KINDS = ("zero", "separable_decaying", "tabulated")
 
 class SimulationAbort(RuntimeError):
     """Non-finite state encountered at time t; carries the last good state
-    and its time."""
+    and its time, and the warnings that simulate had found by then."""
 
     def __init__(self, message: str, t: float, last_good: SpectralField, last_good_t: float):
         super().__init__(message)
         self.t = t
         self.last_good = last_good
         self.last_good_t = last_good_t
+        self.warnings = []
 
 
 @dataclass(eq=False)
@@ -416,7 +417,11 @@ def simulate(cfg: RunConfig, sink=None) -> SimulationResult:
                 warnings.append(
                     f"dt = {cfg.dt:g} exceeds the advective CFL bound {limit:g} at t = {t:g}")
 
-    y = _advance(cfg, cfg.initial_state.band, record)
+    try:
+        y = _advance(cfg, cfg.initial_state.band, record)
+    except SimulationAbort as exc:
+        exc.warnings = warnings
+        raise
     return SimulationResult(final=SpectralField(cfg.grid, y),
                             records=_with_residuals(records, cfg), snapshots=snapshots,
                             warnings=warnings)

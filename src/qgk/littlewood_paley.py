@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, multiplier_table
-from .spectral import l2_norm, product_sum, sanitize_band, weighted_l2
+from .grid import GridSpec, SpectralField, multiplier_table, require_same_grid
+from .spectral import band_product, l2_norm, weighted_l2
 
 
 def chi_profile(t):
@@ -114,23 +114,20 @@ def besov_sobolev_bounds(partition: DyadicPartition, s: float) -> tuple[float, f
 
 def paraproduct(partition: DyadicPartition, u: SpectralField, v: SpectralField) -> SpectralField:
     """T_u v = sum_j S_{j-1} u * block_j v (products dealiased)."""
-    u = sanitize_band(u)
-    v = sanitize_band(v)
-    return product_sum([(low_cut(partition, u, j - 1), dyadic_block(partition, v, j))
-                        for j in range(1, partition.j_max + 1)])
+    grid = require_same_grid(u, v)
+    return SpectralField(grid, band_product(grid, [
+        ((u.band, partition.lows[j - 1]), (v.band, partition.weights[j + 1]))
+        for j in range(1, partition.j_max + 1)]))
 
 
 def remainder(partition: DyadicPartition, u: SpectralField, v: SpectralField) -> SpectralField:
     """R(u, v) = sum over |j - j'| <= 1 of block_j u * block_j' v."""
-    u = sanitize_band(u)
-    v = sanitize_band(v)
-    pairs = []
-    for j in partition.block_range():
-        bu = dyadic_block(partition, u, j)
-        for jp in (j - 1, j, j + 1):
-            if -1 <= jp <= partition.j_max:
-                pairs.append((bu, dyadic_block(partition, v, jp)))
-    return product_sum(pairs)
+    grid = require_same_grid(u, v)
+    w = partition.weights
+    return SpectralField(grid, band_product(grid, [
+        ((u.band, w[j + 1]), (v.band, w[jp + 1]))
+        for j in partition.block_range() for jp in (j - 1, j, j + 1)
+        if -1 <= jp <= partition.j_max]))
 
 
 def bernstein_ratio(partition: DyadicPartition, u: SpectralField, j: int, k: int) -> float:

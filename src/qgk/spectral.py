@@ -157,18 +157,18 @@ def sobolev_norm(u: SpectralField, s: float) -> float:
 # ---------------------------------------------------------------------------
 # dealiased products
 
-# Products read fields as band blocks whose Nyquist row is zero, each with an
-# optional symbol table: a field is a block or a (block, symbol) pair.  The
-# kernel multiplies the symbol, then the 2/3-rule mask, into the held buffer
-# that the field's samples fill next, and copies the band rows from there
-# into the held c2r input, so no product allocates a temporary.  Any leading
-# axes are a stack of fields, transformed slice by slice.  Products embed the
-# blocks in an m x m grid, multiply pointwise and truncate back: under the 3/2
-# rule m = 3n/2, so aliases of any product mode |s| <= n - 2 miss the band and
-# the result is the exact convolution; under 2/3 truncation m = n, inputs and
-# output cut to |k_i| <= n//3.  Every pass is one 1-D numpy.fft call over one
-# axis, the axis -2 passes cover only the n/2 band columns, and
-# norm="forward" never rescales.
+# Products take fields as they are: a band block, or a (block, symbol) pair.
+# The kernel ignores each field's Nyquist row, so callers need not clear it,
+# and writes the product's as zero.  It multiplies the symbol, then the
+# 2/3-rule mask, into the held buffer that the field's samples fill next,
+# and copies the other band rows from there into the held c2r input, so no
+# product allocates a temporary.  Any leading axes are a stack of fields,
+# transformed slice by slice.  Products embed the blocks in an m x m grid,
+# multiply pointwise and truncate back: under the 3/2 rule m = 3n/2, so
+# aliases of any product mode |s| <= n - 2 miss the band and the result is
+# the exact convolution; under 2/3 truncation m = n, inputs and output cut to
+# |k_i| <= n//3.  Every pass is one 1-D numpy.fft call over one axis, the
+# axis -2 passes cover only the n/2 band columns, and norm="forward" never rescales.
 
 
 # Two-pair products (a transport) on grids with n >= POOL_MIN_N split their
@@ -368,10 +368,8 @@ def product_sum(pairs: list[tuple[SpectralField, SpectralField]]) -> SpectralFie
     if not pairs:
         raise ValueError("product_sum needs at least one pair")
     grid = pairs[0][0].grid
-    for u, v in pairs:
-        require_same_grid(u, v)
-        if u.grid != grid:
-            raise ValueError("product_sum: mixed grids")
+    for field in (field for pair in pairs for field in pair):
+        require_same_grid(pairs[0][0], field)
     return SpectralField(grid, band_product(grid, ((u.band, v.band) for u, v in pairs)))
 
 
@@ -379,12 +377,11 @@ def dealiased_product(u: SpectralField, v: SpectralField) -> SpectralField:
     """Pointwise product, dealiased per the grid policy.
 
     With ``three_halves_padding`` the result on the symmetric band is the
-    exact convolution of the (Nyquist-sanitized) inputs.  With
+    exact convolution of the inputs off their Nyquist rows.  With
     ``two_thirds_truncation`` both inputs and the result are truncated to
     |k_i| <= n//3; on grids with 3 | n the edge shell aliases, which is the
     documented negative control for the cancellation tests.
     """
-    require_same_grid(u, v)
     return product_sum([(u, v)])
 
 
@@ -422,7 +419,7 @@ def _hermitian_random(grid: GridSpec, seed: int, radial_amp) -> SpectralField:
     mirrored = phases[np.ix_(-np.arange(grid.n), -np.arange(grid.n // 2))]
     c = amp * np.exp(1j * np.where(half_plane, phases[:, :grid.n // 2], mirrored))
     c = np.where(half_plane, c, np.conj(c))
-    # the mean and the Nyquist row (its own mirror), cleared so that keep leaves +0.0
+    # the mean and the Nyquist row (its own mirror); the keep product fixes the zeros' signs
     c[0, 0] = c[grid.n // 2] = 0.0
     c *= mt.keep
     return SpectralField(grid, c)

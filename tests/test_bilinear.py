@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from qgk.grid import GridSpec, SpectralField
+from qgk.grid import THREE_HALVES, TWO_THIRDS, GridSpec, SpectralField
 from qgk import bilinear as bl
+from qgk import littlewood_paley as lp
 from qgk import spectral as sp
 
 
@@ -167,3 +168,33 @@ class TestAntisymmetryResidual:
         rho = rand(g, 23)
         phi = sp.one_minus_laplacian(rho)
         assert bl.antisymmetry_residual(rho, phi) <= 1e-12
+
+
+class TestOperandNyquistRow:
+    """The band kernel ignores each operand's Nyquist row, so the callers
+    that build products from their inputs need not clear it: with random
+    content in that row, every result is bitwise that of the sanitized
+    inputs."""
+
+    @pytest.mark.parametrize("n,dealias", [(30, THREE_HALVES), (32, THREE_HALVES),
+                                           (64, THREE_HALVES), (48, TWO_THIRDS)])
+    def test_results_equal_those_of_sanitized_inputs(self, n, dealias):
+        g = GridSpec(n, 2 * np.pi, dealias)
+        partition = lp.dyadic_partition(g)
+        rng = np.random.default_rng(n)
+        for seed in range(3):
+            clean = [sp.random_band_field(g, 2 * seed + k, 1.0, 3.0, 1, n // 2 - 1)
+                     for k in range(2)]
+            noisy = [SpectralField(g, f.band.copy()) for f in clean]
+            for f in noisy:
+                f.band[n // 2] = rng.standard_normal(n // 2) + 1j * rng.standard_normal(n // 2)
+            sanitized = [sp.sanitize_band(f) for f in noisy]
+
+            def results(u, v):
+                return [np.float64(bl.pairing_first(u, v)).tobytes(),
+                        np.float64(bl.pairing_second(u, v)).tobytes(),
+                        np.float64(bl.antisymmetry_residual(u, v)).tobytes(),
+                        lp.paraproduct(partition, u, v).band.tobytes(),
+                        lp.remainder(partition, u, v).band.tobytes()]
+
+            assert results(*noisy) == results(*sanitized)

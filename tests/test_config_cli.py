@@ -15,7 +15,9 @@ from qgk import cli, decay_lab
 from qgk import diagnostics as diag
 from qgk import littlewood_paley as lp
 from qgk.cli import dispatch
-from qgk.config import ConfigError, manifest_from_values, parse_config, resolve_run_config
+from qgk import config
+from qgk.config import (ConfigError, build_initial_condition, manifest_from_values,
+                        parse_config, resolve_run_config)
 from qgk.snapshots import read_snapshot, write_snapshot
 from qgk.grid import GridSpec, SpectralField, multiplier_table
 from qgk import evolution
@@ -77,6 +79,16 @@ class TestParseConfig:
         values = parse_config(write_cfg(tmp_path, text))
         cfg, warnings = resolve_run_config(values)
         assert any("CFL" in w for w in warnings)
+
+    @pytest.mark.parametrize("lines, build", [
+        ("ic.kind = cosine\nic.mode_kx = 2\nic.mode_ky = -1\nic.amplitude = 0.7\n",
+         lambda g: sp.cosine_field(g, 2, -1, 0.7)),
+        ("ic.kind = random_exponential\nic.seed = 7\nic.amplitude = 1.3\nic.decay = 0.4\n"
+         "ic.s = 2.0\n", lambda g: sp.random_exponential_field(g, 7, 1.3, 0.4, 2.0)),
+    ])
+    def test_ic_kind_resolves_to_its_constructor_bitwise(self, tmp_path, lines, build):
+        cfg, _ = resolve_run_config(parse_config(write_cfg(tmp_path, MINIMAL + lines)))
+        assert cfg.initial_condition.band.tobytes() == build(cfg.grid).band.tobytes()
 
 
 class TestManifest:
@@ -188,6 +200,22 @@ class TestDispatch:
         rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert len(rows) == 6 and "nan" not in rows[-1]
 
+    def test_compare_sup_ratio_is_the_csv_maximum_from_t1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_RUN.replace("t_end = 0.2", "t_end = 1.2"))
+        run_dir, lin_dir = tmp_path / "nl", tmp_path / "lin"
+        assert dispatch(["run", "--config", cfg, "--out", str(run_dir)]) == 0
+        assert dispatch(["linear", "--config", cfg, "--out", str(lin_dir)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "compare.csv"
+        assert dispatch(["compare", "--run-a", str(run_dir), "--run-b", str(lin_dir),
+                         "--eta", "0.75", "--out", str(out)]) == 0
+        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert lines[0] == "t,z_h3,envelope_ratio"
+        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+        late = [ratio for t, _, ratio in rows if t >= 1.0]
+        assert len(late) == 5 and all(np.isfinite(late))
+        assert capsys.readouterr().out == f"sup envelope ratio (t >= 1): {max(late):.6e}\n"
+
     def test_linear_rejects_uneven_times_before_any_work(self, tmp_path, monkeypatch, capsys):
         cfg = write_cfg(tmp_path, SMALL_RUN)
         out = tmp_path / "lin"
@@ -276,6 +304,12 @@ class TestDispatch:
         ("0.1,inf", "bad value for 'dt' (--dts): 'inf' is not a finite number"),
         ("1,0.1", "out-of-range value for 'dt' (--dts): 1.0 leaves no whole step in "
                   "t_end = 0.2"),
+        # a trial with fewer than three records has no balance residual to fit
+        ("0.01,0.05", "out-of-range value for 'dt' (--dts): 0.05 gives only 1 of the 3 "
+                      "records the balance residual needs in t_end = 0.2 at "
+                      "diagnostics_every = 5"),
+        ("0.04,0.01", "out-of-range value for 'dt' (--dts): 0.04 gives only 2 of the 3 "
+                      "records"),
     ])
     def test_convergence_rejects_each_bad_dt_before_any_run(self, tmp_path, monkeypatch,
                                                             capsys, dts, message):
@@ -622,6 +656,66 @@ snapshot_every = 1
             saved, t = read_snapshot(out / name)
             assert t == k * run_cfg.dt
             assert saved.coeffs.tobytes() == SpectralField(run_cfg.grid, state).coeffs.tobytes()
+
+    def test_abort_keeps_the_warnings_the_run_found(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, """\
+grid.n = 16
+grid.box_length = 6.283185307179586
+mu = 0.0
+dt = 0.5
+t_end = 50.0
+ic.amplitude = 200.0
+diagnostics_every = 1
+snapshot_every = 1
+""")
+        out = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert dispatch(["run", "--config", cfg, "--out", str(out)]) == 2
+            run_cfg, expected = resolve_run_config(parse_config(cfg))
+            y, t = run_cfg.initial_state.band, 0.0
+            while True:   # each recorded state after t = 0 warns of its CFL bound
+                try:
+                    y, t = evolution.step(y, t, run_cfg), t + run_cfg.dt
+                except evolution.SimulationAbort:
+                    break
+                expected.append(f"dt = 0.5 exceeds the advective CFL bound "
+                                f"{cfl_limit(y, run_cfg.grid):g} at t = {t:g}")
+        assert t == 1.0 and "CFL bound" in expected[-2] and "at t = 0.5" in expected[-2]
+        sidecars = sorted(out.glob("*.manifest.txt"))
+        assert [p.name for p in sidecars] == ["abort.qgk.manifest.txt", *(
+            f"snap_{k:06d}.qgk.manifest.txt" for k in range(3))]
+        for path in sidecars:
+            assert [ln[len("qgk-warning "):] for ln in path.read_text().splitlines()
+                    if ln.startswith("qgk-warning ")] == expected
+        err = capsys.readouterr().err
+        assert err == "".join(f"warning: {w}\n" for w in expected) + (
+            "qgk: numerical abort: non-finite state after step\n")
+
+    def test_convergence_builds_the_datum_once_and_keeps_no_snapshot(self, tmp_path,
+                                                                    monkeypatch):
+        builds = []
+
+        def counting(values, grid):
+            builds.append(values["ic.kind"])
+            return build_initial_condition(values, grid)
+
+        monkeypatch.setattr(config, "build_initial_condition", counting)
+        text = SMALL_RUN.replace("grid.n = 32", "grid.n = 64").replace(
+            "diagnostics_every = 5", "diagnostics_every = 1")
+        argv = {every: ["convergence", "--config", write_cfg(
+            tmp_path, text.replace("snapshot_every = 1", f"snapshot_every = {every}"),
+            f"snap{every}.cfg"), "--dts", "1e-2,5e-3", "--out", str(tmp_path / f"c{every}.csv")]
+            for every in (0, 1)}
+        assert dispatch(argv[1]) == 0   # untraced warm-up, as in the state-count test
+        assert len(builds) == 1
+        peaks = {every: self.traced_peak(args) for every, args in argv.items()}
+        assert len(builds) == 3
+        # at t_end = 0.2 the dt = 5e-3 trial records 41 states of one band block each
+        band_block = 64 * 32 * 16
+        assert abs(peaks[1] - peaks[0]) < 4 * band_block
+        rows = [(tmp_path / f"c{every}.csv").read_text().splitlines()[-2:] for every in (0, 1)]
+        assert rows[0] == rows[1]
 
     def test_snapshot_files_read_back_bitwise_as_the_states(self, tmp_path):
         cfg_path = write_cfg(tmp_path, SMALL_RUN + "galerkin_cut = 12.0\n")

@@ -342,7 +342,11 @@ def _cmd_convergence(args) -> int:
     rows = []
     for dt, n in zip(dts, steps):
         cfg = dataclasses.replace(base, dt=dt, t_end=n * dt, snapshot_every=0)
-        last = simulate(cfg).records[-1]
+        try:
+            last = simulate(cfg).records[-1]
+        except SimulationAbort as exc:
+            raise SimulationAbort(f"{exc} at t = {exc.t!r} in the dt = {dt!r} trial", exc.t,
+                                  exc.last_good, exc.last_good_t) from exc
         rows.append([cfg.dt, last["first_balance_residual"], last["second_balance_residual"]])
     res = np.array([r[1] for r in rows])
     dts_arr = np.array(dts)

@@ -195,9 +195,13 @@ def multiplier_table(grid: GridSpec) -> MultiplierTable:
 
 def hermitian_defect(coeffs: np.ndarray) -> float:
     """Max |c(-k) - conj(c(k))| over all modes of a full (n, n) coefficient
-    array, such as a snapshot file holds."""
-    ix = -np.arange(coeffs.shape[0])
-    return float(np.max(np.abs(coeffs - np.conj(coeffs[np.ix_(ix, ix)]))))
+    array in FFT order or a snapshot file's order, in both of which index j
+    mirrors to (n - j) mod n.  Each mirror pair is compared once, as
+    |z| = |-conj z| gives both orders of a pair the same value."""
+    h = coeffs.shape[0] // 2
+    pairs = ((coeffs[1:, h:], coeffs[:0:-1, h:0:-1]), (coeffs[0, h:], coeffs[0, h:0:-1]),
+             (coeffs[1:, 0], coeffs[:0:-1, 0]), (coeffs[0, 0], coeffs[0, 0]))
+    return float(np.max([np.max(np.abs(c - np.conj(m))) for c, m in pairs]))
 
 
 def require_same_grid(u: SpectralField, v: SpectralField) -> GridSpec:

@@ -10,10 +10,12 @@ Layout (little-endian throughout):
     payload : n*n interleaved (re, im) f64 pairs, row-major in ascending
               integer-index order (k1, k2 from -n/2 to n/2 - 1)
 
-The payload is the full spectrum, completed from the field's band block on
-writing.  The reader validates the header (t and L finite), finiteness and
-Hermitian symmetry of the whole payload to HERMITIAN_TOL times the largest
-coefficient, and then keeps the band block.
+The payload is the full spectrum, written from the field's band block and
+checked in this file order, the ``fftshift`` of numpy's FFT order, where
+index j of an axis mirrors to (n - j) mod n as well.  The reader validates
+the header (t and L finite), finiteness and Hermitian symmetry of the whole
+payload to HERMITIAN_TOL times the largest coefficient, and then keeps the
+band block.
 
 Every output file qgk writes goes through ``atomic_output``: it is written
 to a temporary file beside the target and renamed onto it, so an
@@ -67,14 +69,24 @@ def atomic_output(path, mode: str = "w", **open_kwargs):
 
 
 def write_snapshot(path, field: SpectralField, time: float) -> None:
-    payload = np.fft.fftshift(field.coeffs).astype("<c16", copy=False)
+    band = field.band
+    n, h = band.shape
+    # the block in columns k2 >= 0, a zero Nyquist column and the mirrored
+    # conjugates c(k1, k2) = conj(c(-k1, -k2)) between them
+    payload = np.empty((n, n), dtype="<c16")
+    payload[:h, h:] = band[h:]
+    payload[h:, h:] = band[:h]
+    payload[:, 0] = 0.0
+    np.conj(payload[0, :h:-1], out=payload[0, 1:h])
+    np.conj(payload[:0:-1, :h:-1], out=payload[1:, 1:h])
     with atomic_output(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, field.grid.n, field.grid.box_length, float(time)))
         fh.write(payload)
 
 
 def read_snapshot(path) -> tuple[SpectralField, float]:
-    with open(path, "rb") as fh:
+    # unbuffered, the payload is one read sized by fstat, not a chunked one
+    with open(path, "rb", buffering=0) as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
             raise SnapshotError(f"{path}: truncated header")
@@ -89,16 +101,18 @@ def read_snapshot(path) -> tuple[SpectralField, float]:
     expected = n * n * 16
     if len(raw) != expected:
         raise SnapshotError(f"{path}: payload has {len(raw)} bytes, expected {expected}")
-    coeffs = np.fft.ifftshift(np.frombuffer(raw, dtype="<c16").reshape(n, n))
-    if not np.all(np.isfinite(coeffs)):
+    payload = np.frombuffer(raw, dtype="<c16").reshape(n, n)
+    # a NaN or an infinity anywhere makes the largest modulus non-finite
+    scale = float(np.max(np.abs(payload)))
+    if not math.isfinite(scale):
         raise SnapshotError(f"{path}: non-finite coefficients")
-    scale = float(np.max(np.abs(coeffs))) or 1.0
-    defect = hermitian_defect(coeffs)
+    defect = hermitian_defect(payload)
     if defect > HERMITIAN_TOL * scale:
         raise SnapshotError(
             f"{path}: Hermitian symmetry violated (defect {defect:.3e}, scale {scale:.3e})")
+    h = n // 2
     return SpectralField(GridSpec(n=int(n), box_length=float(box_length)),
-                         coeffs[:, :n // 2]), float(time)
+                         np.concatenate((payload[h:, h:], payload[:h, h:]))), float(time)
 
 
 def read_on_grid(path, grid: GridSpec) -> tuple[SpectralField, float]:

@@ -14,6 +14,7 @@ round-off.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 
@@ -309,8 +310,9 @@ class _PairPool:
             self.executor = futures.ThreadPoolExecutor(max_workers=1,
                                                        thread_name_prefix="qgk-pair")
         shared = (mine[1], theirs[1], self.forward)
-        job = self.executor.submit(_share, pairs[1], theirs, *shared, slice(m // 2, m),
-                                   slice(h // 2, h), self.barrier)
+        # the worker runs in a copy of the caller's context, numpy's error state included
+        job = self.executor.submit(contextvars.copy_context().run, _share, pairs[1], theirs,
+                                   *shared, slice(m // 2, m), slice(h // 2, h), self.barrier)
         try:
             _share(pairs[0], mine, *shared, slice(0, m // 2), slice(0, h // 2), self.barrier)
         except threading.BrokenBarrierError:

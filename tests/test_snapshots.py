@@ -5,10 +5,11 @@ import struct
 import numpy as np
 import pytest
 
-from qgk.grid import GridSpec
+from qgk.grid import GridSpec, SpectralField, complete_band, hermitian_defect
 from qgk import spectral as sp
 from qgk.config import write_csv, write_manifest_sidecar
 from qgk.snapshots import (
+    HERMITIAN_TOL,
     MAGIC,
     SnapshotError,
     atomic_output,
@@ -179,3 +180,81 @@ def test_missing_output_directory_is_named(tmp_path):
     assert str(target) in message and str(tmp_path / "nodir") in message
     assert ".tmp" not in message
     assert list(tmp_path.iterdir()) == []
+
+
+def gathered_defect(coeffs):
+    """Max |c(-k) - conj(c(k))| by gathering the whole mirrored array: the
+    reference the pairwise hermitian_defect must equal bit for bit."""
+    ix = -np.arange(coeffs.shape[0])
+    return float(np.max(np.abs(coeffs - np.conj(coeffs[np.ix_(ix, ix)]))))
+
+
+def random_band(n, seed):
+    """A seeded band block with content in every row, the Nyquist row included."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n // 2)) + 1j * rng.standard_normal((n, n // 2))
+
+
+def payload_file(path, payload, n, box_length=2.5):
+    path.write_bytes(struct.pack("<4sIIdd", MAGIC, 1, n, box_length, 0.0)
+                     + payload.astype("<c16").tobytes())
+
+
+class TestFileOrder:
+    """Snapshots are written and checked in file order, straight from the
+    band block, with the bytes and verdicts of the full-spectrum round trip."""
+
+    @pytest.mark.parametrize("n", [8, 30, 32, 48, 64, 256])
+    def test_payload_equals_the_shifted_completion(self, tmp_path, n):
+        band = random_band(n, n)
+        # a signed zero on the Nyquist row, whose sign bits the payload keeps
+        band[n // 2, 3 % (n // 2)] = complex(-0.0, -0.0)
+        path = tmp_path / "state.qgk"
+        write_snapshot(path, SpectralField(GridSpec(n, 2.5), band), 0.25)
+        assert path.read_bytes()[28:] == \
+            np.fft.fftshift(complete_band(band)).astype("<c16").tobytes()
+
+    @pytest.mark.parametrize("n", [8, 30, 32, 64])
+    @pytest.mark.parametrize("noise", [1.0, 1e-13])
+    def test_defect_equals_the_gathered_formula(self, n, noise):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            near = complete_band(random_band(n, rng.integers(1 << 30)))
+            coeffs = near + noise * (rng.standard_normal((n, n))
+                                     + 1j * rng.standard_normal((n, n)))
+            for order in (coeffs, np.fft.fftshift(coeffs)):
+                assert hermitian_defect(order) == gathered_defect(order)
+                assert hermitian_defect(order) > 0.0
+
+    @pytest.mark.parametrize("cell", [(3, 5), (3, 4), (5, 2), (0, 5), (0, 2), (3, 0), (4, 0),
+                                      (0, 0)],
+                             ids=["rows-cols-h", "k2-0-column", "mirrored-columns", "row-0",
+                                  "row-0-mirrored", "column-0", "column-0-middle", "cell-0-0"])
+    def test_asymmetry_in_one_region_is_rejected(self, tmp_path, cell):
+        # a Hermitian field's payload, broken at one cell of the file order
+        # (n = 8, so column h = 4 holds k2 = 0 and row and column 0 k = -4)
+        u = sp.random_band_field(GridSpec(8, 2.5), 9, 1.0, 3.0, 1, 3)
+        payload = np.fft.fftshift(u.coeffs)
+        payload[cell] += 1e-6j
+        assert hermitian_defect(payload) == gathered_defect(payload) > 0.0
+        path = tmp_path / "state.qgk"
+        payload_file(path, payload, 8)
+        scale = float(np.max(np.abs(payload)))
+        defect = gathered_defect(np.fft.ifftshift(payload))
+        assert defect > HERMITIAN_TOL * scale
+        with pytest.raises(SnapshotError, match=f"defect {defect:.3e}, scale {scale:.3e}"):
+            read_snapshot(path)
+
+    def test_band_block_read_from_file_order(self, tmp_path):
+        # a payload Hermitian to round-off, whose band block is returned as is
+        g = GridSpec(30, 2.5)
+        band = sp.random_band_field(g, 10, 1.0, 3.0, 1, 14).band.copy()
+        top = np.max(np.abs(band))
+        band[15, 1:] = top * random_band(30, 11)[15, 1:]
+        band[1:, 0] += 1e-14 * top * random_band(30, 12)[1:, 0]
+        full = complete_band(band)
+        assert 0.0 < hermitian_defect(full) < HERMITIAN_TOL * np.max(np.abs(full))
+        path = tmp_path / "state.qgk"
+        payload_file(path, np.fft.fftshift(full), 30)
+        v, _ = read_snapshot(path)
+        assert v.band.tobytes() == band.tobytes()

@@ -252,6 +252,11 @@ def _cmd_decay(args) -> int:
     profile = decay_lab.parse_profile(args.profile)
     moments = tuple(int(s) for s in args.moments.split(",") if s.strip())
     lo, hi = (float(s) for s in args.window.split(","))
+    # checked before any quadrature: an infinite mu t leaves the radial panels no scale
+    for flag, value in (("--mu", args.mu), ("--window", lo), ("--window", hi),
+                        ("--duhamel-eta", args.duhamel_eta), ("--duhamel-k", args.duhamel_k)):
+        if value is not None and not np.isfinite(value):
+            raise ValueError(f"{flag} must be finite, not {value}")
     series = decay_lab.decay_series(
         profile, moments=moments, mu=args.mu, window=(lo, hi), num=args.samples,
         duhamel_eta=args.duhamel_eta, duhamel_amplitude=args.duhamel_k)

@@ -134,22 +134,33 @@ def duhamel_moment(profile_f: RadialProfile, k: int, mu: float, eta: float,
     full elliptic operator.  Nested panel quadrature; agrees with nested
     adaptive quadrature to 1e-12 relative (tests/test_decay_lab.py).
     """
+    return duhamel_moments(profile_f, (k,), mu, eta, amplitude, t)[0]
+
+
+def duhamel_moments(profile_f: RadialProfile, ks, mu: float, eta: float,
+                    amplitude: float, t: float) -> list[float]:
+    """`duhamel_moment` for each k in ks, on one table of Duhamel factors."""
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
     if amplitude == 0.0 or t == 0.0:
-        return 0.0
+        return [0.0 for _ in ks]
     rho, wts = panel_rule(_radial_edges(profile_f, mu, t))
     factor = duhamel_time_factor(mu * h_of(rho), t, eta)
-    vals = rho ** (k + 1) * profile_f(rho) * d_of(rho) * factor
-    out = 2.0 * np.pi * amplitude * float(np.sum(wts * vals))
-    if not np.isfinite(out):
-        raise QuadratureError("duhamel_moment returned a non-finite value")
+    out = []
+    for k in ks:
+        vals = rho ** (k + 1) * profile_f(rho) * d_of(rho) * factor
+        out.append(2.0 * np.pi * amplitude * float(np.sum(wts * vals)))
+        if not np.isfinite(out[-1]):
+            raise QuadratureError("duhamel_moment returned a non-finite value")
     return out
 
 
 def _radial_edges(profile: RadialProfile, mu: float, t: float) -> np.ndarray:
     """Geometric radial panels resolving the mu t h(rho) concentration, with
     an edge on each of the profile's edges, up to its support radius."""
+    # a non-finite or negative mu t would leave the panel loop below no scale to grow
+    if not 0.0 <= mu * t < np.inf:
+        raise ValueError(f"radial panels need a finite mu t >= 0, not mu = {mu}, t = {t}")
     upper = profile.edges[-1]
     pts = {0.0, *profile.edges}
     scale = (1.0 / (1.0 + mu * t)) ** 0.25
@@ -197,11 +208,10 @@ def decay_series(profile: RadialProfile, moments=(0, 1, 3), mu: float = 1.0,
         rates[k] = envelope_rate(k)
         env[k] = (1.0 + times) ** rates[k] * vals
         fits[k] = fit_exponent(times, vals, window)
-        if duhamel_eta is not None:
-            duh[k] = np.array([
-                duhamel_moment(profile, k, mu, duhamel_eta, duhamel_amplitude, t)
-                for t in times
-            ])
+    if duhamel_eta is not None:
+        table = np.array([duhamel_moments(profile, moments, mu, duhamel_eta,
+                                          duhamel_amplitude, t) for t in times])
+        duh = {k: table[:, j] for j, k in enumerate(moments)}
     return DecaySeries(times=times, moments=mom, envelopes=env,
                        envelope_rates=rates, fitted=fits, duhamel=duh)
 

@@ -34,7 +34,7 @@ import numpy as np
 from . import diagnostics as diag
 from .grid import GridSpec, SpectralField, multiplier_table
 from .bilinear import transport
-from .quadrature import duhamel_time_factor, linear_segment_factor
+from .quadrature import EXP_ZERO_BEYOND, duhamel_time_factor, linear_segment_factor
 from .spectral import band_samples, sanitize_band
 
 IF_RK4 = "if_rk4"
@@ -453,7 +453,10 @@ class LinearFlow:
                  cut: np.ndarray | None = None):
         mt = multiplier_table(w0.grid)
         self.forcing, self.mu, self.cut = forcing, mu, cut
-        self._h, self._y0 = mt.h, w0.band * mt.keep
+        self._y0 = w0.band * mt.keep
+        # the rates mu h ascending, for _decay's prefix of nonzero exponentials
+        self._order = np.argsort(mt.h, axis=None)
+        self._rates = mu * mt.h.ravel()[self._order]
         if forcing.kind == "separable_decaying":
             f0 = forcing.amplitude * mt.d * forcing.profile.band
             self._support = f0 != 0.0
@@ -471,18 +474,30 @@ class LinearFlow:
 
     def _carry(self, k: int, width: float) -> np.ndarray:
         # e^{-lam width} acc_k + int_{t_k}^{t_k + width} e^{-lam (t_k + width - tau)} f(tau) dtau
-        acc = np.exp(-self._lam * width) * self._knot_integrals[k]
+        acc = self._decay(width) * self._knot_integrals[k]
         if k == len(self._segments):
             return acc
         a, slope = self._segments[k]
         j0, j1 = linear_segment_factor(self._lam, width)
         return acc + ((a + slope * width) * j0 - slope * j1)
 
+    def _decay(self, t: float) -> np.ndarray:
+        """exp(-mu h t) on the band block, bit for bit.  Only the modes with
+        mu h t below EXP_ZERO_BEYOND, a prefix of the ascending rates, are
+        exponentiated; the rest are exactly zero.  (mu h) (-t) is (-mu h) t."""
+        c = self._rates.size
+        if self.mu * t > 0.0:
+            with np.errstate(over="ignore"):
+                c = int(np.searchsorted(self._rates, EXP_ZERO_BEYOND / t))
+        out = np.zeros(self._y0.shape)
+        out.flat[self._order[:c]] = np.exp(self._rates[:c] * -t)
+        return out
+
     def at(self, t: float) -> np.ndarray:
         """The band block of the flow at time t."""
-        if not t >= 0.0:
-            raise ValueError("linear flow times must be nonnegative")
-        y = np.exp(-self.mu * self._h * t) * self._y0
+        if not 0.0 <= t < np.inf:
+            raise ValueError("linear flow times must be finite and nonnegative")
+        y = self._decay(t) * self._y0
         if self.forcing.kind == "separable_decaying":
             y[self._support] += self._f0 * duhamel_time_factor(
                 self._lam, t, self.forcing.eta)[self._inverse]

@@ -29,6 +29,13 @@ _GAUSS_NODES = np.polynomial.legendre.leggauss(20)
 _GAUSS_NODES[0].setflags(write=False)
 _GAUSS_NODES[1].setflags(write=False)
 
+# exp(-x) rounds to +0 for every x > 1075 ln 2 = 745.133...; an exponential
+# table leaves the cells whose argument is below -EXP_ZERO_BEYOND at zero
+# instead of passing them to np.exp, whose underflowing path is slow
+EXP_ZERO_BEYOND = 746.0
+# rows of the Duhamel exponential table that share one nonzero column count
+_BAND_ROWS = 32
+
 
 def panel_rule(edges):
     """Nodes and weights of 20-point Gauss-Legendre on every panel between
@@ -63,14 +70,28 @@ def _panel_points(t: float, lam_max: float) -> np.ndarray:
 def duhamel_time_factor(lam, t: float, eta: float) -> np.ndarray:
     """I(lam, t) for an array of nonnegative rates lam, to ~1e-12 relative."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < np.inf:
+        raise ValueError("t must be finite and nonnegative")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("Duhamel rates must be finite")
     if t == 0.0 or lam.size == 0:
         return np.zeros_like(lam)
     nodes, weights = panel_rule(_panel_points(t, float(np.max(lam))))
     g = (1.0 + t - nodes) ** (-1.0 - eta)
-    # (n_lam, n_nodes) exponential table; underflow to zero is harmless
-    expo = np.exp(-np.outer(lam, nodes))
+    # (n_lam, n_nodes) table of exp(-lam s).  The nodes ascend, so a row's
+    # exactly-zero cells are a suffix, from the first node past
+    # EXP_ZERO_BEYOND / lam; each band of rows exponentiates up to its
+    # longest nonzero prefix, and consecutive bands with one prefix length
+    # do so in one block.  lam * (-s) is -(lam * s) bit for bit.
+    with np.errstate(divide="ignore", over="ignore"):
+        ends = np.where(lam > 0.0, np.searchsorted(nodes, EXP_ZERO_BEYOND / lam), nodes.size)
+    firsts = np.arange(0, lam.size, _BAND_ROWS)
+    band_ends = np.maximum.reduceat(ends, firsts)
+    runs = np.flatnonzero(np.diff(band_ends, prepend=-1))
+    expo, neg_nodes = np.zeros((lam.size, nodes.size)), -nodes
+    for lo, hi, c in zip(firsts[runs], [*firsts[runs[1:]], lam.size], band_ends[runs]):
+        block = expo[lo:hi, :c]
+        np.exp(np.multiply.outer(lam[lo:hi], neg_nodes[:c], out=block), out=block)
     out = expo @ (weights * g)
     if not np.all(np.isfinite(out)):
         bad = np.nonzero(~np.isfinite(out))[0]

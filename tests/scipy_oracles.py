@@ -1,4 +1,5 @@
-"""scipy references the tests check qgk's quadrature against.  qgk itself
+"""References the tests check qgk's quadrature against: scipy's adaptive
+quadrature, and the full exponential tables that qgk trims.  qgk itself
 imports no scipy; these run only under the test extra."""
 
 import numpy as np
@@ -6,7 +7,7 @@ from scipy.integrate import quad, simpson
 from scipy.optimize import brentq
 
 from qgk import decay_lab as dl
-from qgk.quadrature import QuadratureError, _panel_points
+from qgk.quadrature import QuadratureError, _panel_points, panel_rule
 
 
 def duhamel_time_factor_quad(lam: float, t: float, eta: float, epsrel: float = 1e-12) -> float:
@@ -22,6 +23,17 @@ def duhamel_time_factor_quad(lam: float, t: float, eta: float, epsrel: float = 1
     if not np.isfinite(val) or err > max(abs(val), 1e-300) * 1e-6:
         raise QuadratureError(f"adaptive Duhamel quadrature failed: value={val}, err={err}")
     return val
+
+
+def duhamel_time_factor_table(lam, t: float, eta: float) -> np.ndarray:
+    """I(lam, t) of qgk.quadrature with every cell of its exponential table
+    passed to np.exp: the bits the underflow-skipping evaluation must keep."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if t == 0.0 or lam.size == 0:
+        return np.zeros_like(lam)
+    nodes, weights = panel_rule(_panel_points(t, float(np.max(lam))))
+    g = (1.0 + t - nodes) ** (-1.0 - eta)
+    return np.exp(-np.outer(lam, nodes)) @ (weights * g)
 
 
 def decay_radius(mu: float, t: float, log_cut: float = 709.0) -> float:

@@ -388,6 +388,22 @@ class TestDispatch:
         summary = json.loads((tmp_path / "decay.csv.summary.json").read_text())
         assert summary["M0"]["slope"] == pytest.approx(-0.5, abs=0.05)
 
+    @pytest.mark.parametrize("flag, value, shown", [
+        ("--mu", "inf", "inf"), ("--mu", "nan", "nan"), ("--window", "1,inf", "inf"),
+        ("--window", "nan,1e3", "nan"), ("--duhamel-eta", "nan", "nan"),
+        ("--duhamel-eta", "inf", "inf"), ("--duhamel-k", "inf", "inf"),
+        ("--duhamel-k", "nan", "nan"),
+    ])
+    def test_decay_rejects_non_finite_input_before_any_work(self, tmp_path, monkeypatch,
+                                                            capsys, flag, value, shown):
+        monkeypatch.setattr(decay_lab, "decay_series", lambda *a, **k: pytest.fail("ran"))
+        out = tmp_path / "decay.csv"
+        argv = ["decay", "--window", "1e2,1e3", "--samples", "8", "--duhamel-eta", "0.75",
+                f"{flag}={value}", "--out", str(out)]
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == f"qgk: error: {flag} must be finite, not {shown}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_output_directory_exit_code(self, tmp_path, monkeypatch, capsys):
         cfg = write_cfg(tmp_path, SMALL_RUN)
         missing = tmp_path / "nodir"

@@ -7,7 +7,13 @@ from scipy.integrate import quad
 from qgk import decay_lab as dl
 from qgk.diagnostics import bounded_non_increasing
 from qgk.quadrature import QuadratureError, duhamel_time_factor, ols_loglog
-from scipy_oracles import duhamel_time_factor_quad, moment_integral_simpson, upper_limit
+from qgk.grid import GridSpec, multiplier_table
+from scipy_oracles import (
+    duhamel_time_factor_quad,
+    duhamel_time_factor_table,
+    moment_integral_simpson,
+    upper_limit,
+)
 
 KNOTS = np.arange(0.0, 4.01, 0.5)
 
@@ -123,7 +129,44 @@ class TestMomentIntegral:
         assert slope == pytest.approx(expected, abs=0.05)
 
 
+def support_rates(n: int, box_length: float) -> np.ndarray:
+    """LinearFlow's rates on every distinct |xi|^2 of a grid, mu = 1: they
+    follow the ascending q, with rounding inversions."""
+    q = np.unique(multiplier_table(GridSpec(n, box_length)).q)
+    return (1.0 + q) * q * q / (1.0 + q + q * q)
+
+
+_SWEEP = np.random.default_rng(2206)
+SWEEP_RATES = {
+    "unsorted": 10.0 ** _SWEEP.uniform(-4.0, 3.0, 300),
+    "ascending_with_inversions": support_rates(64, 100.0),
+    "zeros": np.where(_SWEEP.random(120) < 0.3, 0.0, _SWEEP.uniform(0.0, 40.0, 120)),
+    "negatives": np.where(_SWEEP.random(120) < 0.3, -_SWEEP.uniform(0.0, 1e-3, 120),
+                          _SWEEP.uniform(0.0, 40.0, 120)),
+    "single": np.array([3.7]),
+}
+
+
 class TestDuhamelTimeFactor:
+    @pytest.mark.parametrize("eta", [0.25, 0.75])
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 25.0, 1000.0, 1e5])
+    @pytest.mark.parametrize("kind", sorted(SWEEP_RATES))
+    def test_bits_of_the_full_exponential_table(self, kind, t, eta):
+        # cells whose exponential is exactly zero are skipped, not rounded
+        lam = SWEEP_RATES[kind]
+        fast = duhamel_time_factor(lam, t, eta)
+        ref = duhamel_time_factor_table(lam, t, eta)
+        assert np.array_equal(fast.view(np.int64), ref.view(np.int64))
+
+    def test_sweep_rates_have_rounding_inversions(self):
+        assert np.sum(np.diff(SWEEP_RATES["ascending_with_inversions"]) < 0.0) == 6
+
+    @pytest.mark.parametrize("lam,t", [([1.0, np.inf], 10.0), ([1.0, np.nan], 10.0),
+                                       ([1.0], np.inf), ([1.0], np.nan), ([1.0], -1.0)])
+    def test_non_finite_rate_or_bad_time_raises(self, lam, t):
+        with pytest.raises(ValueError):
+            duhamel_time_factor(np.array(lam), t, 0.5)
+
     @pytest.mark.parametrize("lam,t,eta", [(0.0, 5.0, 0.75), (0.3, 50.0, 0.6),
                                            (40.0, 1e3, 0.75), (4e3, 1e5, 0.9)])
     def test_matches_adaptive_reference(self, lam, t, eta):
@@ -174,6 +217,16 @@ class TestDuhamelMoment:
         with pytest.raises(QuadratureError):
             dl.duhamel_moment(nan_profile(), 1, 1.0, 0.75, 1.0, 1.0)
 
+    @pytest.mark.parametrize("mu,t", [(np.inf, 10.0), (np.nan, 10.0), (1.0, np.inf),
+                                      (1e300, 1e300)])
+    def test_non_finite_mu_t_raises(self, mu, t):
+        # an infinite mu t used to leave the radial panel loop no scale to grow
+        prof = dl.gaussian_profile(1.0)
+        with pytest.raises(ValueError, match="finite mu t"):
+            dl.duhamel_moment(prof, 1, mu, 0.75, 1.0, t)
+        with pytest.raises(ValueError, match="finite mu t"):
+            dl._radial_edges(prof, mu, t)
+
     def test_envelope_bounded_non_increasing_from_t10(self):
         # (1+t)^(1/2) (D1 + D3) peaks near t = 3, then falls by about 0.75
         # per half decade
@@ -220,6 +273,17 @@ def test_decay_series_table():
     env0 = series.envelopes[0]
     # one-sided envelope: bounded and non-increasing on the tail
     assert np.all(np.diff(env0) <= 1e-12 + 0.0 * env0[1:])
+
+
+def test_decay_series_duhamel_columns_are_single_moments():
+    # one Duhamel factor table per time serves every k, bit for bit
+    prof, moments, eta, amp = tabulated_exp(), (0, 1, 3), 0.75, 1.3
+    series = dl.decay_series(prof, moments=moments, mu=0.8, window=(1.0, 1e4), num=9,
+                             duhamel_eta=eta, duhamel_amplitude=amp)
+    for k in moments:
+        expected = np.array([dl.duhamel_moment(prof, k, 0.8, eta, amp, t)
+                             for t in series.times])
+        assert np.array_equal(series.duhamel[k].view(np.int64), expected.view(np.int64))
 
 
 def test_composite_linear_decay_check():

@@ -33,7 +33,7 @@ from qgk.evolution import (
     tendency,
     _grad_l4_fourth,
 )
-from scipy_oracles import duhamel_time_factor_quad
+from scipy_oracles import duhamel_time_factor_quad, duhamel_time_factor_table
 
 
 G64 = GridSpec(64, 2 * np.pi)
@@ -339,7 +339,65 @@ def resummed_tabulated_duhamel(forcing, mu, t, g):
     return acc
 
 
+def full_table_flow(w0, forcing, mu, cut, t):
+    """LinearFlow.at written out with every exponential passed to np.exp: the
+    bits its trimmed tables must keep."""
+    mt = multiplier_table(w0.grid)
+    y = np.exp(-mu * mt.h * t) * (w0.band * mt.keep)
+    if forcing.kind == "separable_decaying":
+        f0 = forcing.amplitude * mt.d * forcing.profile.band
+        support = f0 != 0.0
+        q, inverse = np.unique(mt.q[support], return_inverse=True)
+        lam = mu * (1.0 + q) * q * q / (1.0 + q + q * q)
+        y[support] += f0[support] * duhamel_time_factor_table(lam, t, forcing.eta)[inverse]
+    elif forcing.kind == "tabulated":
+        lam, knots = mu * mt.h, forcing.knot_times
+        a = [mt.d * f.band for _, f in forcing.table]
+
+        def carry(k, width, acc):
+            acc = np.exp(-lam * width) * acc
+            if k + 1 == len(knots):
+                return acc
+            slope = (a[k + 1] - a[k]) / (knots[k + 1] - knots[k])
+            j0, j1 = linear_segment_factor(lam, width)
+            return acc + ((a[k] + slope * width) * j0 - slope * j1)
+
+        acc = np.zeros(w0.grid.band_shape, dtype=complex)
+        last = int(np.searchsorted(knots, t, side="right")) - 1
+        for k in range(last):
+            acc = carry(k, knots[k + 1] - knots[k], acc)
+        y = y + (carry(last, t - knots[last], acc) if t > knots[0] else acc)
+    return y if cut is None else y * cut
+
+
 class TestLinearFlow:
+    @pytest.mark.parametrize("g", [G32, GridSpec(64, 100.0)], ids=["32", "64-L100"])
+    @pytest.mark.parametrize("kind", ["zero", "separable", "tabulated"])
+    @pytest.mark.parametrize("mu", [0.0, 1.0])
+    @pytest.mark.parametrize("cut", [None, 12.0])
+    def test_bits_of_the_full_exponential_tables(self, g, kind, mu, cut):
+        # modes whose exponential is exactly zero are skipped, not rounded;
+        # on 64^2 with L = 100 the forcing's rates have rounding inversions
+        forcing = {
+            "zero": ForcingSpec(kind="zero"),
+            "separable": forcing_for(g, K=0.6),
+            "tabulated": ForcingSpec(kind="tabulated", table=[
+                (t, band_ic(g, 80 + i, 0.4)) for i, t in enumerate([0.5, 0.8, 1.6, 30.0])]),
+        }[kind]
+        mask = None if cut is None else (multiplier_table(g).q <= cut).astype(float)
+        # every shell, so that some modes land just inside and outside the underflow
+        w0 = band_ic(g, 33, hi=g.n // 2)
+        flow = LinearFlow(w0, forcing, mu, mask)
+        for t in (0.0, 1e-9, 25.0, 1000.0, 1e6):
+            expected = full_table_flow(w0, forcing, mu, mask, t)
+            assert np.array_equal(flow.at(t).view(np.int64), expected.view(np.int64)), t
+
+    def test_non_finite_time_rejected(self):
+        flow = LinearFlow(band_ic(G32, 33), forcing_for(G32), 1.0)
+        for t in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                flow.at(t)
+
     @pytest.mark.parametrize("mu", [0.0, 1.3])
     def test_tabulated_carry_matches_resummation(self, mu):
         g = G32

@@ -103,6 +103,9 @@ def parse_profile(text: str) -> RadialProfile:
     """'gaussian:1.0' or 'compact_indicator:2.5' -> RadialProfile."""
     kind, _, arg = text.partition(":")
     value = float(arg) if arg else 1.0
+    # an infinite width or radius leaves the radial panels no finite support
+    if not np.isfinite(value):
+        raise ValueError(f"radial profile {text!r} needs a finite parameter")
     if kind == "gaussian":
         return gaussian_profile(value)
     if kind == "compact_indicator":
@@ -117,9 +120,11 @@ def moment_integral(profile: RadialProfile, k: int, mu: float, t: float) -> floa
         raise ValueError("moment_integral needs k >= 0, t >= 0, mu >= 0")
     rho, wts = panel_rule(_radial_edges(profile, mu, t))
     # exp underflows to zero beyond the decay radius, so the whole support
-    # is integrated
-    vals = np.exp(-mu * t * h_of(rho)) * rho ** (k + 1) * profile(rho)
-    out = 2.0 * np.pi * float(np.sum(wts * vals))
+    # is integrated; on a support too wide for h(rho) the sum is not finite,
+    # which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.exp(-mu * t * h_of(rho)) * rho ** (k + 1) * profile(rho)
+        out = 2.0 * np.pi * float(np.sum(wts * vals))
     if not np.isfinite(out):
         raise QuadratureError("moment_integral returned a non-finite value")
     return out
@@ -145,11 +150,16 @@ def duhamel_moments(profile_f: RadialProfile, ks, mu: float, eta: float,
     if amplitude == 0.0 or t == 0.0:
         return [0.0 for _ in ks]
     rho, wts = panel_rule(_radial_edges(profile_f, mu, t))
-    factor = duhamel_time_factor(mu * h_of(rho), t, eta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = mu * h_of(rho)
+    if not np.all(np.isfinite(rates)):
+        raise QuadratureError("duhamel_moment rates mu h(rho) overflow on the profile's support")
+    factor = duhamel_time_factor(rates, t, eta)
     out = []
     for k in ks:
-        vals = rho ** (k + 1) * profile_f(rho) * d_of(rho) * factor
-        out.append(2.0 * np.pi * amplitude * float(np.sum(wts * vals)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = rho ** (k + 1) * profile_f(rho) * d_of(rho) * factor
+            out.append(2.0 * np.pi * amplitude * float(np.sum(wts * vals)))
         if not np.isfinite(out[-1]):
             raise QuadratureError("duhamel_moment returned a non-finite value")
     return out

@@ -17,6 +17,8 @@ their own radial panels.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -24,10 +26,15 @@ class QuadratureError(RuntimeError):
     """Raised when an integral cannot be evaluated to tolerance."""
 
 
-# 20-point Gauss-Legendre nodes and weights on [-1, 1], read-only
-_GAUSS_NODES = np.polynomial.legendre.leggauss(20)
-_GAUSS_NODES[0].setflags(write=False)
-_GAUSS_NODES[1].setflags(write=False)
+@functools.lru_cache(maxsize=1)
+def _gauss_nodes():
+    """20-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
+    Built on first use: leggauss imports numpy.polynomial, which commands
+    that run no quadrature never need."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 # exp(-x) rounds to +0 for every x > 1075 ln 2 = 745.133...; an exponential
 # table leaves the cells whose argument is below -EXP_ZERO_BEYOND at zero
@@ -40,7 +47,7 @@ _BAND_ROWS = 32
 def panel_rule(edges):
     """Nodes and weights of 20-point Gauss-Legendre on every panel between
     consecutive edges, flattened panel by panel."""
-    x, w = _GAUSS_NODES
+    x, w = _gauss_nodes()
     edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])

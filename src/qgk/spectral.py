@@ -237,9 +237,10 @@ def _pair_term(u, v, pad, samples, scratch) -> np.ndarray:
 
 def _share(pair, buffers, acc, term, forward, rows: slice, cols: slice, barrier) -> None:
     """One thread's share of a pooled product: its pair's term into its own
-    buffers; once both terms are made, acc <- acc + term and the r2c pass
-    into forward on ``rows``; once every row is done, the axis -2 pass of
-    forward in place on ``cols``."""
+    buffers; once both terms are made, and with them every c2r pass that
+    reads forward, acc <- acc + term and the r2c pass into forward on
+    ``rows``; once every row is done, the axis -2 pass of forward in place
+    on ``cols``."""
     try:
         _pair_term(*pair, *buffers)
         barrier.wait()
@@ -266,11 +267,13 @@ class _PairPool:
     of a pooled product.  Each of two sides owns a c2r input, a samples
     array and a scratch, and the fill of a field's symbols lands in the
     samples array or scratch that its c2r pass writes next, so a side needs
-    no fourth buffer; both sides write one forward buffer (..., m, m/2 + 1).
-    The buffers are held for one stack shape, m and band width h (the c2r
-    input must be zero past column h) and replaced when any changes.  The
-    worker starts with the first pooled product, so importing qgk starts
-    none.  Callers hold ``lock`` until they have read the forward buffer."""
+    no fourth buffer.  The forward pass runs in side 0's c2r input once its
+    last c2r pass is done, and the next product zeroes its columns past h
+    before the first fill.  The buffers are held for one stack shape, m and
+    band width h (the c2r inputs must be zero past column h) and replaced
+    when any changes.  The worker starts with the first pooled product, so
+    importing qgk starts none.  Callers hold ``lock`` until they have read
+    the forward pass."""
 
     def __init__(self):
         self.lock = threading.Lock()
@@ -278,30 +281,31 @@ class _PairPool:
         self.executor = None
         self.key = None
         self.buffers = ()
-        self.forward = None
 
     def forward_pass(self, pairs, m: int, h: int, pooled: bool) -> np.ndarray:
-        """The first h columns of the forward buffer, holding the 2-D forward
+        """The first h columns of side 0's c2r input, holding the 2-D forward
         transform of the sum of the pairs' sample products.  Unpooled, later
         pairs' terms are made in side 1's samples and added in pair order."""
         key = pairs[0][0][0].shape[:-2] + (m, h)
         if key != self.key:
             # free the old key's buffers before making new ones
-            self.buffers, self.forward = (), None
+            self.buffers = ()
             stack = key[:-2]
             self.buffers = tuple(
                 (np.zeros(stack + (m, m // 2 + 1), dtype=complex), np.empty(stack + (m, m)),
                  np.empty(stack + (m, m)))
                 for _ in range(2))
-            self.forward = np.empty(stack + (m, m // 2 + 1), dtype=complex)
             self.key = key
         mine, theirs = self.buffers
+        forward = mine[0]
+        # the last forward pass left its r2c output past column h
+        forward[..., h:] = 0.0
         if not pooled:
             acc = _pair_term(*pairs[0], *mine)
             for u, v in pairs[1:]:
                 np.add(acc, _pair_term(u, v, mine[0], theirs[1], mine[2]), out=acc)
-            sfft.rfft(acc, axis=-1, norm="forward", out=self.forward)
-            band = self.forward[..., :h]
+            sfft.rfft(acc, axis=-1, norm="forward", out=forward)
+            band = forward[..., :h]
             sfft.fft(band, axis=-2, norm="forward", out=band)
             return band
         from concurrent import futures
@@ -309,7 +313,7 @@ class _PairPool:
         if self.executor is None:
             self.executor = futures.ThreadPoolExecutor(max_workers=1,
                                                        thread_name_prefix="qgk-pair")
-        shared = (mine[1], theirs[1], self.forward)
+        shared = (mine[1], theirs[1], forward)
         # the worker runs in a copy of the caller's context, numpy's error state included
         job = self.executor.submit(contextvars.copy_context().run, _share, pairs[1], theirs,
                                    *shared, slice(m // 2, m), slice(h // 2, h), self.barrier)
@@ -322,7 +326,7 @@ class _PairPool:
             futures.wait([job])
             self.barrier.reset()
         job.result()
-        return self.forward[..., :h]
+        return forward[..., :h]
 
 
 _PAIRS = _PairPool()

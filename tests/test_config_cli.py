@@ -404,6 +404,34 @@ class TestDispatch:
         assert capsys.readouterr().err == f"qgk: error: {flag} must be finite, not {shown}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("profile", ["gaussian:inf", "compact_indicator:inf",
+                                         "gaussian:-inf", "compact_indicator:nan"])
+    def test_decay_rejects_a_non_finite_profile_parameter(self, tmp_path, capsys, profile):
+        out = tmp_path / "decay.csv"
+        assert dispatch(["decay", f"--profile={profile}", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"qgk: error: radial profile '{profile}' needs a finite parameter\n"
+        assert list(tmp_path.iterdir()) == []
+
+    # every numpy warning fails the test
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("profile, duhamel, reason", [
+        ("gaussian:1e300", [], "moment_integral returned a non-finite value"),
+        ("gaussian:1e150", [], "moment_integral returned a non-finite value"),
+        ("compact_indicator:1e300", [], "moment_integral returned a non-finite value"),
+        # the free moments are finite; the Duhamel rates mu h(rho) are not
+        ("gaussian:1e50", ["--duhamel-eta", "0.75"],
+         "duhamel_moment rates mu h(rho) overflow on the profile's support"),
+    ])
+    def test_decay_on_an_overflowing_profile_is_a_numerical_abort(self, tmp_path, capsys,
+                                                                  profile, duhamel, reason):
+        out = tmp_path / "decay.csv"
+        argv = ["decay", f"--profile={profile}", "--window", "1e2,1e3", "--samples", "8",
+                *duhamel, "--out", str(out)]
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err == f"qgk: numerical abort: {reason}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_output_directory_exit_code(self, tmp_path, monkeypatch, capsys):
         cfg = write_cfg(tmp_path, SMALL_RUN)
         missing = tmp_path / "nodir"

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from qgk import decay_lab as dl
 from qgk.diagnostics import bounded_non_increasing
-from qgk.quadrature import QuadratureError, duhamel_time_factor, ols_loglog
+from qgk.quadrature import QuadratureError, duhamel_time_factor, ols_loglog, panel_rule
 from qgk.grid import GridSpec, multiplier_table
 from scipy_oracles import (
     duhamel_time_factor_quad,
@@ -71,6 +71,9 @@ class TestProfiles:
         assert q(1.0) == 1.0 and q(2.0) == 0.0
         with pytest.raises(ValueError):
             dl.parse_profile("fancy:1")
+        for text in ("gaussian:inf", "compact_indicator:-inf", "gaussian:nan"):
+            with pytest.raises(ValueError, match="needs a finite parameter"):
+                dl.parse_profile(text)
 
 
 class TestMomentIntegral:
@@ -145,6 +148,12 @@ SWEEP_RATES = {
                           _SWEEP.uniform(0.0, 40.0, 120)),
     "single": np.array([3.7]),
 }
+
+
+def test_panel_rule_on_one_unit_panel_is_leggauss():
+    nodes, weights = panel_rule([-1.0, 1.0])
+    x, w = np.polynomial.legendre.leggauss(20)
+    assert nodes.tobytes() == x.tobytes() and weights.tobytes() == w.tobytes()
 
 
 class TestDuhamelTimeFactor:

@@ -18,7 +18,7 @@ from qgk import diagnostics as diag
 from qgk import evolution
 from qgk import grid as grid_module
 from qgk import spectral as sp
-from qgk.quadrature import duhamel_time_factor, linear_segment_factor
+from qgk.quadrature import duhamel_time_factor, linear_segment_factor, panel_rule
 from qgk.snapshots import read_snapshot, write_snapshot
 from qgk.evolution import (
     ForcingSpec,
@@ -858,11 +858,13 @@ class TestBandState:
 
 def test_every_cache_bounded_over_20_grids():
     caches = qgk_caches()
-    assert sorted(caches) == ["diagnostics._weights", "grid.multiplier_table"]
+    assert sorted(caches) == ["diagnostics._weights", "grid.multiplier_table",
+                              "quadrature._gauss_nodes"]
     for n in range(8, 48, 2):
         g = GridSpec(n, 2 * np.pi)
         multiplier_table(g)
         diag._weights(g)
+        panel_rule(np.linspace(0.0, 1.0, n))
         for cache in caches.values():
             info = cache.cache_info()
             assert info.maxsize is not None and info.currsize <= info.maxsize

@@ -585,18 +585,46 @@ class TestPairPool:
             g = grid(n)
             for stack in ((), (1,), (2,), (3,)):
                 held = [weakref.ref(buf) for bufs in pair_pool.buffers for buf in bufs]
-                if pair_pool.forward is not None:
-                    held.append(weakref.ref(pair_pool.forward))
                 a = stacked_fields(g, n, stack)
                 bl.transport(a, a, g)
                 # the previous shape's buffers are gone
                 assert all(ref() is None for ref in held)
         m, h = 3 * 264 // 2, 264 // 2
         assert pair_pool.key == (3, m, h)
-        assert [buf.shape for buf in pair_pool.buffers[0]] == [
-            (3, m, m // 2 + 1), (3, m, m), (3, m, m)]
-        assert len(pair_pool.buffers) == 2
-        assert pair_pool.forward.shape == (3, m, m // 2 + 1)
+        # two sides of a c2r input, a samples array and a scratch: six buffers,
+        # the forward pass running in side 0's c2r input
+        assert [[buf.shape for buf in bufs] for bufs in pair_pool.buffers] == [
+            [(3, m, m // 2 + 1), (3, m, m), (3, m, m)]] * 2
+        assert not hasattr(pair_pool, "forward")
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["one_cpu", "two_cpus"])
+    def test_products_after_a_forward_pass_equal_a_fresh_pool(self, cpus, pair_pool,
+                                                              monkeypatch):
+        # the forward pass leaves its output in side 0's c2r input, columns
+        # past h included; n = 128 under 3/2 padding and n = 192 under 2/3
+        # truncation share m = 192 with h = 64 and 96, and each change of
+        # grid or stack replaces the buffers, so every product but a key's
+        # first runs right after a forward pass on the same buffers
+        set_cpus(monkeypatch, cpus)
+        grids = (grid(128, L=5.0), grid(192, L=5.0, dealias="two_thirds_truncation"))
+        runs = [(g, stack, seed) for seed in (1, 2) for g in grids for stack in ((), (2,))
+                for _ in range(2)]
+        for g, stack, seed in runs:
+            rho, zeta = stacked_fields(g, seed, stack), stacked_fields(g, seed + 4, stack)
+            # pooled where two CPUs are usable, serial, and the transport's two pairs
+            products = [lambda: sp.band_product(g, ((rho, zeta), (zeta, rho * 0.5))),
+                        lambda: sp.band_product(g, ((rho, zeta),)),
+                        lambda: bl.transport(rho, zeta, g)]
+            for product in products:
+                got = product()
+                with monkeypatch.context() as m:
+                    fresh = sp._PairPool()
+                    m.setattr(sp, "_PAIRS", fresh)
+                    expected = product()
+                    if fresh.executor is not None:
+                        fresh.executor.shutdown(wait=True)
+                assert np.array_equal(got, expected), (g.n, stack, seed)
+        assert (pair_pool.executor is not None) == (cpus == 2)
 
     @pytest.mark.parametrize("failing", ["caller", "worker"])
     def test_an_error_in_either_share_waits_for_the_other(self, failing, pair_pool,

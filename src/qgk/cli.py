@@ -135,6 +135,10 @@ def dispatch(argv) -> int:
         "lp-spectrum": _cmd_lp_spectrum,
     }[args.command]
     try:
+        # every float flag (--mu, --eta, --weight, ...) must be finite
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"--{name.replace('_', '-')} must be finite, not {value}")
         # --out of every command but run and linear names a file: a missing
         # directory fails here, not after the compute
         if args.command not in ("run", "linear") and args.out:
@@ -232,7 +236,9 @@ def _cmd_linear(args) -> int:
     _, cfg, manifest = _load(args, "linear")
     if args.times:
         times = [float(s) for s in args.times.split(",") if s.strip()]
-        # a negative, non-finite or uneven list exits 1 before anything is written
+        # an empty, negative, non-finite or uneven list exits 1 before anything is written
+        if not times:
+            raise ValueError("--times holds no value")
         if not all(0.0 <= t < np.inf for t in times):
             raise ValueError("--times must be finite and nonnegative")
         diag.uniform_cadence(times)
@@ -251,12 +257,13 @@ def _cmd_linear(args) -> int:
 def _cmd_decay(args) -> int:
     profile = decay_lab.parse_profile(args.profile)
     moments = tuple(int(s) for s in args.moments.split(",") if s.strip())
+    if not moments:
+        raise ValueError("--moments holds no value")
     lo, hi = (float(s) for s in args.window.split(","))
     # checked before any quadrature: an infinite mu t leaves the radial panels no scale
-    for flag, value in (("--mu", args.mu), ("--window", lo), ("--window", hi),
-                        ("--duhamel-eta", args.duhamel_eta), ("--duhamel-k", args.duhamel_k)):
-        if value is not None and not np.isfinite(value):
-            raise ValueError(f"{flag} must be finite, not {value}")
+    for value in (lo, hi):
+        if not np.isfinite(value):
+            raise ValueError(f"--window must be finite, not {value}")
     series = decay_lab.decay_series(
         profile, moments=moments, mu=args.mu, window=(lo, hi), num=args.samples,
         duhamel_eta=args.duhamel_eta, duhamel_amplitude=args.duhamel_k)
@@ -332,7 +339,10 @@ def _cmd_convergence(args) -> int:
     # of it, and the balance residual needs three records
     t_end, every = values["t_end"], values["diagnostics_every"]
     steps = []
-    for dt in dts:
+    for k, dt in enumerate(dts):
+        # a repeated dt leaves the fitted order undetermined
+        if dt in dts[:k]:
+            raise ConfigError(f"repeated value for 'dt' (--dts): {dt!r}")
         n = whole_steps(t_end, dt)
         if n == 0:
             raise ConfigError(f"out-of-range value for 'dt' (--dts): {dt!r} leaves no whole "

@@ -33,8 +33,11 @@ from .quadrature import QuadratureError, duhamel_time_factor, ols_loglog, panel_
 
 def h_of(rho):
     rho = np.asarray(rho, dtype=float)
-    q = rho * rho
-    return q * q * (1.0 + q) / (1.0 + q + q * q)
+    # q^2 (1 + q) overflows from rho ~ 2.4e51, where q is h correctly rounded
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = rho * rho
+        h = q * q * (1.0 + q) / (1.0 + q + q * q)
+    return np.where(np.isfinite(h), h, q)
 
 
 def d_of(rho):

@@ -34,7 +34,7 @@ import numpy as np
 from . import diagnostics as diag
 from .grid import GridSpec, SpectralField, multiplier_table
 from .bilinear import transport
-from .quadrature import EXP_ZERO_BEYOND, duhamel_time_factor, linear_segment_factor
+from .quadrature import duhamel_time_factor, linear_segment_factor, masked_exp
 from .spectral import band_samples, sanitize_band
 
 IF_RK4 = "if_rk4"
@@ -452,11 +452,9 @@ class LinearFlow:
     def __init__(self, w0: SpectralField, forcing: ForcingSpec, mu: float,
                  cut: np.ndarray | None = None):
         mt = multiplier_table(w0.grid)
-        self.forcing, self.mu, self.cut = forcing, mu, cut
+        self.forcing, self.cut = forcing, cut
         self._y0 = w0.band * mt.keep
-        # the rates mu h ascending, for _decay's prefix of nonzero exponentials
-        self._order = np.argsort(mt.h, axis=None)
-        self._rates = mu * mt.h.ravel()[self._order]
+        self._rates = mu * mt.h
         if forcing.kind == "separable_decaying":
             f0 = forcing.amplitude * mt.d * forcing.profile.band
             self._support = f0 != 0.0
@@ -464,7 +462,7 @@ class LinearFlow:
             q, self._inverse = np.unique(mt.q[self._support], return_inverse=True)
             self._lam = mu * (1.0 + q) * q * q / (1.0 + q + q * q)
         elif forcing.kind == "tabulated":
-            self._lam = mu * mt.h
+            self._lam = self._rates
             widths = np.diff(forcing.knot_times)
             a = [mt.d * f.band for _, f in forcing.table]
             self._segments = [(a[k], (a[k + 1] - a[k]) / w) for k, w in enumerate(widths)]
@@ -482,16 +480,8 @@ class LinearFlow:
         return acc + ((a + slope * width) * j0 - slope * j1)
 
     def _decay(self, t: float) -> np.ndarray:
-        """exp(-mu h t) on the band block, bit for bit.  Only the modes with
-        mu h t below EXP_ZERO_BEYOND, a prefix of the ascending rates, are
-        exponentiated; the rest are exactly zero.  (mu h) (-t) is (-mu h) t."""
-        c = self._rates.size
-        if self.mu * t > 0.0:
-            with np.errstate(over="ignore"):
-                c = int(np.searchsorted(self._rates, EXP_ZERO_BEYOND / t))
-        out = np.zeros(self._y0.shape)
-        out.flat[self._order[:c]] = np.exp(self._rates[:c] * -t)
-        return out
+        """exp(-mu h t) on the band block, bit for bit: (mu h) (-t) is (-mu h) t."""
+        return masked_exp(self._rates * -t)
 
     def at(self, t: float) -> np.ndarray:
         """The band block of the flow at time t."""

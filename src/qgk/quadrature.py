@@ -44,6 +44,13 @@ EXP_ZERO_BEYOND = 746.0
 _BAND_ROWS = 32
 
 
+def masked_exp(arg) -> np.ndarray:
+    """np.exp(arg) bit for bit, with the cells below -EXP_ZERO_BEYOND left
+    at zero instead of passed to np.exp."""
+    arg = np.asarray(arg, dtype=float)
+    return np.exp(arg, out=np.zeros(arg.shape), where=arg >= -EXP_ZERO_BEYOND)
+
+
 def panel_rule(edges):
     """Nodes and weights of 20-point Gauss-Legendre on every panel between
     consecutive edges, flattened panel by panel."""
@@ -124,7 +131,7 @@ def linear_segment_factor(lam, width: float):
         psi = np.where(
             small,
             0.5 - z / 3.0 + z * z / 8.0,
-            (1.0 - np.exp(-z) * (1.0 + z)) / np.where(z == 0.0, 1.0, z * z),
+            (1.0 - masked_exp(-z) * (1.0 + z)) / np.where(z == 0.0, 1.0, z * z),
         )
     j0 = np.where(lam == 0.0, width, j0)
     j1 = width * width * psi

@@ -36,17 +36,25 @@ def duhamel_time_factor_table(lam, t: float, eta: float) -> np.ndarray:
     return np.exp(-np.outer(lam, nodes)) @ (weights * g)
 
 
+def h_scalar(rho: float) -> float:
+    """h(rho) = q^2 (1 + q) / (1 + q + q^2), q = rho^2, on one float: the
+    point-by-point integrands of quad and brentq, written out apart from
+    the code under test."""
+    q = rho * rho
+    return q * q * (1.0 + q) / (1.0 + q + q * q)
+
+
 def decay_radius(mu: float, t: float, log_cut: float = 709.0) -> float:
     """Radius where mu t h(rho) reaches log_cut (integrand underflow)."""
     if mu * t <= 0.0:
         return np.inf
     target = log_cut / (mu * t)
     lo, hi = 0.0, 1.0
-    while dl.h_of(hi) < target:
+    while h_scalar(hi) < target:
         hi *= 2.0
         if hi > 1e12:
             return np.inf
-    return float(brentq(lambda r: dl.h_of(r) - target, lo, hi, xtol=1e-12, rtol=1e-12))
+    return float(brentq(lambda r: h_scalar(r) - target, lo, hi, xtol=1e-12, rtol=1e-12))
 
 
 def upper_limit(profile: dl.RadialProfile, mu: float, t: float) -> float:

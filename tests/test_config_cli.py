@@ -3,8 +3,6 @@
 import gc
 import json
 import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
 
@@ -237,13 +235,16 @@ class TestDispatch:
         assert ((out / "series.csv").read_bytes()
                 == (tmp_path / "default" / "series.csv").read_bytes())
 
-    @pytest.mark.parametrize("times", ["-0.1,0,0.1", "0,inf", "0,nan"])
-    def test_linear_rejects_negative_or_non_finite_times_before_any_work(self, tmp_path,
-                                                                         capsys, times):
+    @pytest.mark.parametrize("times, error", [
+        *[(t, "must be finite and nonnegative") for t in ("-0.1,0,0.1", "0,inf", "0,nan")],
+        (",", "holds no value"),
+    ])
+    def test_linear_rejects_empty_negative_or_non_finite_times_before_any_work(
+            self, tmp_path, capsys, times, error):
         cfg = write_cfg(tmp_path, SMALL_RUN)
         out = tmp_path / "lin"
         assert dispatch(["linear", "--config", cfg, "--out", str(out), f"--times={times}"]) == 1
-        assert "qgk: error: --times must be finite and nonnegative" in capsys.readouterr().err
+        assert f"qgk: error: --times {error}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, text", [
@@ -310,6 +311,8 @@ class TestDispatch:
                       "diagnostics_every = 5"),
         ("0.04,0.01", "out-of-range value for 'dt' (--dts): 0.04 gives only 2 of the 3 "
                       "records"),
+        # two equal steps leave the fitted order undetermined
+        ("0.01,0.01", "repeated value for 'dt' (--dts): 0.01"),
     ])
     def test_convergence_rejects_each_bad_dt_before_any_run(self, tmp_path, monkeypatch,
                                                             capsys, dts, message):
@@ -388,20 +391,31 @@ class TestDispatch:
         summary = json.loads((tmp_path / "decay.csv.summary.json").read_text())
         assert summary["M0"]["slope"] == pytest.approx(-0.5, abs=0.05)
 
-    @pytest.mark.parametrize("flag, value, shown", [
-        ("--mu", "inf", "inf"), ("--mu", "nan", "nan"), ("--window", "1,inf", "inf"),
-        ("--window", "nan,1e3", "nan"), ("--duhamel-eta", "nan", "nan"),
-        ("--duhamel-eta", "inf", "inf"), ("--duhamel-k", "inf", "inf"),
-        ("--duhamel-k", "nan", "nan"),
+    # the other flags each command needs; no file they name exists
+    FLAG_BASES = {"decay": ["--window", "1e2,1e3", "--samples", "8", "--duhamel-eta", "0.75"],
+                  "compare": ["--run-a", "nl", "--run-b", "lin", "--eta", "0.75"],
+                  "lp-spectrum": ["--snapshot", "u.qgk"]}
+
+    # shown is the value the error names; None for an empty list
+    @pytest.mark.parametrize("command, flag, value, shown", [
+        ("decay", "--mu", "inf", "inf"), ("decay", "--mu", "nan", "nan"),
+        ("decay", "--window", "1,inf", "inf"), ("decay", "--window", "nan,1e3", "nan"),
+        ("decay", "--duhamel-eta", "nan", "nan"), ("decay", "--duhamel-eta", "inf", "inf"),
+        ("decay", "--duhamel-k", "inf", "inf"), ("decay", "--duhamel-k", "nan", "nan"),
+        ("decay", "--moments", ",", None), ("compare", "--eta", "nan", "nan"),
+        ("compare", "--eta", "inf", "inf"), ("lp-spectrum", "--weight", "nan", "nan"),
+        ("lp-spectrum", "--weight", "-inf", "-inf"),
     ])
-    def test_decay_rejects_non_finite_input_before_any_work(self, tmp_path, monkeypatch,
-                                                            capsys, flag, value, shown):
-        monkeypatch.setattr(decay_lab, "decay_series", lambda *a, **k: pytest.fail("ran"))
-        out = tmp_path / "decay.csv"
-        argv = ["decay", "--window", "1e2,1e3", "--samples", "8", "--duhamel-eta", "0.75",
-                f"{flag}={value}", "--out", str(out)]
+    def test_bad_flag_value_exits_1_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                    command, flag, value, shown):
+        for module, name in ((decay_lab, "decay_series"), (diag, "compare_h3"),
+                             (lp, "block_spectrum")):
+            monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("ran"))
+        out = tmp_path / "out.csv"
+        argv = [command, *self.FLAG_BASES[command], f"{flag}={value}", "--out", str(out)]
         assert dispatch(argv) == 1
-        assert capsys.readouterr().err == f"qgk: error: {flag} must be finite, not {shown}\n"
+        error = f"must be finite, not {shown}" if shown else "holds no value"
+        assert capsys.readouterr().err == f"qgk: error: {flag} {error}\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("profile", ["gaussian:inf", "compact_indicator:inf",
@@ -415,19 +429,20 @@ class TestDispatch:
 
     # every numpy warning fails the test
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("profile, duhamel, reason", [
+    @pytest.mark.parametrize("profile, extra, reason", [
         ("gaussian:1e300", [], "moment_integral returned a non-finite value"),
         ("gaussian:1e150", [], "moment_integral returned a non-finite value"),
         ("compact_indicator:1e300", [], "moment_integral returned a non-finite value"),
         # the free moments are finite; the Duhamel rates mu h(rho) are not
-        ("gaussian:1e50", ["--duhamel-eta", "0.75"],
+        ("gaussian:1.0", ["--mu", "1e307", "--moments", "0", "--window", "1e-3,1e-2",
+                          "--duhamel-eta", "0.75"],
          "duhamel_moment rates mu h(rho) overflow on the profile's support"),
     ])
     def test_decay_on_an_overflowing_profile_is_a_numerical_abort(self, tmp_path, capsys,
-                                                                  profile, duhamel, reason):
+                                                                  profile, extra, reason):
         out = tmp_path / "decay.csv"
         argv = ["decay", f"--profile={profile}", "--window", "1e2,1e3", "--samples", "8",
-                *duhamel, "--out", str(out)]
+                *extra, "--out", str(out)]
         assert dispatch(argv) == 2
         assert capsys.readouterr().err == f"qgk: numerical abort: {reason}\n"
         assert list(tmp_path.iterdir()) == []
@@ -776,49 +791,3 @@ snapshot_every = 1
                 saved, t_saved = read_snapshot(path)
                 assert t_saved == t
                 assert saved.coeffs.tobytes() == state.coeffs.tobytes()
-
-
-IMPORT_HYGIENE = """\
-import sys
-sys.modules["scipy"] = None   # any scipy import now raises ImportError
-from qgk.cli import main
-from qgk.grid import GridSpec
-from qgk.snapshots import write_snapshot
-from qgk.spectral import random_band_field
-
-cfg, out = sys.argv[1], sys.argv[2]
-write_snapshot(out + "/pert.qgk", random_band_field(GridSpec(32, 6.283185307179586), 3, 1e-3), 0.0)
-codes = [
-    main(["run", "--config", cfg, "--out", out + "/run"]),
-    main(["linear", "--config", cfg, "--out", out + "/lin"]),
-    main(["stability", "--config", cfg, "--perturb", out + "/pert.qgk", "--out", out + "/s.csv"]),
-    main(["compare", "--run-a", out + "/run", "--run-b", out + "/lin", "--eta", "0.2",
-          "--out", out + "/c.csv"]),
-    main(["decay", "--window", "1e2,1e3", "--samples", "8", "--duhamel-eta", "0.75",
-          "--out", out + "/d.csv"]),
-    main(["invariants", "--config", cfg]),
-]
-print("codes", codes)
-"""
-
-
-def test_run_path_imports_no_scipy(tmp_path):
-    """Every qgk command needs numpy only: each runs with scipy blocked."""
-    cfg = write_cfg(tmp_path, """\
-grid.n = 32
-grid.box_length = 6.283185307179586
-mu = 1.0
-dt = 1e-2
-t_end = 0.1
-diagnostics_every = 5
-snapshot_every = 1
-forcing.kind = separable_decaying
-""")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, QGK_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE, cfg, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert "codes [0, 0, 0, 0, 0, 0]" in lines

@@ -6,11 +6,14 @@ from scipy.integrate import quad
 
 from qgk import decay_lab as dl
 from qgk.diagnostics import bounded_non_increasing
-from qgk.quadrature import QuadratureError, duhamel_time_factor, ols_loglog, panel_rule
+from qgk import quadrature
+from qgk.quadrature import (QuadratureError, duhamel_time_factor, linear_segment_factor,
+                            ols_loglog, panel_rule)
 from qgk.grid import GridSpec, multiplier_table
 from scipy_oracles import (
     duhamel_time_factor_quad,
     duhamel_time_factor_table,
+    h_scalar,
     moment_integral_simpson,
     upper_limit,
 )
@@ -35,7 +38,7 @@ def adaptive_moment(profile, k, mu, t):
     upper = upper_limit(profile, mu, t)
 
     def integrand(rho):
-        return np.exp(-mu * t * dl.h_of(rho)) * rho ** (k + 1) * profile(rho)
+        return np.exp(-mu * t * h_scalar(rho)) * rho ** (k + 1) * profile(rho)
 
     pts = list(profile.edges[:-1])
     if mu * t > 0.0:
@@ -156,6 +159,29 @@ def test_panel_rule_on_one_unit_panel_is_leggauss():
     assert nodes.tobytes() == x.tobytes() and weights.tobytes() == w.tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+def test_h_of_keeps_the_bits_of_its_formula_wherever_that_is_finite():
+    rho = 10.0 ** np.random.default_rng(2511).uniform(-3.0, 51.0, 500)
+    q = rho * rho
+    assert dl.h_of(rho).tobytes() == (q * q * (1.0 + q) / (1.0 + q + q * q)).tobytes()
+    # past rho ~ 2.4e51 q^2 (1 + q) overflows, and h is q to the last bit
+    wide = 10.0 ** np.linspace(52.0, 150.0, 200)
+    assert dl.h_of(wide).tobytes() == (wide * wide).tobytes()
+
+
+def test_masked_exp_keeps_the_bits_of_np_exp(monkeypatch):
+    # exp(-x) is subnormal up to x = 745.13 and +0 past it
+    rng = np.random.default_rng(2513)
+    arg = np.concatenate([rng.uniform(-800.0, 10.0, 1000), rng.uniform(-747.0, -744.0, 1000)])
+    assert quadrature.masked_exp(arg).tobytes() == np.exp(arg).tobytes()
+    # linear_segment_factor on lam * width from 0 to 1e6 is the plain np.exp formula
+    z = np.concatenate([[0.0, 1e6], 10.0 ** rng.uniform(-8.0, 6.0, 400), -arg[1000:]])
+    masked = linear_segment_factor(2.0 * z, 0.5)
+    monkeypatch.setattr(quadrature, "masked_exp", np.exp)
+    plain = linear_segment_factor(2.0 * z, 0.5)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(masked, plain))
+
+
 class TestDuhamelTimeFactor:
     @pytest.mark.parametrize("eta", [0.25, 0.75])
     @pytest.mark.parametrize("t", [1e-3, 0.5, 25.0, 1000.0, 1e5])
@@ -212,7 +238,7 @@ class TestDuhamelMoment:
         mu, eta, K, k = 1.0, 0.75, 1.0, 1
 
         def outer(rho):
-            lam = mu * dl.h_of(rho)
+            lam = mu * h_scalar(rho)
             return rho ** (k + 1) * prof(rho) * dl.d_of(rho) * duhamel_time_factor_quad(lam, t, eta)
 
         upper = min(prof.edges[-1], 12.0)
@@ -225,6 +251,12 @@ class TestDuhamelMoment:
     def test_non_finite_raises(self):
         with pytest.raises(QuadratureError):
             dl.duhamel_moment(nan_profile(), 1, 1.0, 0.75, 1.0, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rates_past_the_overflow_of_q_cubed_are_finite(self):
+        # gaussian:1e50 reaches rho = 3.8e51, where q^2 (1 + q) overflows
+        prof = dl.gaussian_profile(1e50)
+        assert np.all(np.isfinite(dl.duhamel_moments(prof, (0, 1, 3), 1.0, 0.75, 1.0, 100.0)))
 
     @pytest.mark.parametrize("mu,t", [(np.inf, 10.0), (np.nan, 10.0), (1.0, np.inf),
                                       (1e300, 1e300)])

@@ -1,6 +1,7 @@
 """The command line as a process: ``python -m qgk.cli`` with its real
 stderr, exit code and numpy warning state."""
 
+import math
 import os
 import re
 import subprocess
@@ -34,13 +35,18 @@ snapshot_every = 1
 """
 
 
-def qgk_process(*argv, timeout=300):
-    """Run ``python -m qgk.cli argv`` on the qgk these tests import."""
+def python_process(*args, timeout=300, cwd=None):
+    """Run ``python args`` on the qgk these tests import."""
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(qgk.__file__)))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "qgk.cli", *map(str, argv)],
+    return subprocess.run([sys.executable, *map(str, args)], cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=path), capture_output=True,
                           text=True, timeout=timeout)
+
+
+def qgk_process(*argv, timeout=300):
+    """Run ``python -m qgk.cli argv`` on the qgk these tests import."""
+    return python_process("-m", "qgk.cli", *argv, timeout=timeout)
 
 
 def aborting_config(tmp_path, n=16):
@@ -79,14 +85,17 @@ def test_convergence_names_the_trial_that_blows_up(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["abort16.cfg"]
 
 
-@pytest.mark.parametrize("flag, value", [("--mu", "inf"), ("--window", "1,inf")])
-def test_decay_rejects_an_infinite_mu_t_before_any_quadrature(tmp_path, flag, value):
-    # each of these used to loop forever building the radial panels
-    out = tmp_path / "decay.csv"
-    proc = qgk_process("decay", flag, value, "--duhamel-eta", "0.75", "--out", out,
-                       timeout=60)
+@pytest.mark.parametrize("argv, flag, shown", [
+    # each decay call used to loop forever building the radial panels
+    (["decay", "--mu", "inf", "--duhamel-eta", "0.75"], "--mu", "inf"),
+    (["decay", "--window", "1,inf", "--duhamel-eta", "0.75"], "--window", "inf"),
+    (["compare", "--run-a", "nl", "--run-b", "lin", "--eta", "nan"], "--eta", "nan"),
+])
+def test_non_finite_flag_prints_only_its_error_line(tmp_path, argv, flag, shown):
+    out = tmp_path / "out.csv"
+    proc = qgk_process(*argv, "--out", out, timeout=60)
     assert proc.returncode == 1, proc.stderr
-    assert proc.stderr == f"qgk: error: {flag} must be finite, not inf\n"
+    assert proc.stderr == f"qgk: error: {flag} must be finite, not {shown}\n"
     assert "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
 
@@ -126,35 +135,72 @@ def test_decay_profile_out_of_range_prints_only_its_line(tmp_path, profile, code
     assert list(tmp_path.iterdir()) == []
 
 
-# runs a command through qgk.cli.main, then reports whether numpy.polynomial was imported
-IMPORTS_AFTER = """\
+# runs each command through qgk.cli.main in one process from the working
+# directory, with scipy blocked; a "==" line on stdout and stderr opens each
+# command's output, and the last stdout line holds the exit codes and whether
+# numpy.polynomial (which the Gauss nodes of the first quadrature import) was
+# imported after each command
+COMMANDS = """\
 import sys
+sys.modules["scipy"] = None   # any scipy import now raises ImportError
 from qgk.cli import main
-code = main(sys.argv[1:])
-print(code, "numpy.polynomial" in sys.modules)
+codes, polynomial = [], []
+for command in sys.argv[1:]:
+    print("==", file=sys.stderr, flush=True)
+    print("==", flush=True)
+    codes.append(main(command.split()))
+    polynomial.append("numpy.polynomial" in sys.modules)
+print(codes, polynomial)
 """
 
 
-def test_stepping_commands_build_no_gauss_nodes(tmp_path):
-    # the Gauss-Legendre nodes, and numpy.polynomial with them, are built
-    # by the first quadrature, which run and stability never make
-    cfg = tmp_path / "grid16.cfg"
-    cfg.write_text(GRID16)
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(qgk.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+def test_commands_need_numpy_only_and_quadrature_only_where_they_integrate(tmp_path):
+    (tmp_path / "forced32.cfg").write_text(GRID16.replace("grid.n = 16", "grid.n = 32")
+                                           + "forcing.kind = separable_decaying\n")
+    proc = python_process(
+        "-c", COMMANDS, "run --config forced32.cfg --out run",
+        # a snapshot of the run is the stability command's perturbation
+        "stability --config forced32.cfg --perturb run/snap_000002.qgk --out s.csv",
+        "invariants --config forced32.cfg", "linear --config forced32.cfg --out lin",
+        "compare --run-a run --run-b lin --eta 0.2 --out c.csv",
+        "decay --window 1e2,1e3 --samples 8 --duhamel-eta 0.75 --out d.csv", cwd=tmp_path)
+    assert proc.stdout.splitlines()[-1] == (
+        "[0, 0, 0, 0, 0, 0] [False, False, False, True, True, True]"), proc.stderr
 
-    def imports_after(*argv):
-        proc = subprocess.run([sys.executable, "-c", IMPORTS_AFTER, *map(str, argv)],
-                              env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.split()[-2:]
 
-    assert imports_after("run", "--config", cfg, "--out", tmp_path / "run") == ["0", "False"]
-    # a snapshot of the run is the stability command's perturbation
-    perturbation = sorted((tmp_path / "run").glob("snap_*.qgk"))[-1]
-    assert imports_after("stability", "--config", cfg, "--perturb", perturbation,
-                         "--out", tmp_path / "stability.csv") == ["0", "False"]
-    # the decay command's quadrature imports it
-    assert imports_after("decay", "--window", "1e2,1e3", "--samples", "8",
-                         "--out", tmp_path / "decay.csv") == ["0", "True"]
+# the commands of the former CI console-script step
+CONSOLE_COMMANDS = [
+    "invariants --config grid16.cfg",
+    "run --config grid16.cfg --out run16",
+    "linear --config grid16.cfg --out linear16",
+    "compare --run-a run16 --run-b linear16 --eta 0.75 --out compare16.csv",
+    "run --config every16.cfg --out every16",
+    "linear --config grid16.cfg --times 0,0.05,0.1 --out times16",
+    "convergence --config every16.cfg --dts 0.02,0.01 --out conv16.csv",
+    # its dt = 0.02 trial records 2 of the 3 rows a balance residual needs
+    "convergence --config grid16.cfg --dts 0.02,0.01 --out short16.csv",
+]
+
+
+def data_rows(path):
+    return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")][1:]
+
+
+def test_console_commands_on_the_16_grid(tmp_path):
+    (tmp_path / "grid16.cfg").write_text(GRID16)
+    (tmp_path / "every16.cfg").write_text(GRID16.replace("every = 5", "every = 1"))
+    proc = python_process("-c", COMMANDS, *CONSOLE_COMMANDS, cwd=tmp_path)
+    assert proc.stdout.splitlines()[-1].startswith("[0, 0, 0, 0, 0, 0, 0, 1] "), proc.stderr
+    out, err = proc.stdout.split("==\n")[1:], proc.stderr.split("==\n")[1:]
+    assert all(ln.startswith(("warning: ", "qgk: ")) for ln in "".join(err).splitlines())
+    assert not re.search("Traceback|RuntimeWarning|RankWarning", proc.stderr)
+    assert "pairing_first" in out[0] and "FAIL" not in out[0]
+    assert out[3].startswith("sup envelope ratio") and not re.search(r"(?i)\bnan\b", out[3])
+    # run and linear write one snapshot and its manifest sidecar per series.csv row
+    for name in ("every16", "times16"):
+        snaps = list((tmp_path / name).glob("snap_*.qgk"))
+        assert len(snaps) == len(data_rows(tmp_path / name / "series.csv")) > 0
+        assert all(os.path.isfile(f"{snap}.manifest.txt") for snap in snaps)
+    assert len(data_rows(tmp_path / "conv16.csv")) == 2
+    assert math.isfinite(float(re.search(r"fitted order: (\S+)", out[6])[1]))
+    assert "qgk: error: " in err[7] and not (tmp_path / "short16.csv").exists()

@@ -62,19 +62,24 @@ from .spectral import (
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qgk", description=__doc__)
     p.add_argument("--version", action="version", version=f"qgk {__version__}")
-    sub = p.add_subparsers(dest="command")
+    sub = p.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="integrate the nonlinear equation")
+    def command(name, handler, help):
+        parser = sub.add_parser(name, help=help)
+        parser.set_defaults(handler=handler)
+        return parser
+
+    run = command("run", _cmd_run, "integrate the nonlinear equation")
     run.add_argument("--config", required=True)
     run.add_argument("--out", required=True, help="output directory")
 
-    lin = sub.add_parser("linear", help="exact linear flow with the config's datum and forcing")
+    lin = command("linear", _cmd_linear, "exact linear flow with the config's datum and forcing")
     lin.add_argument("--config", required=True)
     lin.add_argument("--out", required=True)
     lin.add_argument("--times", default="", help="comma list of evenly spaced finite times >= 0 "
                      "(other lists are rejected); default: diagnostics cadence")
 
-    dec = sub.add_parser("decay", help="radial-quadrature decay moments")
+    dec = command("decay", _cmd_decay, "radial-quadrature decay moments")
     dec.add_argument("--profile", default="gaussian:1.0")
     dec.add_argument("--mu", type=float, default=1.0)
     dec.add_argument("--moments", default="0,1,3")
@@ -84,27 +89,27 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--duhamel-k", type=float, default=1.0)
     dec.add_argument("--out", required=True)
 
-    cmp_ = sub.add_parser("compare", help="H^3 distance between two run directories")
+    cmp_ = command("compare", _cmd_compare, "H^3 distance between two run directories")
     cmp_.add_argument("--run-a", required=True, help="nonlinear run directory")
     cmp_.add_argument("--run-b", required=True, help="linear run directory")
     cmp_.add_argument("--eta", type=float, required=True)
     cmp_.add_argument("--out", required=True)
 
-    stab = sub.add_parser("stability", help="twin runs from a perturbed datum")
+    stab = command("stability", _cmd_stability, "twin runs from a perturbed datum")
     stab.add_argument("--config", required=True)
     stab.add_argument("--perturb", required=True, help="perturbation snapshot")
     stab.add_argument("--out", required=True)
 
-    inv = sub.add_parser("invariants", help="full property battery, pass/fail table")
+    inv = command("invariants", _cmd_invariants, "full property battery, pass/fail table")
     inv.add_argument("--config", required=True)
     inv.add_argument("--out", default="")
 
-    conv = sub.add_parser("convergence", help="dt-refinement study of the balance residuals")
+    conv = command("convergence", _cmd_convergence, "dt-refinement study of the balance residuals")
     conv.add_argument("--config", required=True)
     conv.add_argument("--dts", required=True, help="comma list of time steps")
     conv.add_argument("--out", required=True)
 
-    lps = sub.add_parser("lp-spectrum", help="per-dyadic-block energy CSV")
+    lps = command("lp-spectrum", _cmd_lp_spectrum, "per-dyadic-block energy CSV")
     lps.add_argument("--snapshot", default="")
     lps.add_argument("--config", default="")
     lps.add_argument("--weight", type=float, default=0.0, help="2^(js) weight exponent")
@@ -113,27 +118,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    parser = _build_parser()
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
-    handler = {
-        "run": _cmd_run,
-        "linear": _cmd_linear,
-        "decay": _cmd_decay,
-        "compare": _cmd_compare,
-        "stability": _cmd_stability,
-        "invariants": _cmd_invariants,
-        "convergence": _cmd_convergence,
-        "lp-spectrum": _cmd_lp_spectrum,
-    }[args.command]
     try:
         # every float flag (--mu, --eta, --weight, ...) must be finite
         for name, value in vars(args).items():
@@ -143,7 +131,7 @@ def dispatch(argv) -> int:
         # directory fails here, not after the compute
         if args.command not in ("run", "linear") and args.out:
             require_directory(args.out)
-        return handler(args)
+        return args.handler(args)
     except (ConfigError, SnapshotError, OSError, ValueError) as exc:
         print(f"qgk: error: {exc}", file=sys.stderr)
         return 1
@@ -160,85 +148,104 @@ def main(argv=None) -> int:
 # subcommand bodies
 
 
-def _load(args, command: str):
+def _manifest(args, values=(), warnings=()):
+    """The manifest of a command: the values of the config it read (not its
+    path, so the hash does not depend on where the file lives) and every
+    other flag but --out, under its argparse name."""
+    flags = {name: value for name, value in vars(args).items()
+             if name not in ("command", "handler", "config", "out")}
+    return manifest_from_values(args.command, {**dict(values), **flags}, warnings)
+
+
+def _load(args):
     values = parse_config(args.config)
     cfg, warnings = resolve_run_config(values)
-    manifest = manifest_from_values(command, values, warnings)
-    return values, cfg, manifest
+    return cfg, _manifest(args, values, warnings)
 
 
-def _write_series(out_dir: str, records: np.ndarray, manifest) -> None:
-    write_csv(os.path.join(out_dir, "series.csv"), records.dtype.names, records.tolist(),
-              manifest)
+def _list_flag(args, name: str, parse=float, count=None) -> list:
+    """The values of the comma list flag --name, each read by parse; a list
+    that holds no value, repeats one or does not hold count of them exits 1."""
+    flag = f"--{name}"
+    values = [parse(s.strip()) for s in getattr(args, name).split(",") if s.strip()]
+    if not values:
+        raise ValueError(f"{flag} holds no value")
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{flag} repeats {value!r}")
+        seen.add(value)
+    if count is not None and len(values) != count:
+        raise ValueError(f"{flag} needs {count} values, not {len(values)}")
+    return values
 
 
 class _SnapshotWriter:
-    """Sink for simulate and linear_series: writes each (t, field) it is
-    handed to snap_<k>.qgk and its manifest sidecar at once, so no state
-    waits in memory and an aborted run keeps the snapshots it made."""
+    """Writer of a run directory.  As the sink of simulate and linear_series
+    it writes each (t, field) it is handed to snap_<k>.qgk and its manifest
+    sidecar at once, so no state waits in memory and an aborted run keeps
+    the snapshots it made."""
 
     def __init__(self, out_dir: str, manifest):
+        os.makedirs(out_dir, exist_ok=True)
         self.out_dir, self.manifest, self.paths = out_dir, manifest, []
 
     def __call__(self, pair) -> None:
         t, field = pair
-        path = os.path.join(self.out_dir, f"snap_{len(self.paths):06d}.qgk")
+        self.state(f"snap_{len(self.paths):06d}", field, t)
+
+    def state(self, name: str, field, t) -> None:
+        """<name>.qgk and its manifest sidecar."""
+        path = os.path.join(self.out_dir, f"{name}.qgk")
         write_snapshot(path, field, t)
         write_manifest_sidecar(path, self.manifest)
         self.paths.append(path)
 
+    def series(self, records: np.ndarray) -> None:
+        write_csv(os.path.join(self.out_dir, "series.csv"), records.dtype.names,
+                  records.tolist(), self.manifest)
 
-def _write_abort(out_dir: str, exc: SimulationAbort, manifest) -> None:
-    """abort.qgk holds the last good state of an aborted run, abort.txt why."""
-    path = os.path.join(out_dir, "abort.qgk")
-    write_snapshot(path, exc.last_good, exc.last_good_t)
-    write_manifest_sidecar(path, manifest)
-    with atomic_output(os.path.join(out_dir, "abort.txt"), encoding="utf-8") as fh:
-        fh.write(f"{exc} at t = {exc.t!r}; last good state at t = {exc.last_good_t!r} "
-                 "in abort.qgk\n")
-
-
-def _add_run_warnings(manifest, found, snaps: _SnapshotWriter) -> None:
-    """Merge the warnings a run found into its manifest and print them all.
-    simulate repeats the t = 0 warnings that resolve_run_config already
-    gave; when the run warned after its first snapshots were written, their
-    sidecars are rewritten, so each carries the run's whole manifest."""
-    warnings = tuple(dict.fromkeys((*manifest.warnings, *found)))
-    if warnings != manifest.warnings:
-        manifest.warnings = warnings
-        for path in snaps.paths:
-            write_manifest_sidecar(path, manifest)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    def warn(self, found) -> None:
+        """Merge the warnings a run found into the manifest and print them
+        all.  simulate repeats the t = 0 warnings that resolve_run_config
+        already gave; when the run warned after its first snapshots were
+        written, their sidecars are rewritten, so each carries the run's
+        whole manifest."""
+        warnings = tuple(dict.fromkeys((*self.manifest.warnings, *found)))
+        if warnings != self.manifest.warnings:
+            self.manifest.warnings = warnings
+            for path in self.paths:
+                write_manifest_sidecar(path, self.manifest)
+        for w in warnings:
+            print(f"warning: {w}", file=sys.stderr)
 
 
 def _cmd_run(args) -> int:
-    _, cfg, manifest = _load(args, "run")
+    cfg, manifest = _load(args)
     cfg.n_steps  # a step count that overflows or leaves a remainder exits 1 before any output
-    os.makedirs(args.out, exist_ok=True)
-    snaps = _SnapshotWriter(args.out, manifest)
+    run_dir = _SnapshotWriter(args.out, manifest)
     try:
-        result = simulate(cfg, snaps)
+        result = simulate(cfg, run_dir)
     except SimulationAbort as exc:
-        _add_run_warnings(manifest, exc.warnings, snaps)
-        _write_abort(args.out, exc, manifest)
+        # abort.qgk holds the last good state of an aborted run, abort.txt why
+        run_dir.warn(exc.warnings)
+        run_dir.state("abort", exc.last_good, exc.last_good_t)
+        with atomic_output(os.path.join(args.out, "abort.txt"), encoding="utf-8") as fh:
+            fh.write(f"{exc} at t = {exc.t!r}; last good state at t = {exc.last_good_t!r} "
+                     "in abort.qgk\n")
         raise
-    _add_run_warnings(manifest, result.warnings, snaps)
-    _write_series(args.out, result.records, manifest)
-    final_path = os.path.join(args.out, "final.qgk")
-    write_snapshot(final_path, result.final, cfg.t_end)
-    write_manifest_sidecar(final_path, manifest)
+    run_dir.warn(result.warnings)
+    run_dir.series(result.records)
+    run_dir.state("final", result.final, cfg.t_end)
     print(f"run complete: t_end={cfg.t_end:g}, {len(result.records)} records -> {args.out}")
     return 0
 
 
 def _cmd_linear(args) -> int:
-    _, cfg, manifest = _load(args, "linear")
+    cfg, manifest = _load(args)
     if args.times:
-        times = [float(s) for s in args.times.split(",") if s.strip()]
-        # an empty, negative, non-finite or uneven list exits 1 before anything is written
-        if not times:
-            raise ValueError("--times holds no value")
+        times = _list_flag(args, "times")
+        # a negative, non-finite or uneven list exits 1 before anything is written
         if not all(0.0 <= t < np.inf for t in times):
             raise ValueError("--times must be finite and nonnegative")
         diag.uniform_cadence(times)
@@ -246,20 +253,18 @@ def _cmd_linear(args) -> int:
         # the times at which qgk run records, (k * diagnostics_every) * dt, bit for bit
         times = [k * cfg.diagnostics_every * cfg.dt
                  for k in range(cfg.n_steps // cfg.diagnostics_every + 1)]
-    os.makedirs(args.out, exist_ok=True)
+    run_dir = _SnapshotWriter(args.out, manifest)
     # each state is written before the next is made; series.csv needs every row
-    _, records = linear_series(cfg, times, _SnapshotWriter(args.out, manifest))
-    _write_series(args.out, records, manifest)
+    _, records = linear_series(cfg, times, run_dir)
+    run_dir.series(records)
     print(f"linear flow evaluated at {len(times)} times -> {args.out}")
     return 0
 
 
 def _cmd_decay(args) -> int:
     profile = decay_lab.parse_profile(args.profile)
-    moments = tuple(int(s) for s in args.moments.split(",") if s.strip())
-    if not moments:
-        raise ValueError("--moments holds no value")
-    lo, hi = (float(s) for s in args.window.split(","))
+    moments = tuple(_list_flag(args, "moments", int))
+    lo, hi = _list_flag(args, "window", count=2)
     # checked before any quadrature: an infinite mu t leaves the radial panels no scale
     for value in (lo, hi):
         if not np.isfinite(value):
@@ -273,11 +278,7 @@ def _cmd_decay(args) -> int:
     if args.duhamel_eta is not None:
         columns += [(f"D{k}", series.duhamel[k]) for k in moments]
     names, data = zip(*columns)
-    values = {"profile": profile.kind, "mu": args.mu, "moments": args.moments,
-              "window": args.window, "samples": args.samples,
-              "duhamel_eta": args.duhamel_eta, "duhamel_k": args.duhamel_k}
-    manifest = manifest_from_values("decay", values)
-    write_csv(args.out, names, zip(*data), manifest)
+    write_csv(args.out, names, zip(*data), _manifest(args))
     summary = {
         f"M{k}": {"slope": series.fitted[k][0], "stderr": series.fitted[k][1],
                   "envelope_rate": series.envelope_rates[k]}
@@ -290,24 +291,25 @@ def _cmd_decay(args) -> int:
     return 0
 
 
-def _run_dir_snapshots(path: str):
-    """(t, field) of each snapshot of a run directory, read as it is iterated."""
-    names = sorted(name for name in os.listdir(path)
+def _snapshot_paths(run_dir: str) -> list:
+    """The snap_*.qgk files of a run directory, in order."""
+    names = sorted(name for name in os.listdir(run_dir)
                    if name.startswith("snap_") and name.endswith(".qgk"))
     if not names:
-        raise ConfigError(f"no snap_*.qgk snapshots in {path}")
-    for name in names:
-        field, t = read_snapshot(os.path.join(path, name))
-        yield t, field
+        raise ConfigError(f"no snap_*.qgk snapshots in {run_dir}")
+    return [os.path.join(run_dir, name) for name in names]
 
 
 def _cmd_compare(args) -> int:
-    series = diag.compare_h3(_run_dir_snapshots(args.run_a), _run_dir_snapshots(args.run_b),
-                             args.eta)
-    manifest = manifest_from_values("compare", {"run_a": args.run_a, "run_b": args.run_b,
-                                                "eta": args.eta})
+    # both runs are listed before either is read: unequal counts exit 1 at once
+    run_a, run_b = _snapshot_paths(args.run_a), _snapshot_paths(args.run_b)
+    if len(run_a) != len(run_b):
+        raise ConfigError(f"--run-a holds {len(run_a)} snapshots and --run-b {len(run_b)}")
+    # (t, field) of each snapshot, read as compare_h3 takes it
+    states = [((t, field) for field, t in map(read_snapshot, run)) for run in (run_a, run_b)]
+    series = diag.compare_h3(*states, args.eta)
     rows = list(zip(series.times, series.z_h3, series.envelope_ratio))
-    write_csv(args.out, ["t", "z_h3", "envelope_ratio"], rows, manifest)
+    write_csv(args.out, ["t", "z_h3", "envelope_ratio"], rows, _manifest(args))
     last = series.times[-1]
     sup = f"{series.sup_ratio(1.0):.6e}" if last >= 1.0 else f"no samples (last t = {last:g})"
     print(f"sup envelope ratio (t >= 1): {sup}")
@@ -315,14 +317,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    _, cfg, manifest = _load(args, "stability")
+    cfg, manifest = _load(args)
     perturbation, _ = read_on_grid(args.perturb, cfg.grid)
     report = compare_runs(cfg, perturbation)
     rows = list(zip(report.times, report.e_delta, report.delta_h3,
                     report.growth_integral, report.envelope))
-    manifest.warnings = tuple(manifest.warnings) + (
-        f"fitted_C={report.fitted_c!r}", f"fitted_K={report.fitted_k!r}",
-        f"envelope_margin={report.envelope_margin!r}")
+    manifest.warnings += (f"fitted_C={report.fitted_c!r}", f"fitted_K={report.fitted_k!r}",
+                          f"envelope_margin={report.envelope_margin!r}")
     write_csv(args.out, ["t", "E_delta", "delta_H3", "growth_integral", "envelope"],
               rows, manifest)
     print(f"fitted C={report.fitted_c:.4g} K={report.fitted_k:.4g} "
@@ -332,17 +333,14 @@ def _cmd_stability(args) -> int:
 
 def _cmd_convergence(args) -> int:
     values = parse_config(args.config)
-    dts = [parse_value("dt", s.strip(), "--dts") for s in args.dts.split(",") if s.strip()]
+    dts = _list_flag(args, "dts", lambda s: parse_value("dt", s, "--dts"))
     if len(dts) < 2:
         raise ConfigError("convergence needs at least two dt values")
     # every dt is checked before the first run: t_end is rounded to whole steps
     # of it, and the balance residual needs three records
     t_end, every = values["t_end"], values["diagnostics_every"]
     steps = []
-    for k, dt in enumerate(dts):
-        # a repeated dt leaves the fitted order undetermined
-        if dt in dts[:k]:
-            raise ConfigError(f"repeated value for 'dt' (--dts): {dt!r}")
+    for dt in dts:
         n = whole_steps(t_end, dt)
         if n == 0:
             raise ConfigError(f"out-of-range value for 'dt' (--dts): {dt!r} leaves no whole "
@@ -366,8 +364,8 @@ def _cmd_convergence(args) -> int:
     res = np.array([r[1] for r in rows])
     dts_arr = np.array(dts)
     order = np.polyfit(np.log(dts_arr), np.log(np.maximum(res, 1e-300)), 1)[0]
-    manifest = manifest_from_values("convergence", values, (f"dts={args.dts}",))
-    write_csv(args.out, ["dt", "residual_first", "residual_second"], rows, manifest)
+    write_csv(args.out, ["dt", "residual_first", "residual_second"], rows,
+              _manifest(args, values))
     print(f"fitted order: {order:.3f}")
     return 0
 
@@ -377,10 +375,9 @@ def _cmd_lp_spectrum(args) -> int:
         raise ConfigError("lp-spectrum needs exactly one of --snapshot or --config")
     if args.snapshot:
         field, _ = read_snapshot(args.snapshot)
-        manifest = manifest_from_values("lp-spectrum", {"snapshot": args.snapshot,
-                                                        "weight": args.weight})
+        manifest = _manifest(args)
     else:
-        _, cfg, manifest = _load(args, "lp-spectrum")
+        cfg, manifest = _load(args)
         field = cfg.initial_state
     partition = lp.dyadic_partition(field.grid)
     rows = lp.block_spectrum(partition, field, args.weight)
@@ -460,7 +457,7 @@ def _invariant_checks(cfg: RunConfig, seed: int):
 
 
 def _cmd_invariants(args) -> int:
-    _, cfg, manifest = _load(args, "invariants")
+    cfg, manifest = _load(args)
     rows = []
     all_pass = True
     print(f"{'check':36s} {'value':>12s} {'tolerance':>12s}  status")

@@ -95,17 +95,14 @@ def duhamel_time_factor(lam, t: float, eta: float) -> np.ndarray:
     # (n_lam, n_nodes) table of exp(-lam s).  The nodes ascend, so a row's
     # exactly-zero cells are a suffix, from the first node past
     # EXP_ZERO_BEYOND / lam; each band of rows exponentiates up to its
-    # longest nonzero prefix, and consecutive bands with one prefix length
-    # do so in one block.  lam * (-s) is -(lam * s) bit for bit.
+    # longest nonzero prefix.  lam * (-s) is -(lam * s) bit for bit.
     with np.errstate(divide="ignore", over="ignore"):
         ends = np.where(lam > 0.0, np.searchsorted(nodes, EXP_ZERO_BEYOND / lam), nodes.size)
-    firsts = np.arange(0, lam.size, _BAND_ROWS)
-    band_ends = np.maximum.reduceat(ends, firsts)
-    runs = np.flatnonzero(np.diff(band_ends, prepend=-1))
     expo, neg_nodes = np.zeros((lam.size, nodes.size)), -nodes
-    for lo, hi, c in zip(firsts[runs], [*firsts[runs[1:]], lam.size], band_ends[runs]):
-        block = expo[lo:hi, :c]
-        np.exp(np.multiply.outer(lam[lo:hi], neg_nodes[:c], out=block), out=block)
+    for lo in range(0, lam.size, _BAND_ROWS):
+        rows = slice(lo, lo + _BAND_ROWS)
+        block = expo[rows, :ends[rows].max()]
+        np.exp(np.multiply.outer(lam[rows], neg_nodes[:block.shape[1]], out=block), out=block)
     out = expo @ (weights * g)
     if not np.all(np.isfinite(out)):
         bad = np.nonzero(~np.isfinite(out))[0]

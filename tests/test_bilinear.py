@@ -151,6 +151,54 @@ class TestCancellations:
         assert abs(lhs) <= 1e-12 * scale
 
 
+class TestZeroMeanFlux:
+    """transport(r, r) = u . grad(Delta^2 r) is the divergence of the flux
+    G = grad^perp((1 - Delta) r) Delta^2 r, whose box mean is zero: each
+    component's mean is a sum over xi of terms odd in xi.  The mean is taken
+    two ways, as the k = 0 coefficient of the band kernel's product and as
+    the Parseval sum, each within 1e-12 of the sum of its terms' moduli,
+    sum |xi| (1 + |xi|^2) |xi|^4 |c|^2 (mirror-weighted on the band block)."""
+
+    @staticmethod
+    def flux_means(rho, zeta):
+        """(kernel means, Parseval means, scale) of the two components of
+        grad^perp((1 - Delta) rho) Delta^2 zeta."""
+        g = rho.grid
+        mt = sp.multiplier_table(g)
+        a, b = mt.one_minus_lap * rho.band, mt.bilap * zeta.band
+        kernel = [sp.band_product(g, [((-a, mt.ixi2), b)])[0, 0],
+                  sp.band_product(g, [((a, mt.ixi1), b)])[0, 0]]
+        # the modes the kernel multiplies: the symmetric band, and under the
+        # 2/3 rule only |k_i| <= n//3
+        w = mt.mirror * mt.keep * (mt.two_thirds if g.dealias == TWO_THIRDS else 1.0)
+        parseval = [np.sum(w * (-mt.ixi2 * a * np.conj(b)).real),
+                    np.sum(w * (mt.ixi1 * a * np.conj(b)).real)]
+        scale = np.sum(w * np.sqrt(mt.q) * np.abs(a) * np.abs(b))
+        return np.array(kernel), np.array(parseval), scale
+
+    @pytest.mark.parametrize("n", [16, 18, 48])
+    @pytest.mark.parametrize("dealias", [THREE_HALVES, TWO_THIRDS])
+    @pytest.mark.parametrize("cut", [None, 0.3])
+    def test_transport_flux_has_zero_mean(self, n, dealias, cut):
+        g = GridSpec(n, 2 * np.pi, dealias)
+
+        def field(seed):
+            # energy up to the band's edge, where the 2/3 rule truncates
+            u = sp.random_band_field(g, seed, 1.0, 3.0, 1, n // 2 - 1)
+            return sp.project_jn(u, cut * n * n) if cut else u
+
+        for seed in (n, n + 1):
+            r = field(seed)
+            kernel, parseval, scale = self.flux_means(r, r)
+            assert scale > 0.0
+            assert np.all(np.abs(kernel) <= 1e-12 * scale)
+            assert np.all(np.abs(parseval) <= 1e-12 * scale)
+            # rho != zeta: the terms no longer pair off, so the check can fail
+            kernel, parseval, scale = self.flux_means(r, field(seed + 100))
+            assert np.all(np.abs(kernel - parseval) <= 1e-12 * scale)
+            assert np.max(np.abs(kernel)) > 1e-3 * scale
+
+
 class TestAntisymmetryResidual:
     def test_random_fields(self):
         g = GridSpec(64, 2 * np.pi)

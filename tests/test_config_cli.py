@@ -38,6 +38,11 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def data_rows(lines):
+    """The lines of a qgk CSV that are not manifest comments."""
+    return [ln for ln in lines if not ln.startswith("#")]
+
+
 class TestParseConfig:
     def test_minimal_with_defaults(self, tmp_path):
         values = parse_config(write_cfg(tmp_path, MINIMAL))
@@ -127,6 +132,10 @@ forcing.band_hi = 5
 class TestDispatch:
     def test_no_arguments_usage(self, capsys):
         assert dispatch([]) == 1
+        assert capsys.readouterr().err.endswith(
+            "qgk: error: the following arguments are required: command\n")
+        for flag in ("--version", "-h"):
+            assert dispatch([flag]) == 0
 
     def test_unknown_subcommand(self):
         assert dispatch(["frobnicate"]) == 1
@@ -214,6 +223,34 @@ class TestDispatch:
         assert len(late) == 5 and all(np.isfinite(late))
         assert capsys.readouterr().out == f"sup envelope ratio (t >= 1): {max(late):.6e}\n"
 
+    def test_every_flag_but_out_is_in_the_manifest(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        grid = GridSpec(32, 6.283185307179586)
+        perturbations = []
+        for seed in (98, 99):
+            path = tmp_path / f"pert{seed}.qgk"
+            write_snapshot(path, sp.random_band_field(grid, seed, 1e-6, 3.0, 1, 5), 0.0)
+            perturbations.append(str(path))
+        # each command with its flag and two values of it that change the output
+        cases = [("linear", "--times", "0,0.1", "0,0.05,0.1"),
+                 ("stability", "--perturb", *perturbations),
+                 ("convergence", "--dts", "2e-2,1e-2", "1e-2,5e-3"),
+                 ("lp-spectrum", "--weight", "0", "2")]
+        for command, flag, first, second in cases:
+            texts = []
+            for k, value in enumerate((first, first, second)):
+                out = tmp_path / f"{command}{k}"
+                assert dispatch([command, "--config", cfg, flag, value, "--out", str(out)]) == 0
+                texts.append((out / "series.csv" if out.is_dir() else out).read_bytes())
+            # a repeated invocation writes the same bytes, whatever its --out
+            assert texts[0] == texts[1]
+            # the other value is recorded under the flag's name, and changes the hash
+            manifests = [[ln for ln in text.decode().splitlines()
+                          if ln.startswith(("# qgk-manifest ", "# qgk-config "))]
+                         for text in texts[1:]]
+            differ = [a.split("=")[0] for a, b in zip(*manifests, strict=True) if a != b]
+            assert differ == ["# qgk-manifest config_hash", f"# qgk-config {flag[2:]}"], command
+
     def test_linear_rejects_uneven_times_before_any_work(self, tmp_path, monkeypatch, capsys):
         cfg = write_cfg(tmp_path, SMALL_RUN)
         out = tmp_path / "lin"
@@ -228,16 +265,24 @@ class TestDispatch:
         assert code == 1
         assert "uniform diagnostics cadence" in capsys.readouterr().err
         assert not out.exists()
-        # the default cadence, spelled out as a list, writes the same series
+        # the default cadence, spelled out as a list, writes the same rows under
+        # a manifest that differs only in its times item and its hash
         assert dispatch(["linear", "--config", cfg, "--out", str(tmp_path / "default")]) == 0
         times = ",".join(repr(i * 5 * 0.01) for i in range(5))
         assert dispatch(["linear", "--config", cfg, "--out", str(out), "--times", times]) == 0
-        assert ((out / "series.csv").read_bytes()
-                == (tmp_path / "default" / "series.csv").read_bytes())
+        spelled, default = ((path / "series.csv").read_text().splitlines()
+                            for path in (out, tmp_path / "default"))
+        assert len(spelled) == len(default) and data_rows(spelled) == data_rows(default)
+        differ = [(a, b) for a, b in zip(spelled, default) if a != b]
+        assert [a.split("=")[0] for a, _ in differ] == [
+            "# qgk-manifest config_hash", "# qgk-config times"]
+        assert differ[1] == (f"# qgk-config times={times!r}", "# qgk-config times=''")
 
     @pytest.mark.parametrize("times, error", [
         *[(t, "must be finite and nonnegative") for t in ("-0.1,0,0.1", "0,inf", "0,nan")],
         (",", "holds no value"),
+        # three equal times have no cadence
+        ("0.1,0.1", "repeats 0.1"), ("0.1,0.1,0.1", "repeats 0.1"),
     ])
     def test_linear_rejects_empty_negative_or_non_finite_times_before_any_work(
             self, tmp_path, capsys, times, error):
@@ -312,7 +357,7 @@ class TestDispatch:
         ("0.04,0.01", "out-of-range value for 'dt' (--dts): 0.04 gives only 2 of the 3 "
                       "records"),
         # two equal steps leave the fitted order undetermined
-        ("0.01,0.01", "repeated value for 'dt' (--dts): 0.01"),
+        ("0.01,0.01", "--dts repeats 0.01"),
     ])
     def test_convergence_rejects_each_bad_dt_before_any_run(self, tmp_path, monkeypatch,
                                                             capsys, dts, message):
@@ -354,7 +399,7 @@ class TestDispatch:
             assert np.all(field.band[outside] == 0.0)
             assert np.any(field.band[~outside] != 0.0)
 
-    def test_compare_reads_one_pair_at_a_time(self, tmp_path, monkeypatch):
+    def test_compare_reads_one_pair_at_a_time(self, tmp_path, monkeypatch, capsys):
         cfg = write_cfg(tmp_path, SMALL_RUN)
         run_dir, lin_dir = tmp_path / "nl", tmp_path / "lin"
         assert dispatch(["run", "--config", cfg, "--out", str(run_dir)]) == 0
@@ -378,6 +423,16 @@ class TestDispatch:
         # each pair is compared as soon as it is read: no run is read ahead
         assert reads == ["nl", "lin"] * 5
         assert compared == [2, 4, 6, 8, 10]
+        # both runs are listed before either is read: unequal counts exit 1 at once
+        (lin_dir / "snap_000004.qgk").unlink()
+        reads.clear()
+        capsys.readouterr()
+        short = tmp_path / "short.csv"
+        assert dispatch(["compare", "--run-a", str(run_dir), "--run-b", str(lin_dir),
+                         "--eta", "0.75", "--out", str(short)]) == 1
+        assert capsys.readouterr().err == (
+            "qgk: error: --run-a holds 5 snapshots and --run-b 4\n")
+        assert reads == [] and not short.exists()
 
     def test_decay_csv_and_summary(self, tmp_path):
         out = tmp_path / "decay.csv"
@@ -396,25 +451,31 @@ class TestDispatch:
                   "compare": ["--run-a", "nl", "--run-b", "lin", "--eta", "0.75"],
                   "lp-spectrum": ["--snapshot", "u.qgk"]}
 
-    # shown is the value the error names; None for an empty list
-    @pytest.mark.parametrize("command, flag, value, shown", [
-        ("decay", "--mu", "inf", "inf"), ("decay", "--mu", "nan", "nan"),
-        ("decay", "--window", "1,inf", "inf"), ("decay", "--window", "nan,1e3", "nan"),
-        ("decay", "--duhamel-eta", "nan", "nan"), ("decay", "--duhamel-eta", "inf", "inf"),
-        ("decay", "--duhamel-k", "inf", "inf"), ("decay", "--duhamel-k", "nan", "nan"),
-        ("decay", "--moments", ",", None), ("compare", "--eta", "nan", "nan"),
-        ("compare", "--eta", "inf", "inf"), ("lp-spectrum", "--weight", "nan", "nan"),
-        ("lp-spectrum", "--weight", "-inf", "-inf"),
+    # error is what the message says after the flag
+    @pytest.mark.parametrize("command, flag, value, error", [
+        *[(command, flag, value, f"must be finite, not {shown}")
+          for command, flag, value, shown in [
+              ("decay", "--mu", "inf", "inf"), ("decay", "--mu", "nan", "nan"),
+              ("decay", "--window", "1,inf", "inf"), ("decay", "--window", "nan,1e3", "nan"),
+              ("decay", "--duhamel-eta", "nan", "nan"), ("decay", "--duhamel-eta", "inf", "inf"),
+              ("decay", "--duhamel-k", "inf", "inf"), ("decay", "--duhamel-k", "nan", "nan"),
+              ("compare", "--eta", "nan", "nan"), ("compare", "--eta", "inf", "inf"),
+              ("lp-spectrum", "--weight", "nan", "nan"),
+              ("lp-spectrum", "--weight", "-inf", "-inf")]],
+        ("decay", "--moments", ",", "holds no value"),
+        # a repeated moment would name two columns M0
+        ("decay", "--moments", "0,0", "repeats 0"),
+        ("decay", "--window", "1e2", "needs 2 values, not 1"),
+        ("decay", "--window", "1,2,3", "needs 2 values, not 3"),
     ])
     def test_bad_flag_value_exits_1_before_any_work(self, tmp_path, monkeypatch, capsys,
-                                                    command, flag, value, shown):
+                                                    command, flag, value, error):
         for module, name in ((decay_lab, "decay_series"), (diag, "compare_h3"),
                              (lp, "block_spectrum")):
             monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("ran"))
         out = tmp_path / "out.csv"
         argv = [command, *self.FLAG_BASES[command], f"{flag}={value}", "--out", str(out)]
         assert dispatch(argv) == 1
-        error = f"must be finite, not {shown}" if shown else "holds no value"
         assert capsys.readouterr().err == f"qgk: error: {flag} {error}\n"
         assert list(tmp_path.iterdir()) == []
 

@@ -26,13 +26,13 @@ from .spectral import (
     band_product,
     band_samples,
     bilaplacian,
+    dealiased_product,
     divergence,
     gradient,
     inner_product,
     l2_norm,
     one_minus_laplacian,
     perp_gradient,
-    product_sum,
 )
 
 
@@ -71,9 +71,7 @@ def transport_divergence_route(rho: SpectralField, zeta: SpectralField) -> Spect
     require_same_grid(rho, zeta)
     u1, u2 = velocity(rho)
     b = bilaplacian(zeta)
-    p1 = product_sum([(u1, b)])
-    p2 = product_sum([(u2, b)])
-    return divergence(p1, p2)
+    return divergence(dealiased_product(u1, b), dealiased_product(u2, b))
 
 
 def pairing_first(rho: SpectralField, zeta: SpectralField) -> float:

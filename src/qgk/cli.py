@@ -34,6 +34,7 @@ from .evolution import (
     compare_runs,
     linear_series,
     simulate,
+    start_warnings,
     whole_steps,
 )
 from .grid import SpectralField, hermitian_defect, multiplier_table
@@ -205,18 +206,16 @@ class _SnapshotWriter:
         write_csv(os.path.join(self.out_dir, "series.csv"), records.dtype.names,
                   records.tolist(), self.manifest)
 
-    def warn(self, found) -> None:
-        """Merge the warnings a run found into the manifest and print them
-        all.  simulate repeats the t = 0 warnings that resolve_run_config
-        already gave; when the run warned after its first snapshots were
-        written, their sidecars are rewritten, so each carries the run's
-        whole manifest."""
-        warnings = tuple(dict.fromkeys((*self.manifest.warnings, *found)))
-        if warnings != self.manifest.warnings:
-            self.manifest.warnings = warnings
+    def warn(self, found=()) -> None:
+        """Append the warnings a run found to the manifest, after the
+        config's, and print them all.  When the run warned after its first
+        snapshots were written, their sidecars are rewritten, so each
+        carries the run's whole manifest."""
+        if found:
+            self.manifest.warnings += tuple(found)
             for path in self.paths:
                 write_manifest_sidecar(path, self.manifest)
-        for w in warnings:
+        for w in self.manifest.warnings:
             print(f"warning: {w}", file=sys.stderr)
 
 
@@ -256,6 +255,7 @@ def _cmd_linear(args) -> int:
     run_dir = _SnapshotWriter(args.out, manifest)
     # each state is written before the next is made; series.csv needs every row
     _, records = linear_series(cfg, times, run_dir)
+    run_dir.warn()
     run_dir.series(records)
     print(f"linear flow evaluated at {len(times)} times -> {args.out}")
     return 0
@@ -322,7 +322,8 @@ def _cmd_stability(args) -> int:
     report = compare_runs(cfg, perturbation)
     rows = list(zip(report.times, report.e_delta, report.delta_h3,
                     report.growth_integral, report.envelope))
-    manifest.warnings += (f"fitted_C={report.fitted_c!r}", f"fitted_K={report.fitted_k!r}",
+    manifest.warnings += (*start_warnings(cfg), f"fitted_C={report.fitted_c!r}",
+                          f"fitted_K={report.fitted_k!r}",
                           f"envelope_margin={report.envelope_margin!r}")
     write_csv(args.out, ["t", "E_delta", "delta_H3", "growth_integral", "envelope"],
               rows, manifest)
@@ -445,9 +446,7 @@ def _invariant_checks(cfg: RunConfig, seed: int):
     cfg1 = RunConfig(grid=grid, mu=1.0, t_end=10 * 0.05, dt=0.05,
                      initial_condition=single, diagnostics_every=10)
     result = simulate(cfg1)
-    q = (grid.frequency_unit) ** 2
-    h = (1.0 + q) * q * q / (1.0 + q + q * q)
-    exact = np.exp(-h * cfg1.t_end)
+    exact = np.exp(-mt.h[1, 0] * cfg1.t_end)
     err = l2_norm(SpectralField(grid, result.final.band - exact * single.band)) / l2_norm(single)
     yield ("single_mode_exactness", err, 1e-12)
     # complete_band copies the k2 = 0 column and the mean of the band block as
@@ -461,7 +460,7 @@ def _cmd_invariants(args) -> int:
     rows = []
     all_pass = True
     print(f"{'check':36s} {'value':>12s} {'tolerance':>12s}  status")
-    for name, value, tol in _invariant_checks(cfg, cfg.seed):
+    for name, value, tol in _invariant_checks(cfg, manifest.seed):
         ok = value <= tol
         all_pass &= ok
         rows.append([name, value, tol, int(ok)])

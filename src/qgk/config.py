@@ -19,13 +19,7 @@ import numpy as np
 
 from . import __version__
 from .grid import DEALIAS_POLICIES, GridSpec, SpectralField
-from .evolution import (
-    FORCING_KINDS,
-    STEPPERS,
-    ForcingSpec,
-    RunConfig,
-    start_warnings,
-)
+from .evolution import FORCING_KINDS, STEPPERS, ForcingSpec, RunConfig
 from .snapshots import atomic_output, read_on_grid
 from .spectral import (
     cosine_field,
@@ -181,7 +175,9 @@ def build_forcing(values: dict, grid: GridSpec) -> ForcingSpec:
 
 
 def resolve_run_config(values: dict) -> tuple[RunConfig, list]:
-    """Turn validated key-values into a RunConfig; returns (cfg, warnings)."""
+    """Turn validated key-values into a RunConfig; returns (cfg, warnings)
+    with the warnings about the config itself.  The warnings about stepping
+    it are the stepper's (evolution.start_warnings)."""
     grid = GridSpec(n=values["grid.n"], box_length=values["grid.box_length"],
                     dealias=values["grid.dealias"])
     ic, ic_time = build_initial_condition(values, grid)
@@ -195,13 +191,12 @@ def resolve_run_config(values: dict) -> tuple[RunConfig, list]:
         stepper=values["stepper"],
         galerkin_cut=values["galerkin_cut"] or None,
         forcing=forcing,
-        seed=values["seed"],
         diagnostics_every=values["diagnostics_every"],
         snapshot_every=values["snapshot_every"],
         sigma_list=_sigma_list(values["diag.sigma"]),
         disable_transport=bool(values["disable_transport"]),
     )
-    warnings = start_warnings(cfg)
+    warnings = []
     if ic_time != 0.0 and forcing.kind != "zero":
         # a run always starts at t = 0: nothing resumes from a snapshot's time yet
         warnings.append(f"ic.file holds the state at t = {ic_time!r}, but the run starts "

@@ -122,9 +122,10 @@ class RunConfig:
     """Full description of one evolution experiment.
 
     Frozen, so the per-run constants below, each built on first use and
-    read-only, cannot go stale: the prepared initial state and its CFL
-    bound, the stepper's symbols on the band block, the E_sigma weights
-    of the records and the exact linear flow.
+    read-only, cannot go stale: the prepared initial state, the stepper's
+    symbols on the band block, the E_sigma weights of the records and the
+    exact linear flow.  It holds no seed: every seeded input is built
+    before the config is.
     """
 
     grid: GridSpec
@@ -135,7 +136,6 @@ class RunConfig:
     stepper: str = IF_RK4
     galerkin_cut: float | None = None
     forcing: ForcingSpec = field(default_factory=ForcingSpec)
-    seed: int = 0
     diagnostics_every: int = 10
     snapshot_every: int = 0          # in units of diagnostics records; 0 = none
     sigma_list: tuple[float, ...] = (1.0,)
@@ -173,11 +173,6 @@ class RunConfig:
         r = SpectralField(self.grid, _restrict(self, self.initial_condition.band))
         r.band.setflags(write=False)
         return r
-
-    @cached_property
-    def initial_cfl(self) -> float:
-        """Advective CFL bound of the initial state."""
-        return cfl_limit(self.initial_state.band, self.grid)
 
     @cached_property
     def exp_factors(self) -> tuple[np.ndarray, ...]:
@@ -366,9 +361,10 @@ def _with_residuals(table: np.ndarray, cfg: RunConfig) -> np.ndarray:
 
 
 def start_warnings(cfg: RunConfig) -> list[str]:
-    """Warnings about a run as configured, from its prepared initial state."""
+    """Warnings about stepping a run as configured, from its prepared
+    initial state."""
     warnings = []
-    limit = cfg.initial_cfl
+    limit = cfl_limit(cfg.initial_state.band, cfg.grid)
     if cfg.dt > limit:
         warnings.append(f"dt = {cfg.dt:g} exceeds the advective CFL estimate {limit:g} "
                         "for the configured initial condition")
@@ -397,8 +393,8 @@ def simulate(cfg: RunConfig, sink=None) -> SimulationResult:
     recorded; the default sink is the result's snapshots list, which any
     other sink leaves empty.
 
-    Deterministic given (cfg, seed): all randomness is consumed when the
-    initial condition and forcing profile are built.
+    Deterministic given cfg: all randomness is consumed when the initial
+    condition and forcing profile are built.
     """
     warnings = start_warnings(cfg)
     if cfg.n_steps % cfg.diagnostics_every != 0:

@@ -369,16 +369,6 @@ def band_product(grid: GridSpec, pairs) -> np.ndarray:
         return _band_block(_PAIRS.forward_pass(pairs, m, h, pooled), n, mask)
 
 
-def product_sum(pairs: list[tuple[SpectralField, SpectralField]]) -> SpectralField:
-    """sum_i dealias(u_i * v_i) under the grid's dealias policy."""
-    if not pairs:
-        raise ValueError("product_sum needs at least one pair")
-    grid = pairs[0][0].grid
-    for field in (field for pair in pairs for field in pair):
-        require_same_grid(pairs[0][0], field)
-    return SpectralField(grid, band_product(grid, ((u.band, v.band) for u, v in pairs)))
-
-
 def dealiased_product(u: SpectralField, v: SpectralField) -> SpectralField:
     """Pointwise product, dealiased per the grid policy.
 
@@ -388,7 +378,8 @@ def dealiased_product(u: SpectralField, v: SpectralField) -> SpectralField:
     |k_i| <= n//3; on grids with 3 | n the edge shell aliases, which is the
     documented negative control for the cancellation tests.
     """
-    return product_sum([(u, v)])
+    grid = require_same_grid(u, v)
+    return SpectralField(grid, band_product(grid, [(u.band, v.band)]))
 
 
 # ---------------------------------------------------------------------------

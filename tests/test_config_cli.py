@@ -81,7 +81,9 @@ class TestParseConfig:
         text += "ic.amplitude = 50.0\nic.band_hi = 8\n"
         values = parse_config(write_cfg(tmp_path, text))
         cfg, warnings = resolve_run_config(values)
-        assert any("CFL" in w for w in warnings)
+        # the CFL bound is the stepper's warning, not the config's
+        assert warnings == []
+        assert any("CFL" in w for w in evolution.start_warnings(cfg))
 
     @pytest.mark.parametrize("lines, build", [
         ("ic.kind = cosine\nic.mode_kx = 2\nic.mode_ky = -1\nic.amplitude = 0.7\n",
@@ -157,13 +159,26 @@ class TestDispatch:
         assert (out_a / "final.qgk.manifest.txt").exists()
         assert (out_a / "snap_000000.qgk").exists()
 
-    def test_inviscid_warning_written_once(self, tmp_path):
+    @pytest.mark.parametrize("command, out, csv, steps", [
+        ("run", "r", "r/series.csv", True),
+        ("stability", "s.csv", "s.csv", True),
+        ("linear", "l", "l/series.csv", False),
+        ("invariants", "i.csv", "i.csv", False),
+        ("lp-spectrum", "lp.csv", "lp.csv", False),
+    ])
+    def test_inviscid_warning_written_once(self, tmp_path, command, out, csv, steps):
+        # mu = 0 is a warning about stepping: only the commands that step record it
         cfg = write_cfg(tmp_path, SMALL_RUN.replace("mu = 1.0", "mu = 0.0"))
-        out = tmp_path / "inviscid"
-        assert dispatch(["run", "--config", cfg, "--out", str(out)]) == 0
-        header = [ln for ln in (out / "series.csv").read_text().splitlines()
+        pert = tmp_path / "pert.qgk"
+        write_snapshot(pert, sp.random_band_field(GridSpec(32, 6.283185307179586), 99, 1e-6,
+                                                  3.0, 1, 5), 0.0)
+        extra = ["--perturb", str(pert)] if command == "stability" else []
+        assert dispatch([command, "--config", cfg, *extra, "--out", str(tmp_path / out)]) == 0
+        header = [ln for ln in (tmp_path / csv).read_text().splitlines()
                   if ln.startswith("# qgk-warning")]
-        assert sum("inviscid" in ln for ln in header) == 1
+        assert sum("inviscid" in ln for ln in header) == steps
+        if not steps:
+            assert header == []
 
     def test_initial_cfl_evaluated_once(self, tmp_path, monkeypatch):
         calls = []
@@ -643,13 +658,15 @@ class TestDispatch:
         saved, _ = read_snapshot(final)
         assert run_cfg.initial_state.coeffs.tobytes() == saved.coeffs.tobytes()
 
+    @pytest.mark.parametrize("command", ["run", "linear"])
     @pytest.mark.parametrize("t0, warned", [(0.0, False), (2.5, True)])
-    def test_forced_run_from_a_later_snapshot_warns(self, tmp_path, capsys, t0, warned):
+    def test_forced_run_from_a_later_snapshot_warns(self, tmp_path, capsys, command, t0,
+                                                    warned):
         g = GridSpec(32, 6.283185307179586)
         snap = tmp_path / "state.qgk"
         write_snapshot(snap, sp.random_band_field(g, 7, 0.5, 3.0, 1, 5), t0)
         cfg = write_cfg(tmp_path, SMALL_RUN + f"ic.kind = file\nic.file = {snap}\n")
-        assert dispatch(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+        assert dispatch([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 0
         warning = "holds the state at t = 2.5, but the run starts at t = 0 and applies " \
                   "the forcing f(0), not f(2.5)"
         assert (f"warning: ic.file {warning}" in capsys.readouterr().err) == warned
@@ -792,7 +809,8 @@ snapshot_every = 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert dispatch(["run", "--config", cfg, "--out", str(out)]) == 2
-            run_cfg, expected = resolve_run_config(parse_config(cfg))
+            run_cfg, _ = resolve_run_config(parse_config(cfg))
+            expected = evolution.start_warnings(run_cfg)
             y, t = run_cfg.initial_state.band, 0.0
             while True:   # each recorded state after t = 0 warns of its CFL bound
                 try:

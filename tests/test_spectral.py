@@ -357,7 +357,7 @@ class TestBandKernel:
         u, v, w, z = (full_band_field(g, 40 + n + i) for i in range(4))
         ref = brute_force_convolution(u, v)
         assert relative_error(sp.dealiased_product(u, v).coeffs, ref) <= 1e-14
-        both = sp.product_sum([(u, v), (w, z)]).coeffs
+        both = SpectralField(g, sp.band_product(g, [(u.band, v.band), (w.band, z.band)])).coeffs
         assert relative_error(both, ref + brute_force_convolution(w, z)) <= 1e-14
 
     @pytest.mark.parametrize("n", [8, 12, 18, 24])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -152,10 +153,17 @@ def main(argv=None) -> int:
 def _manifest(args, values=(), warnings=()):
     """The manifest of a command: the values of the config it read (not its
     path, so the hash does not depend on where the file lives) and every
-    other flag but --out, under its argparse name."""
-    flags = {name: value for name, value in vars(args).items()
-             if name not in ("command", "handler", "config", "out")}
-    return manifest_from_values(args.command, {**dict(values), **flags}, warnings)
+    other flag but --out, under its argparse name.  A single-file input
+    (--perturb, --snapshot, the ic.file it reads) is named by its path and,
+    under <name>_sha256, by a digest of its bytes, so that another file at
+    the same path gives another hash."""
+    items = {**dict(values), **{name: value for name, value in vars(args).items()
+                                if name not in ("command", "handler", "config", "out")}}
+    for name in ("perturb", "snapshot", "ic.file"):
+        if items.get(name) and (name != "ic.file" or items["ic.kind"] == "file"):
+            with open(items[name], "rb") as fh:
+                items[f"{name}_sha256"] = hashlib.sha256(fh.read()).hexdigest()[:16]
+    return manifest_from_values(args.command, items, warnings)
 
 
 def _load(args):
@@ -207,16 +215,21 @@ class _SnapshotWriter:
                   records.tolist(), self.manifest)
 
     def warn(self, found=()) -> None:
-        """Append the warnings a run found to the manifest, after the
-        config's, and print them all.  When the run warned after its first
+        """_warn on the run's manifest.  When the run warned after its first
         snapshots were written, their sidecars are rewritten, so each
         carries the run's whole manifest."""
+        _warn(self.manifest, found)
         if found:
-            self.manifest.warnings += tuple(found)
             for path in self.paths:
                 write_manifest_sidecar(path, self.manifest)
-        for w in self.manifest.warnings:
-            print(f"warning: {w}", file=sys.stderr)
+
+
+def _warn(manifest, found=()) -> None:
+    """Append the warnings a command found to its manifest, after the
+    config's, and print them all, each once, on stderr."""
+    manifest.warnings += tuple(found)
+    for w in manifest.warnings:
+        print(f"warning: {w}", file=sys.stderr)
 
 
 def _cmd_run(args) -> int:
@@ -322,8 +335,10 @@ def _cmd_stability(args) -> int:
     report = compare_runs(cfg, perturbation)
     rows = list(zip(report.times, report.e_delta, report.delta_h3,
                     report.growth_integral, report.envelope))
-    manifest.warnings += (*start_warnings(cfg), f"fitted_C={report.fitted_c!r}",
-                          f"fitted_K={report.fitted_k!r}",
+    _warn(manifest, start_warnings(cfg))
+    # the fitted constants ride in the manifest's warning lines, which the
+    # benchmark reads back, but are not printed as warnings
+    manifest.warnings += (f"fitted_C={report.fitted_c!r}", f"fitted_K={report.fitted_k!r}",
                           f"envelope_margin={report.envelope_margin!r}")
     write_csv(args.out, ["t", "E_delta", "delta_H3", "growth_integral", "envelope"],
               rows, manifest)

@@ -34,7 +34,7 @@ import numpy as np
 from . import diagnostics as diag
 from .grid import GridSpec, SpectralField, multiplier_table
 from .bilinear import transport
-from .quadrature import duhamel_time_factor, linear_segment_factor, masked_exp
+from .quadrature import duhamel_carry, duhamel_time_factor, linear_segment_factor, masked_exp
 from .spectral import band_samples, sanitize_band
 
 IF_RK4 = "if_rk4"
@@ -431,7 +431,8 @@ def simulate(cfg: RunConfig, sink=None) -> SimulationResult:
 
 class LinearFlow:
     """Exact mode-wise solution of the linear equation from the datum w0,
-    built once and evaluated by at(t) at any t >= 0, in any order.
+    built once and evaluated by at(t) at any t >= 0, in any order, or by
+    along(times) at an even cadence.
 
     The free part is the diagonal propagator exp(-mu h t).  The Duhamel
     integral of separable-decaying forcing is a panel quadrature over the
@@ -450,7 +451,8 @@ class LinearFlow:
         mt = multiplier_table(w0.grid)
         self.forcing, self.cut = forcing, cut
         self._y0 = w0.band * mt.keep
-        self._rates = mu * mt.h
+        # mu h is formed per call, not held: a flow keeps no rate block beside its datum
+        self._mu, self._h = mu, mt.h
         if forcing.kind == "separable_decaying":
             f0 = forcing.amplitude * mt.d * forcing.profile.band
             self._support = f0 != 0.0
@@ -458,7 +460,7 @@ class LinearFlow:
             q, self._inverse = np.unique(mt.q[self._support], return_inverse=True)
             self._lam = mu * (1.0 + q) * q * q / (1.0 + q + q * q)
         elif forcing.kind == "tabulated":
-            self._lam = self._rates
+            self._lam = mu * mt.h
             widths = np.diff(forcing.knot_times)
             a = [mt.d * f.band for _, f in forcing.table]
             self._segments = [(a[k], (a[k + 1] - a[k]) / w) for k, w in enumerate(widths)]
@@ -477,37 +479,69 @@ class LinearFlow:
 
     def _decay(self, t: float) -> np.ndarray:
         """exp(-mu h t) on the band block, bit for bit: (mu h) (-t) is (-mu h) t."""
-        return masked_exp(self._rates * -t)
+        return masked_exp(self._mu * self._h * -t)
 
     def at(self, t: float) -> np.ndarray:
         """The band block of the flow at time t."""
-        if not 0.0 <= t < np.inf:
-            raise ValueError("linear flow times must be finite and nonnegative")
+        _check_time(t)
         y = self._decay(t) * self._y0
         if self.forcing.kind == "separable_decaying":
-            y[self._support] += self._f0 * duhamel_time_factor(
-                self._lam, t, self.forcing.eta)[self._inverse]
-        elif self.forcing.kind == "tabulated":
+            return self._forced(y, duhamel_time_factor(self._lam, t, self.forcing.eta))
+        if self.forcing.kind == "tabulated":
             knots = self.forcing.knot_times
             k = int(np.searchsorted(knots, t, side="right")) - 1
             # at or before the first knot the integral is zero; adding it turns -0.0 into +0.0
             y = y + (self._carry(k, t - knots[k]) if t > knots[0] else self._knot_integrals[0])
         return y if self.cut is None else y * self.cut
 
+    def _forced(self, y: np.ndarray, factor: np.ndarray) -> np.ndarray:
+        """The free flow y plus the separable Duhamel integral of the given
+        time factor on the forcing's support, cut like the run."""
+        y[self._support] += self._f0 * factor[self._inverse]
+        return y if self.cut is None else y * self.cut
+
+    def along(self, times):
+        """at(t) for each of the evenly spaced times, in order, made lazily.
+
+        For separable-decaying forcing and three or more ascending times the
+        Duhamel factor is computed once, at the first time, and carried from
+        each time to the next (quadrature.duhamel_carry): one exponential
+        table per 256 times instead of one per time.  The first two states
+        keep the bits of at(t) when the list starts at t = 0, and every
+        state agrees with at(t) to round-off.  Other forcing, shorter lists
+        and descending lists take at(t) per time.  Uneven times raise
+        ValueError before the first state.
+        """
+        times = list(times)
+        span = diag.uniform_cadence(times)
+        if (self.forcing.kind != "separable_decaying" or self._lam.size == 0
+                or len(times) < 3 or not span > 0.0):
+            yield from map(self.at, times)
+            return
+        for t in times:
+            _check_time(t)
+        for t, factor in zip(times, duhamel_carry(self._lam, times, self.forcing.eta)):
+            yield self._forced(self._decay(t) * self._y0, factor)
+
+
+def _check_time(t: float) -> None:
+    if not 0.0 <= t < np.inf:
+        raise ValueError("linear flow times must be finite and nonnegative")
+
 
 def linear_series(cfg: RunConfig, times, sink=None) -> tuple[list, np.ndarray]:
-    """cfg.linear_flow at the given times: the (t, state) pairs and their
+    """cfg.linear_flow along the given times: the (t, state) pairs and their
     records, as simulate's.  Each pair goes to sink as soon as it is made,
     the default sink being the returned list, so only one state is held at
     a time otherwise.  Uneven times are rejected before the first state."""
     times = list(times)
-    diag.uniform_cadence(times)
     states, records = [], _table(len(times), cfg)
     sink = states.append if sink is None else sink
-    for k, t in enumerate(times):
-        w = SpectralField(cfg.grid, cfg.linear_flow.at(t))
-        records[k] = _record(w.band, float(t), cfg)
-        sink((float(t), w))
+    # enumerate alone: a zip would keep the state before in its spare tuple
+    for k, y in enumerate(cfg.linear_flow.along(times)):
+        t, w = float(times[k]), SpectralField(cfg.grid, y)
+        records[k] = _record(w.band, t, cfg)
+        sink((t, w))
     return states, _with_residuals(records, cfg)
 
 

@@ -11,8 +11,10 @@ smooth but two-scaled: exp(-lam s) lives on the scale 1/lam near s = 0 and
 the algebraic factor on the unit scale near s = t.  Panels refine
 geometrically from both endpoints, which resolves each factor to better
 than 1e-12 relative, uniformly in lam; the evaluation is vectorized over an
-array of rates.  The radial moments of `qgk.decay_lab` use the same rule on
-their own radial panels.
+array of rates.  Along an even cadence, duhamel_carry steps I from one
+time to the next on the same rule, with one exponential table per block of
+times.  The radial moments of `qgk.decay_lab` use the same rule on their
+own radial panels.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ def _gauss_nodes():
 EXP_ZERO_BEYOND = 746.0
 # rows of the Duhamel exponential table that share one nonzero column count
 _BAND_ROWS = 32
+# times per exponential table in duhamel_carry: a block of factors is about
+# one table's size, so a long list holds one block, not one row per time
+_CARRY_ROWS = 256
 
 
 def masked_exp(arg) -> np.ndarray:
@@ -81,6 +86,28 @@ def _panel_points(t: float, lam_max: float) -> np.ndarray:
     return np.array(sorted(pts))
 
 
+def _exp_table(lam: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """(n_lam, n_nodes) table of exp(-lam s) on the ascending nodes s, built
+    in place.  A row's exactly-zero cells are a suffix, from the first node
+    past EXP_ZERO_BEYOND / lam; each band of rows exponentiates up to its
+    longest nonzero prefix.  lam * (-s) is -(lam * s) bit for bit."""
+    with np.errstate(divide="ignore", over="ignore"):
+        ends = np.where(lam > 0.0, np.searchsorted(nodes, EXP_ZERO_BEYOND / lam), nodes.size)
+    expo, neg_nodes = np.zeros((lam.size, nodes.size)), -nodes
+    for lo in range(0, lam.size, _BAND_ROWS):
+        rows = slice(lo, lo + _BAND_ROWS)
+        block = expo[rows, :ends[rows].max()]
+        np.exp(np.multiply.outer(lam[rows], neg_nodes[:block.shape[1]], out=block), out=block)
+    return expo
+
+
+def _finite_factor(out: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(out)):
+        bad = np.nonzero(~np.isfinite(out))[0]
+        raise QuadratureError(f"Duhamel factor non-finite for rates at indices {bad[:5]}")
+    return out
+
+
 def duhamel_time_factor(lam, t: float, eta: float) -> np.ndarray:
     """I(lam, t) for an array of nonnegative rates lam, to ~1e-12 relative."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -92,22 +119,44 @@ def duhamel_time_factor(lam, t: float, eta: float) -> np.ndarray:
         return np.zeros_like(lam)
     nodes, weights = panel_rule(_panel_points(t, float(np.max(lam))))
     g = (1.0 + t - nodes) ** (-1.0 - eta)
-    # (n_lam, n_nodes) table of exp(-lam s).  The nodes ascend, so a row's
-    # exactly-zero cells are a suffix, from the first node past
-    # EXP_ZERO_BEYOND / lam; each band of rows exponentiates up to its
-    # longest nonzero prefix.  lam * (-s) is -(lam * s) bit for bit.
-    with np.errstate(divide="ignore", over="ignore"):
-        ends = np.where(lam > 0.0, np.searchsorted(nodes, EXP_ZERO_BEYOND / lam), nodes.size)
-    expo, neg_nodes = np.zeros((lam.size, nodes.size)), -nodes
-    for lo in range(0, lam.size, _BAND_ROWS):
-        rows = slice(lo, lo + _BAND_ROWS)
-        block = expo[rows, :ends[rows].max()]
-        np.exp(np.multiply.outer(lam[rows], neg_nodes[:block.shape[1]], out=block), out=block)
-    out = expo @ (weights * g)
-    if not np.all(np.isfinite(out)):
-        bad = np.nonzero(~np.isfinite(out))[0]
-        raise QuadratureError(f"Duhamel factor non-finite for rates at indices {bad[:5]}")
-    return out
+    return _finite_factor(_exp_table(lam, nodes) @ (weights * g))
+
+
+def duhamel_carry(lam: np.ndarray, times, eta: float):
+    """I(lam, t) at each of the evenly spaced ascending times, in order:
+    duhamel_time_factor at the first, then carried along the list.
+
+    Over one step of width w from t to t + w,
+
+        I(lam, t + w) = exp(-lam w) I(lam, t)
+                        + int_0^w exp(-lam u) (1 + t + w - u)^(-1-eta) du ,
+
+    and the segment integral runs on the nodes of the rule that
+    duhamel_time_factor uses on [0, D], D = times[1] - times[0].  The
+    factors are made _CARRY_ROWS times at a time, each block on one
+    exponential table that is freed before the block is yielded.  A width
+    that differs from D (by the rounding of the times, or the jitter
+    uniform_cadence allows) adds the integral over [D, w] by the midpoint
+    rule.  With times[0] = 0 the second factor is duhamel_time_factor(lam, D)
+    bit for bit.
+    """
+    span = times[1] - times[0]
+    nodes, weights = panel_rule(_panel_points(span, float(np.max(lam))))
+    acc = duhamel_time_factor(lam, times[0], eta)
+    for lo in range(0, len(times), _CARRY_ROWS):
+        block = np.empty((min(_CARRY_ROWS, len(times) - lo), lam.size))
+        expo = _exp_table(lam, nodes)
+        for k in range(lo, lo + len(block)):
+            if k > 0:
+                t, width = times[k], times[k] - times[k - 1]
+                g = weights * (1.0 + t - nodes) ** (-1.0 - eta)
+                acc = masked_exp(lam * -width) * acc + expo @ g
+                if width != span:
+                    mid = 0.5 * (span + width)
+                    acc += (width - span) * masked_exp(lam * -mid) * (1.0 + t - mid) ** (-1.0 - eta)
+            block[k - lo] = _finite_factor(acc)
+        del expo
+        yield from block
 
 
 def linear_segment_factor(lam, width: float):

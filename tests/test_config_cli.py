@@ -1,6 +1,7 @@
 """Config parsing, manifests, and the command-line surface."""
 
 import gc
+import hashlib
 import json
 import os
 import tracemalloc
@@ -166,19 +167,25 @@ class TestDispatch:
         ("invariants", "i.csv", "i.csv", False),
         ("lp-spectrum", "lp.csv", "lp.csv", False),
     ])
-    def test_inviscid_warning_written_once(self, tmp_path, command, out, csv, steps):
+    def test_inviscid_warning_written_once(self, tmp_path, capsys, command, out, csv, steps):
         # mu = 0 is a warning about stepping: only the commands that step record it
         cfg = write_cfg(tmp_path, SMALL_RUN.replace("mu = 1.0", "mu = 0.0"))
         pert = tmp_path / "pert.qgk"
         write_snapshot(pert, sp.random_band_field(GridSpec(32, 6.283185307179586), 99, 1e-6,
                                                   3.0, 1, 5), 0.0)
         extra = ["--perturb", str(pert)] if command == "stability" else []
+        capsys.readouterr()
         assert dispatch([command, "--config", cfg, *extra, "--out", str(tmp_path / out)]) == 0
         header = [ln for ln in (tmp_path / csv).read_text().splitlines()
                   if ln.startswith("# qgk-warning")]
         assert sum("inviscid" in ln for ln in header) == steps
         if not steps:
             assert header == []
+        # each recorded warning is printed once; stability's fitted constants are not warnings
+        warned = [ln.replace("# qgk-warning ", "warning: ", 1) for ln in header
+                  if not ln.startswith(("# qgk-warning fitted_", "# qgk-warning envelope_"))]
+        assert capsys.readouterr().err.splitlines() == warned
+        assert len(warned) == steps
 
     def test_initial_cfl_evaluated_once(self, tmp_path, monkeypatch):
         calls = []
@@ -264,7 +271,40 @@ class TestDispatch:
                           if ln.startswith(("# qgk-manifest ", "# qgk-config "))]
                          for text in texts[1:]]
             differ = [a.split("=")[0] for a, b in zip(*manifests, strict=True) if a != b]
-            assert differ == ["# qgk-manifest config_hash", f"# qgk-config {flag[2:]}"], command
+            # a file flag's digest changes with it
+            digest = [f"# qgk-config {flag[2:]}_sha256"] if flag == "--perturb" else []
+            assert differ == ["# qgk-manifest config_hash", f"# qgk-config {flag[2:]}",
+                              *digest], command
+
+    @pytest.mark.parametrize("command", ["stability", "lp-spectrum", "run"])
+    def test_file_input_is_named_by_its_bytes(self, tmp_path, command):
+        # --perturb, --snapshot and ic.file: the same path holding another
+        # snapshot gives another digest and another hash, the same bytes the same
+        grid = GridSpec(32, 6.283185307179586)
+        path = tmp_path / "input.qgk"
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        argv, name = {
+            "stability": (["--config", cfg, "--perturb", str(path)], "perturb"),
+            "lp-spectrum": (["--snapshot", str(path)], "snapshot"),
+            "run": (["--config", write_cfg(tmp_path, SMALL_RUN + f"ic.kind = file\n"
+                                                      f"ic.file = {path}\n", "file.cfg")],
+                    "ic.file"),
+        }[command]
+        manifests = []
+        for k, seed in enumerate((98, 99, 98)):
+            write_snapshot(path, sp.random_band_field(grid, seed, 1e-3, 3.0, 1, 5), 0.0)
+            out = tmp_path / f"out{k}"
+            assert dispatch([command, *argv, "--out", str(out)]) == 0
+            text = (out / "series.csv" if out.is_dir() else out).read_text()
+            manifests.append([ln for ln in text.splitlines()
+                              if ln.startswith(("# qgk-manifest ", "# qgk-config "))])
+        digests = [[ln for ln in m if ln.startswith(f"# qgk-config {name}_sha256=")]
+                   for m in manifests]
+        expected = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+        assert digests[2] == [f"# qgk-config {name}_sha256='{expected}'"]
+        assert manifests[0] == manifests[2]
+        differ = [a.split("=")[0] for a, b in zip(*manifests[:2], strict=True) if a != b]
+        assert differ == ["# qgk-manifest config_hash", f"# qgk-config {name}_sha256"]
 
     def test_linear_rejects_uneven_times_before_any_work(self, tmp_path, monkeypatch, capsys):
         cfg = write_cfg(tmp_path, SMALL_RUN)

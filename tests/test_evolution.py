@@ -17,6 +17,7 @@ from qgk.grid import (
 from qgk import diagnostics as diag
 from qgk import evolution
 from qgk import grid as grid_module
+from qgk import quadrature
 from qgk import spectral as sp
 from qgk.quadrature import duhamel_time_factor, linear_segment_factor, panel_rule
 from qgk.snapshots import read_snapshot, write_snapshot
@@ -523,10 +524,96 @@ class TestLinearFlow:
         assert cfg.linear_flow is cfg.linear_flow
         assert len(built) == 1 and built[0][0] is cfg.initial_state
         assert cfg.linear_flow.cut is cfg.galerkin_block
-        for t, field in states:
-            assert field.band.tobytes() == cfg.linear_flow.at(t).tobytes()
+        # the series carries the Duhamel factor along its cadence: bitwise
+        # at(t) at the first two times, round-off after them
+        for k, (t, field) in enumerate(states):
+            direct = cfg.linear_flow.at(t)
+            if k < 2:
+                assert field.band.tobytes() == direct.tobytes()
+            else:
+                assert np.max(np.abs(field.band - direct)) <= 1e-13 * np.max(np.abs(direct))
         with pytest.raises(ValueError, match="nonnegative"):
             cfg.linear_flow.at(-0.1)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_along_matches_at_over_a_seeded_sweep(self, seed):
+        rng = np.random.default_rng(2800 + seed)
+        n = int(rng.choice([16, 24, 32, 48]))
+        g = GridSpec(n, float(rng.choice([2 * np.pi, 10.0, 50.0])))
+        mu = float(rng.choice([0.0, 0.3, 1.0, 4.0]))
+        forcing = ForcingSpec(kind="separable_decaying", amplitude=float(rng.uniform(0.1, 2.0)),
+                              profile=sp.random_band_field(g, 40 + seed, 1.0, 3.0, 1, n // 4),
+                              eta=float(rng.uniform(0.1, 0.95)))
+        mt = multiplier_table(g)
+        cut = None if seed % 2 else (mt.q <= np.quantile(mt.q, 0.3)).astype(float)
+        t0 = 0.0 if seed % 3 else float(rng.uniform(0.1, 50.0))
+        span = float(np.exp(rng.uniform(np.log(0.01), np.log(30.0))))
+        widths = span * (1.0 + rng.uniform(-0.45e-8, 0.45e-8, int(rng.integers(2, 12))))
+        if seed % 4 == 0:
+            # k * span, as qgk linear's default cadence: widths uneven by a few ulps
+            times = [t0 + k * span for k in range(len(widths) + 1)]
+        else:
+            # within the 1e-8 relative spread that --times may hold
+            times = [t0, *(t0 + np.cumsum(widths)).tolist()]
+        diag.uniform_cadence(times)
+        flow = LinearFlow(band_ic(g, 50 + seed, hi=n // 4), forcing, mu, cut)
+        states = list(flow.along(times))
+        assert len(states) == len(times)
+        for k, (t, state) in enumerate(zip(times, states)):
+            direct = flow.at(t)
+            if t0 == 0.0 and k < 2:
+                assert np.array_equal(state.view(np.int64), direct.view(np.int64)), k
+            assert np.max(np.abs(state - direct)) <= 1e-13 * np.max(np.abs(direct)), k
+
+    @pytest.mark.parametrize("kind, times", [
+        *((kind, times) for kind in ("zero", "separable", "tabulated")
+          for times in ([2.0], [0.0, 0.7], [3.0, 2.0, 1.0, 0.0])),
+        ("zero", [0.0, 0.5, 1.0, 1.5]), ("tabulated", [0.0, 0.5, 1.0, 1.5])])
+    def test_along_takes_at_where_it_does_not_carry(self, kind, times):
+        g = G32
+        forcing = {
+            "zero": ForcingSpec(kind="zero"),
+            "separable": forcing_for(g, K=0.6),
+            "tabulated": ForcingSpec(kind="tabulated", table=[
+                (t, band_ic(g, 90 + i, 0.4)) for i, t in enumerate([0.2, 0.8, 1.6])]),
+        }[kind]
+        flow = LinearFlow(band_ic(g, 34), forcing, 0.9, (multiplier_table(g).q <= 12.0) * 1.0)
+        states = list(flow.along(times))
+        assert [s.tobytes() for s in states] == [flow.at(t).tobytes() for t in times]
+
+    def test_along_rejects_uneven_times_before_the_first_state(self):
+        flow = LinearFlow(band_ic(G32, 35), forcing_for(G32), 1.0)
+        with pytest.raises(ValueError, match="uniform"):
+            next(flow.along([0.0, 1.0, 2.5]))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            next(flow.along([-1.0, 0.0, 1.0]))
+
+    def test_carry_blocks_keep_the_bits(self, monkeypatch):
+        # duhamel_carry builds one exponential table per _CARRY_ROWS times;
+        # the factor carried across a block boundary is the same
+        flow = LinearFlow(band_ic(G32, 37), forcing_for(G32, K=0.6), 0.7)
+        times = [0.3 + 0.25 * k for k in range(9)]
+        whole = [s.tobytes() for s in flow.along(times)]
+        monkeypatch.setattr(quadrature, "_CARRY_ROWS", 2)
+        assert [s.tobytes() for s in flow.along(times)] == whole
+
+    def test_one_duhamel_factor_per_forced_series(self, monkeypatch):
+        g = G32
+        calls = []
+
+        def recording(lam, t, eta):
+            calls.append(t)
+            return duhamel_time_factor(lam, t, eta)
+
+        monkeypatch.setattr(evolution, "duhamel_time_factor", recording)
+        monkeypatch.setattr(quadrature, "duhamel_time_factor", recording)
+        cfg = RunConfig(grid=g, mu=0.8, t_end=2.0, dt=1e-2, initial_condition=band_ic(g, 36),
+                        forcing=forcing_for(g, K=0.6))
+        for times in ([0.0, 0.5, 1.0, 1.5, 2.0], [3.0, 3.25, 3.5]):
+            calls.clear()
+            states, records = linear_series(cfg, times)
+            assert len(states) == len(records) == len(times)
+            assert calls == [times[0]]
 
     def test_free_flow_matches_closed_form(self):
         g = G32

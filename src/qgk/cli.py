@@ -137,7 +137,7 @@ def dispatch(argv) -> int:
     except (ConfigError, SnapshotError, OSError, ValueError) as exc:
         print(f"qgk: error: {exc}", file=sys.stderr)
         return 1
-    except (SimulationAbort, QuadratureError, FloatingPointError) as exc:
+    except (SimulationAbort, QuadratureError, ArithmeticError) as exc:
         print(f"qgk: numerical abort: {exc}", file=sys.stderr)
         return 2
 

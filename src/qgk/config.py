@@ -242,8 +242,6 @@ def format_float(x) -> str:
     """Shortest round-trip decimal; locale-independent."""
     if isinstance(x, str):
         return x
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))

@@ -483,50 +483,40 @@ class LinearFlow:
 
     def at(self, t: float) -> np.ndarray:
         """The band block of the flow at time t."""
-        _check_time(t)
-        y = self._decay(t) * self._y0
-        if self.forcing.kind == "separable_decaying":
-            return self._forced(y, duhamel_time_factor(self._lam, t, self.forcing.eta))
-        if self.forcing.kind == "tabulated":
-            knots = self.forcing.knot_times
-            k = int(np.searchsorted(knots, t, side="right")) - 1
-            # at or before the first knot the integral is zero; adding it turns -0.0 into +0.0
-            y = y + (self._carry(k, t - knots[k]) if t > knots[0] else self._knot_integrals[0])
-        return y if self.cut is None else y * self.cut
-
-    def _forced(self, y: np.ndarray, factor: np.ndarray) -> np.ndarray:
-        """The free flow y plus the separable Duhamel integral of the given
-        time factor on the forcing's support, cut like the run."""
-        y[self._support] += self._f0 * factor[self._inverse]
-        return y if self.cut is None else y * self.cut
+        return next(self.along([t]))
 
     def along(self, times):
-        """at(t) for each of the evenly spaced times, in order, made lazily.
+        """The band blocks of the flow at the evenly spaced times, in order,
+        made lazily.  Uneven, negative or non-finite times raise ValueError
+        before the first state.
 
         For separable-decaying forcing and three or more ascending times the
         Duhamel factor is computed once, at the first time, and carried from
         each time to the next (quadrature.duhamel_carry): one exponential
         table per 256 times instead of one per time.  The first two states
         keep the bits of at(t) when the list starts at t = 0, and every
-        state agrees with at(t) to round-off.  Other forcing, shorter lists
-        and descending lists take at(t) per time.  Uneven times raise
-        ValueError before the first state.
+        state agrees with at(t) to round-off.  Shorter and descending lists
+        compute the factor at each time.
         """
         times = list(times)
         span = diag.uniform_cadence(times)
-        if (self.forcing.kind != "separable_decaying" or self._lam.size == 0
-                or len(times) < 3 or not span > 0.0):
-            yield from map(self.at, times)
-            return
+        if not all(0.0 <= t < np.inf for t in times):
+            raise ValueError("linear flow times must be finite and nonnegative")
+        kind = self.forcing.kind
+        if kind == "separable_decaying":
+            eta = self.forcing.eta
+            factors = (duhamel_carry(self._lam, times, eta) if len(times) >= 3 and span > 0.0
+                       else (duhamel_time_factor(self._lam, t, eta) for t in times))
         for t in times:
-            _check_time(t)
-        for t, factor in zip(times, duhamel_carry(self._lam, times, self.forcing.eta)):
-            yield self._forced(self._decay(t) * self._y0, factor)
-
-
-def _check_time(t: float) -> None:
-    if not 0.0 <= t < np.inf:
-        raise ValueError("linear flow times must be finite and nonnegative")
+            y = self._decay(t) * self._y0
+            if kind == "separable_decaying":
+                y[self._support] += self._f0 * next(factors)[self._inverse]
+            elif kind == "tabulated":
+                knots = self.forcing.knot_times
+                k = int(np.searchsorted(knots, t, side="right")) - 1
+                # at or before the first knot the integral is zero; adding it turns -0.0 into +0.0
+                y = y + (self._carry(k, t - knots[k]) if t > knots[0] else self._knot_integrals[0])
+            yield y if self.cut is None else y * self.cut
 
 
 def linear_series(cfg: RunConfig, times, sink=None) -> tuple[list, np.ndarray]:

@@ -141,7 +141,7 @@ def duhamel_carry(lam: np.ndarray, times, eta: float):
     bit for bit.
     """
     span = times[1] - times[0]
-    nodes, weights = panel_rule(_panel_points(span, float(np.max(lam))))
+    nodes, weights = panel_rule(_panel_points(span, float(np.max(lam, initial=0.0))))
     acc = duhamel_time_factor(lam, times[0], eta)
     for lo in range(0, len(times), _CARRY_ROWS):
         block = np.empty((min(_CARRY_ROWS, len(times) - lo), lam.size))

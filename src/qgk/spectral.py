@@ -398,8 +398,11 @@ def cosine_field(grid: GridSpec, kx: int, ky: int, amplitude: float = 1.0) -> Sp
     return SpectralField(grid, c)
 
 
-def _hermitian_random(grid: GridSpec, seed: int, radial_amp) -> SpectralField:
-    """Random field with |c(k)| = radial_amp(|k|) and i.i.d. phases.
+def _hermitian_random(grid: GridSpec, seed: int, radial_amp, amplitude: float, s: float,
+                      name: str) -> SpectralField:
+    """Random field with |c(k)| proportional to radial_amp(|k|) and i.i.d.
+    phases, scaled to the H^s norm amplitude; a field that is zero on the
+    grid, named by name in the error, raises ValueError.
 
     Phases are drawn once over the whole n x n index grid in a fixed order;
     a mode of the half-plane {k1 > 0} u {k1 = 0, k2 > 0} takes its own, any
@@ -419,7 +422,12 @@ def _hermitian_random(grid: GridSpec, seed: int, radial_amp) -> SpectralField:
     # the mean and the Nyquist row (its own mirror); the keep product fixes the zeros' signs
     c[0, 0] = c[grid.n // 2] = 0.0
     c *= mt.keep
-    return SpectralField(grid, c)
+    field = SpectralField(grid, c)
+    norm = sobolev_norm(field, s)
+    if norm == 0.0:
+        raise ValueError(f"{name} on n={grid.n}")
+    field.band *= amplitude / norm
+    return field
 
 
 def random_band_field(
@@ -445,12 +453,8 @@ def random_band_field(
         inside = (kk >= band_lo) & (kk <= band_hi)
         return np.where(inside, (1.0 + q) ** (-(s + 1.0)), 0.0)
 
-    field = _hermitian_random(grid, seed, radial_amp)
-    norm = sobolev_norm(field, s)
-    if norm == 0.0:
-        raise ValueError(f"empty band [{band_lo}, {band_hi}] on n={grid.n}")
-    field.band *= amplitude / norm
-    return field
+    return _hermitian_random(grid, seed, radial_amp, amplitude, s,
+                             f"empty band [{band_lo}, {band_hi}]")
 
 
 def random_exponential_field(
@@ -465,7 +469,5 @@ def random_exponential_field(
     def radial_amp(kk):
         return np.where(kk > 0, np.exp(-decay * kk), 0.0)
 
-    field = _hermitian_random(grid, seed, radial_amp)
-    norm = sobolev_norm(field, s)
-    field.band *= amplitude / norm
-    return field
+    return _hermitian_random(grid, seed, radial_amp, amplitude, s,
+                             f"spectrum exp(-{decay:g} |k|) underflows to zero")

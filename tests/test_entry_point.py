@@ -106,17 +106,21 @@ def test_non_finite_flag_prints_only_its_error_line(tmp_path, argv, flag, shown)
     ("inf16", {"t_end": "inf"}),
     ("overflow16", {"dt": "1e-10", "t_end": "1e300"}),
     ("uneven16", {"dt": "0.3", "t_end": "1.0"}),
+    # exp(-800 |k|) is zero at every |k| >= 1: a datum with no norm to scale to
+    ("underflow16", {"ic.kind": "random_exponential", "ic.decay": "800"}),
 ])
 def test_bad_run_config_exits_1_and_writes_nothing(tmp_path, name, edits):
     text = GRID16
     for key, value in edits.items():
-        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.MULTILINE)
+        text, found = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.MULTILINE)
+        text += "" if found else f"{key} = {value}\n"
         assert f"{key} = {value}\n" in text
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(text)
     proc = qgk_process("run", "--config", cfg, "--out", tmp_path / name)
     assert proc.returncode == 1, proc.stderr
     assert "qgk: error" in proc.stderr and "Traceback" not in proc.stderr
+    assert all(line.startswith("qgk: ") for line in proc.stderr.splitlines())
     assert not (tmp_path / name).exists()
 
 
@@ -133,6 +137,18 @@ def test_decay_profile_out_of_range_prints_only_its_line(tmp_path, profile, code
     assert proc.returncode == code
     assert proc.stderr == line + "\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_lp_spectrum_weight_overflow_is_a_numerical_abort(tmp_path):
+    # 2^(j s) overflows a Python float at --weight 1000
+    cfg = tmp_path / "grid16.cfg"
+    cfg.write_text(GRID16)
+    out = tmp_path / "lp.csv"
+    proc = qgk_process("lp-spectrum", "--config", cfg, "--weight", "1000", "--out", out)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("qgk: numerical abort: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 # runs each command through qgk.cli.main in one process from the working

@@ -587,6 +587,12 @@ class TestLinearFlow:
             next(flow.along([0.0, 1.0, 2.5]))
         with pytest.raises(ValueError, match="finite and nonnegative"):
             next(flow.along([-1.0, 0.0, 1.0]))
+        # a descending list that crosses below zero, under every forcing kind
+        tabulated = ForcingSpec(kind="tabulated", table=[
+            (t, band_ic(G32, 90 + i, 0.4)) for i, t in enumerate([0.2, 0.8, 1.6])])
+        for forcing in (ForcingSpec(kind="zero"), forcing_for(G32), tabulated):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                next(LinearFlow(band_ic(G32, 35), forcing, 1.0).along([1.0, 0.5, 0.0, -0.5]))
 
     def test_carry_blocks_keep_the_bits(self, monkeypatch):
         # duhamel_carry builds one exponential table per _CARRY_ROWS times;

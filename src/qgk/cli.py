@@ -396,7 +396,10 @@ def _cmd_lp_spectrum(args) -> int:
         cfg, manifest = _load(args)
         field = cfg.initial_state
     partition = lp.dyadic_partition(field.grid)
-    rows = lp.block_spectrum(partition, field, args.weight)
+    try:
+        rows = lp.block_spectrum(partition, field, args.weight)
+    except OverflowError as exc:
+        raise OverflowError(f"--weight {args.weight:g}: {exc}") from None
     write_csv(args.out, ["j", "l2_of_block", "weighted"], rows, manifest)
     print(f"{len(rows)} dyadic blocks -> {args.out}")
     return 0

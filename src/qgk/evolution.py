@@ -19,13 +19,18 @@ Every state a run or the linear flow prepares, evolves or returns is a band
 block coeffs[..., :n/2] (see qgk.grid), bare in the step loop and from
 LinearFlow.at, a SpectralField in results; no full array is built here.
 One step loop (_advance) serves simulate and compare_runs, and leading axes
-of the blocks stack runs stepped together.
+of the blocks stack runs stepped together; compare_runs may instead step its
+second run in a forked child process.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import signal
+import struct
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,13 +40,16 @@ from . import diagnostics as diag
 from .grid import GridSpec, SpectralField, multiplier_table
 from .bilinear import transport
 from .quadrature import duhamel_carry, duhamel_time_factor, linear_segment_factor, masked_exp
-from .spectral import band_samples, sanitize_band
+from .spectral import POOL_MIN_N, band_samples, sanitize_band
 
 IF_RK4 = "if_rk4"
 IF_RK2 = "if_rk2"
 STEPPERS = (IF_RK4, IF_RK2)
 
 FORCING_KINDS = ("zero", "separable_decaying", "tabulated")
+
+
+NONFINITE_STEP = "non-finite state after step"
 
 
 class SimulationAbort(RuntimeError):
@@ -292,7 +300,7 @@ def step(y: np.ndarray, t: float, cfg: RunConfig) -> np.ndarray:
         d = nl(e_full_y + dt_e_half * c, t + dt, cfg)
         out = e_full_y + (dt / 6.0) * (e_full * a + two_e_half * (b + c) + d)
     if not np.all(np.isfinite(out)):
-        raise SimulationAbort("non-finite state after step", t + dt,
+        raise SimulationAbort(NONFINITE_STEP, t + dt,
                               _first_nonfinite(y, out, cfg.grid), t)
     return out
 
@@ -559,10 +567,134 @@ def _grad_l4_fourth(y: np.ndarray, grid: GridSpec) -> float:
     return grid.dx ** 2 * float(np.sum((p1 * p1 + p2 * p2) ** 2))
 
 
+def _forks_twin(grid: GridSpec) -> bool:
+    """Whether compare_runs steps its second run in a forked child: on grids
+    below POOL_MIN_N, whose products run on one thread, where the process may
+    run on two CPUs and the caller is its only Python thread, so that the
+    fork copies no lock another thread holds."""
+    return (grid.n < POOL_MIN_N and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+
+
+# A twin run's child sends fixed-size frames: this header, then a band
+# block's bytes.  A RECORD frame holds a recorded state.  The last frame
+# holds the final state (FINAL), the last good block of a step that turned
+# non-finite (ABORT) or the child's exception as text (ERROR).
+_FRAME = struct.Struct("<qdd")   # kind, then t and last_good_t of an abort
+_RECORD, _FINAL, _ABORT, _ERROR = range(4)
+
+
+def _step_child(cfg: RunConfig, y: np.ndarray, read_end: int, write_end: int) -> None:
+    """Body of a twin run's forked child: step y as _advance does, sending
+    each frame down the pipe (read_end, write_end).  It writes nothing else
+    and never returns: every way out is os._exit."""
+    code = 1
+    try:
+        os.close(read_end)
+        with os.fdopen(write_end, "wb") as pipe:
+            def send(kind, payload, t=0.0, last_good_t=0.0):
+                pipe.write(_FRAME.pack(kind, t, last_good_t))
+                pipe.write(payload)
+                pipe.flush()
+
+            try:
+                y = _advance(cfg, y, lambda t, y: send(_RECORD, y.tobytes()))
+                send(_FINAL, y.tobytes())
+            except SimulationAbort as exc:
+                send(_ABORT, exc.last_good.band.tobytes(), exc.t, exc.last_good_t)
+            except BaseException as exc:
+                text = f"{type(exc).__name__}: {exc}".encode()[:y.nbytes]
+                send(_ERROR, text.ljust(y.nbytes, b"\0"))
+                raise
+        code = 0
+    finally:
+        os._exit(code)
+
+
+class _TwinChild:
+    """A forked child process that steps the band block y of one run of a
+    twin; receive() reads its frames in order.  close() reaps the child,
+    killing it first unless it has sent its last frame, so no child outlives
+    its twin run."""
+
+    def __init__(self, cfg: RunConfig, y: np.ndarray):
+        self.grid, self.shape = cfg.grid, y.shape
+        self.size = _FRAME.size + y.nbytes
+        read_end, write_end = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if self.pid == 0:
+            _step_child(cfg, y, read_end, write_end)
+        os.close(write_end)
+        self.pipe = os.fdopen(read_end, "rb")
+        self.finished = False   # its last frame was read: it exits by itself
+
+    def receive(self) -> np.ndarray:
+        """The child's next state; raises its abort, or ChildProcessError for
+        its error or for a child that ended before its last frame."""
+        data = self.pipe.read(self.size)
+        if len(data) < self.size:
+            raise ChildProcessError(f"twin run child {self.pid} ended before its last frame "
+                                    f"({self._reap()})")
+        kind, t, last_good_t = _FRAME.unpack_from(data)
+        self.finished = kind != _RECORD
+        block = np.frombuffer(data, complex, offset=_FRAME.size).reshape(self.shape)
+        if kind == _ABORT:
+            raise SimulationAbort(NONFINITE_STEP, t, SpectralField(self.grid, block.copy()),
+                                  last_good_t)
+        if kind == _ERROR:
+            text = data[_FRAME.size:].rstrip(b"\0").decode(errors="replace")
+            raise ChildProcessError(f"twin run child {self.pid} failed: {text}")
+        return block
+
+    def _reap(self) -> str:
+        """Wait for the child; how it ended."""
+        pid, self.pid = self.pid, None
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        return f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+
+    def close(self) -> None:
+        self.pipe.close()
+        if self.pid is not None:
+            if not self.finished:
+                os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+
+
+def _advance_twin(cfg: RunConfig, base: np.ndarray, other: np.ndarray, push) -> None:
+    """_advance of the stack (base, other), calling push(t, (base, other)) at
+    each record, with other stepped in a forked child.  An abort is the
+    stacked step's: that of the first run to turn non-finite, base's on a
+    tie."""
+    child = _TwinChild(cfg, other)
+    try:
+        try:
+            _advance(cfg, base, lambda t, y: push(t, (y, child.receive())))
+        except SimulationAbort as exc:
+            if not child.finished:
+                # base's own abort: the child's next frame tells whether it aborted first
+                try:
+                    child.receive()
+                except SimulationAbort as first:
+                    if first.last_good_t < exc.last_good_t:
+                        raise first from None
+            raise
+        # the child's final state, or its abort after the last record
+        child.receive()
+    finally:
+        child.close()
+
+
 def compare_runs(cfg: RunConfig, perturbation: SpectralField) -> StabilityReport:
     """Run the configured experiment twice, from r0 and r0 + perturbation.
-    Both runs step together as one (2, n, n/2) stack of band blocks; an
-    abort carries the pre-step state of the first run to turn non-finite.
+    Both runs step together as one (2, n, n/2) stack of band blocks, or, where
+    _forks_twin allows, the second in a forked child; either way each run
+    keeps its solo bits, and an abort carries the pre-step state of the first
+    run to turn non-finite, the base run's on a tie.
 
     Reports the first-energy of the difference and fits the smallest
     constants (C, K >= 0) of the Gronwall-shaped envelope
@@ -573,6 +705,7 @@ def compare_runs(cfg: RunConfig, perturbation: SpectralField) -> StabilityReport
     if perturbation.grid != cfg.grid:
         raise ValueError("perturbation grid does not match run grid")
     base = cfg.initial_state.band
+    other = _restrict(cfg, base + perturbation.band)
     samples = []
 
     def push(t, pair):
@@ -580,7 +713,10 @@ def compare_runs(cfg: RunConfig, perturbation: SpectralField) -> StabilityReport
                                         rows=[diag.E_FIRST, diag.H3_SQ])
         samples.append((t, e, math.sqrt(h3_sq), _grad_l4_fourth(pair[0], cfg.grid)))
 
-    _advance(cfg, np.stack([base, _restrict(cfg, base + perturbation.band)]), push)
+    if _forks_twin(cfg.grid):
+        _advance_twin(cfg, base, other, push)
+    else:
+        _advance(cfg, np.stack([base, other]), push)
     times, e_delta, delta_h3, g_rate = (np.array(col) for col in zip(*samples))
     g_int = diag.cumulative_simpson(g_rate, times[1] if len(times) > 1 else 1.0)
     if e_delta[0] > 0.0:

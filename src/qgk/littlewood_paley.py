@@ -151,9 +151,14 @@ def bernstein_ratio(partition: DyadicPartition, u: SpectralField, j: int, k: int
 
 
 def block_spectrum(partition: DyadicPartition, u: SpectralField, s: float = 0.0):
-    """Rows (j, l2_of_block, 2^(js)-weighted value) for every block."""
+    """Rows (j, l2_of_block, 2^(js)-weighted value) for every block.  A
+    weight 2^(js) past the float range raises OverflowError naming j."""
     rows = []
     for j in partition.block_range():
         val = l2_norm(dyadic_block(partition, u, j))
-        rows.append((j, val, 2.0 ** (j * s) * val))
+        try:
+            weight = 2.0 ** (j * s)
+        except OverflowError:
+            raise OverflowError(f"2^(j s) overflows at block j = {j}") from None
+        rows.append((j, val, weight * val))
     return rows

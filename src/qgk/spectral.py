@@ -37,9 +37,9 @@ sfft = np.fft
 def fft_workers() -> int:
     """The FFT worker count the QGK_THREADS environment variable asks for
     (0 = one per core, unparsable = 1).  No qgk code reads it: each transform
-    is one numpy.fft call on one thread, and the only threads are
-    band_product's two, which its own gate turns on.  The benchmark records
-    the value with its host."""
+    is one numpy.fft call on one thread.  The only parallel work is
+    band_product's two threads and compare_runs' forked child, each turned
+    on by its own gate.  The benchmark records the value with its host."""
     try:
         val = int(os.environ.get("QGK_THREADS", "1"))
     except ValueError:
@@ -402,7 +402,8 @@ def _hermitian_random(grid: GridSpec, seed: int, radial_amp, amplitude: float, s
                       name: str) -> SpectralField:
     """Random field with |c(k)| proportional to radial_amp(|k|) and i.i.d.
     phases, scaled to the H^s norm amplitude; a field that is zero on the
-    grid, named by name in the error, raises ValueError.
+    grid, named by name in the error, or whose H^s norm is not finite raises
+    ValueError.
 
     Phases are drawn once over the whole n x n index grid in a fixed order;
     a mode of the half-plane {k1 > 0} u {k1 = 0, k2 > 0} takes its own, any
@@ -423,9 +424,13 @@ def _hermitian_random(grid: GridSpec, seed: int, radial_amp, amplitude: float, s
     c[0, 0] = c[grid.n // 2] = 0.0
     c *= mt.keep
     field = SpectralField(grid, c)
-    norm = sobolev_norm(field, s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = sobolev_norm(field, s)
     if norm == 0.0:
         raise ValueError(f"{name} on n={grid.n}")
+    if not np.isfinite(norm):
+        raise ValueError(f"the H^{s:g} norm of a random field on n={grid.n} is not finite: "
+                         f"no amplitude to scale to")
     field.band *= amplitude / norm
     return field
 

@@ -2,7 +2,13 @@
 
 import dataclasses
 import importlib
+import itertools
+import os
+import signal
 import struct
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -35,6 +41,7 @@ from qgk.evolution import (
     _grad_l4_fourth,
 )
 from scipy_oracles import duhamel_time_factor_quad, duhamel_time_factor_table
+from test_spectral import set_cpus
 
 
 G64 = GridSpec(64, 2 * np.pi)
@@ -815,6 +822,233 @@ class TestEnsembleAxis:
         assert info.value.t == t + cfg.dt
         assert np.array_equal(info.value.last_good.coeffs, doomed.coeffs)
         assert np.all(np.isfinite(info.value.last_good.coeffs))
+
+
+def recording_fork(pids):
+    """os.fork, appending the pid of each child it makes to pids."""
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    return recording
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """compare_runs on its forked path: two CPUs in the affinity mask and no
+    pair worker thread alive.  Returns the pids of the children it forks."""
+    set_cpus(monkeypatch, 2)
+    if sp._PAIRS.executor is not None:
+        # the pool starts a new worker with its next pooled product
+        sp._PAIRS.executor.shutdown(wait=True)
+        sp._PAIRS.executor = None
+    assert threading.active_count() == 1
+    pids = []
+    monkeypatch.setattr(os, "fork", recording_fork(pids))
+    return pids
+
+
+@pytest.fixture
+def stacked(monkeypatch):
+    """compare_runs on its stacked path: one CPU, and no fork."""
+    set_cpus(monkeypatch, 1)
+
+    def no_fork():
+        raise AssertionError("the stacked path forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+def assert_reaped(pids):
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def report_arrays(report):
+    """Every field of a StabilityReport as an array."""
+    return {name: np.asarray(value) for name, value in dataclasses.asdict(report).items()}
+
+
+def twin_sweep_cases(seed=30):
+    """Seeded twin runs over n in {16, 18, 48} under both dealias policies,
+    with a Galerkin cut, mu = 0 or separable forcing in turn, random box
+    lengths and record cadences, some leaving a partial last window."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for k, (n, dealias) in enumerate(itertools.product(
+            (16, 18, 48), ("three_halves_padding", "two_thirds_truncation"))):
+        g = GridSpec(n, float(rng.uniform(2.0, 8.0)), dealias)
+        top = (np.pi * n / g.box_length) ** 2
+        extra = [{"galerkin_cut": float(rng.uniform(0.2, 0.6)) * top}, {"mu": 0.0},
+                 {"forcing": forcing_for(g, int(rng.integers(100)))}][k % 3]
+        steps, dt = int(rng.integers(5, 12)), 5e-3
+        values = dict(grid=g, mu=float(rng.uniform(0.2, 1.5)), dt=dt, t_end=steps * dt,
+                      initial_condition=band_ic(g, int(rng.integers(100)), 0.5, hi=n // 4),
+                      diagnostics_every=int(rng.integers(1, 4)))
+        values.update(extra)
+        perturbation = band_ic(g, int(rng.integers(100)), float(rng.uniform(1e-6, 1e-2)))
+        cases.append((f"n{n}_{dealias}", RunConfig(**values), perturbation))
+    return cases
+
+
+def forked_sweep(out):
+    """Run twin_sweep_cases on the forked path, in a fresh interpreter with
+    two CPUs in its affinity mask, asserting one fork per case, and save
+    each report's arrays to the .npz file out."""
+    os.sched_getaffinity = lambda pid: {0, 1}
+    pids = []
+    os.fork = recording_fork(pids)
+    arrays = {}
+    cases = twin_sweep_cases()
+    for name, cfg, perturbation in cases:
+        for field, value in report_arrays(compare_runs(cfg, perturbation)).items():
+            arrays[f"{name}.{field}"] = value
+    assert len(pids) == len(cases), "the sweep did not fork once per case"
+    np.savez(out, **arrays)
+
+
+def abort_case(which):
+    """(cfg, perturbation) of a twin run in which the base, the perturbed
+    run or both at the same step turn non-finite first; "late" is the
+    perturbed run turning non-finite after the last record."""
+    doomed = blowup_config()
+    calm = band_ic(doomed.grid, 40, 0.1)
+    if which in ("perturbed", "late"):
+        cfg = dataclasses.replace(doomed, initial_condition=calm)
+        if which == "late":
+            # the doomed datum's third step aborts: three steps, one record
+            cfg = dataclasses.replace(cfg, t_end=3 * cfg.dt, diagnostics_every=5)
+        return cfg, SpectralField(cfg.grid, doomed.initial_condition.band - calm.band)
+    if which == "base":
+        return doomed, SpectralField(doomed.grid, calm.band - doomed.initial_state.band)
+    return doomed, SpectralField(doomed.grid, 0.1 * doomed.initial_state.band)
+
+
+class TestTwinFork:
+    """Below POOL_MIN_N, on two CPUs, the twin run steps its perturbed run in
+    a forked child: every output keeps the stacked path's bits, and no child
+    outlives compare_runs."""
+
+    def test_forked_sweep_equals_stacked(self, stacked, tmp_path):
+        out = tmp_path / "forked.npz"
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(evolution.__file__)))
+        script = (f"import sys; sys.path[:0] = [{src!r}, {tests!r}]; "
+                  f"import test_evolution; test_evolution.forked_sweep({str(out)!r})")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        forked = np.load(out)
+        cases = twin_sweep_cases()
+        assert len(forked.files) == 8 * len(cases)
+        for name, cfg, perturbation in cases:
+            for field, value in report_arrays(compare_runs(cfg, perturbation)).items():
+                other = forked[f"{name}.{field}"]
+                assert (other.dtype, other.shape) == (value.dtype, value.shape)
+                assert other.tobytes() == value.tobytes(), f"{name}.{field}"
+
+    def test_gate(self, forking, monkeypatch):
+        assert evolution._forks_twin(G64)
+        assert not evolution._forks_twin(GridSpec(sp.POOL_MIN_N, 2 * np.pi))
+        set_cpus(monkeypatch, 1)
+        assert not evolution._forks_twin(G64)
+        set_cpus(monkeypatch, 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert not evolution._forks_twin(G64)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+
+    def test_normal_return_reaps_the_child(self, forking):
+        cfg = stacked_config(G32, forcing=forcing_for(G32))
+        report = compare_runs(cfg, band_ic(G32, 45, 1e-4))
+        assert len(forking) == 1
+        assert_reaped(forking)
+        assert len(report.times) == cfg.n_steps // cfg.diagnostics_every + 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("which", ["perturbed", "late", "base", "both"])
+    def test_abort_equals_stacked(self, which, monkeypatch, forking):
+        cfg, perturbation = abort_case(which)
+        with pytest.raises(SimulationAbort) as forked:
+            compare_runs(cfg, perturbation)
+        assert_reaped(forking)
+        with monkeypatch.context() as m:
+            set_cpus(m, 1)
+            with pytest.raises(SimulationAbort) as stacked:
+                compare_runs(cfg, perturbation)
+        assert len(forking) == 1
+        f, s = forked.value, stacked.value
+        assert (str(f), f.t, f.last_good_t) == (str(s), s.t, s.last_good_t)
+        assert f.last_good.band.tobytes() == s.last_good.band.tobytes()
+        # the cases abort where they say: the doomed datum's last finite
+        # state, the base run's unless only the perturbed run is doomed
+        t, doomed = last_finite_state(blowup_config())
+        assert f.t == t + cfg.dt
+        solo = dataclasses.replace(cfg, initial_condition=SpectralField(
+            cfg.grid, cfg.initial_state.band + perturbation.band))
+        if which == "both":
+            assert last_finite_state(solo)[0] == t
+        if which in ("perturbed", "late"):
+            assert np.allclose(f.last_good.band, doomed.band, rtol=1e-9, atol=0.0)
+        else:
+            assert np.array_equal(f.last_good.band, doomed.band)
+
+    def test_caller_error_kills_and_reaps_the_child(self, forking, monkeypatch):
+        calls = []
+
+        def failing(y, grid):
+            calls.append(1)
+            if len(calls) == 2:
+                raise KeyError("caller fails mid-run")
+            return _grad_l4_fourth(y, grid)
+
+        monkeypatch.setattr(evolution, "_grad_l4_fourth", failing)
+        cfg = stacked_config(G64, t_end=0.5, diagnostics_every=1)
+        with pytest.raises(KeyError, match="caller fails mid-run"):
+            compare_runs(cfg, band_ic(G64, 46, 1e-4))
+        assert_reaped(forking)
+
+    def test_killed_child_is_an_error_naming_it(self, forking, monkeypatch):
+        # 50 records of 32 KB each: more than a pipe holds, so the child is
+        # still stepping when it is killed
+        def killing(y, grid):
+            if forking:
+                os.kill(forking[-1], signal.SIGKILL)
+            return _grad_l4_fourth(y, grid)
+
+        monkeypatch.setattr(evolution, "_grad_l4_fourth", killing)
+        cfg = stacked_config(G64, t_end=0.5, diagnostics_every=1)
+        with pytest.raises(ChildProcessError) as info:
+            compare_runs(cfg, band_ic(G64, 46, 1e-4))
+        assert str(info.value) == (f"twin run child {forking[0]} ended before its last frame "
+                                   f"(killed by signal {int(signal.SIGKILL)})")
+        assert_reaped(forking)
+
+    def test_error_in_the_child_is_an_error_naming_it(self, forking, monkeypatch):
+        caller, solo_step = os.getpid(), step
+
+        def failing(y, t, cfg):
+            if os.getpid() != caller and t > 0.0:
+                raise MemoryError("no room for the second step")
+            return solo_step(y, t, cfg)
+
+        monkeypatch.setattr(evolution, "step", failing)
+        with pytest.raises(ChildProcessError) as info:
+            compare_runs(stacked_config(G32), band_ic(G32, 47, 1e-4))
+        assert str(info.value) == (f"twin run child {forking[0]} failed: "
+                                   "MemoryError: no room for the second step")
+        assert_reaped(forking)
 
 
 def qgk_caches():
